@@ -5,17 +5,13 @@
  * generates (demand hits dominating, prefetch-candidate misses, fill
  * churn in a finite SLC, and the infinite-SLC fill-then-find path).
  *
- * `LegacyCacheArray` is a faithful copy of the seed array (an AoS frame
- * scan with a valid check per way; an unordered_map in infinite mode)
- * so a single run quantifies the speedup of the SoA tag lane and the
- * open-addressed infinite table; the `BM_Legacy*` numbers are the
- * baseline the acceptance criterion compares against.
+ * The speedup of the SoA tag lane and the open-addressed infinite table
+ * over the seed's AoS array is recorded in CHANGES.md (PR 5).
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache_array.hh"
@@ -25,95 +21,6 @@ using namespace psim;
 namespace
 {
 
-/** The seed tag/state array, verbatim, for baseline measurements. */
-class LegacyCacheArray
-{
-  public:
-    LegacyCacheArray(unsigned size_bytes, unsigned assoc,
-                     unsigned block_size)
-        : _infinite(size_bytes == 0),
-          _assoc(assoc),
-          _blockSize(block_size),
-          _numSets(0)
-    {
-        if (!_infinite) {
-            unsigned blocks = size_bytes / block_size;
-            _numSets = blocks / assoc;
-            _frames.resize(static_cast<std::size_t>(_numSets) * _assoc);
-        }
-    }
-
-    CacheBlk *
-    find(Addr blk_addr)
-    {
-        if (_infinite) {
-            auto it = _map.find(blk_addr);
-            if (it == _map.end() || !it->second.valid())
-                return nullptr;
-            return &it->second;
-        }
-        CacheBlk *set = &_frames[setIndex(blk_addr) * _assoc];
-        for (unsigned w = 0; w < _assoc; ++w) {
-            if (set[w].valid() && set[w].addr == blk_addr)
-                return &set[w];
-        }
-        return nullptr;
-    }
-
-    CacheBlk *
-    findVictim(Addr blk_addr)
-    {
-        if (_infinite) {
-            auto [it, inserted] = _map.try_emplace(blk_addr);
-            if (inserted)
-                it->second.addr = blk_addr;
-            return &it->second;
-        }
-        CacheBlk *set = &_frames[setIndex(blk_addr) * _assoc];
-        CacheBlk *victim = &set[0];
-        for (unsigned w = 0; w < _assoc; ++w) {
-            if (!set[w].valid())
-                return &set[w];
-            if (set[w].lastUse < victim->lastUse)
-                victim = &set[w];
-        }
-        return victim;
-    }
-
-    void
-    fill(CacheBlk *frame, Addr blk_addr, CohState state, Tick now)
-    {
-        frame->addr = blk_addr;
-        frame->state = state;
-        frame->prefetched = false;
-        frame->outcomeReported = false;
-        frame->written = false;
-        frame->lastUse = now;
-    }
-
-    void
-    invalidate(CacheBlk *blk)
-    {
-        blk->state = CohState::Invalid;
-        blk->prefetched = false;
-    }
-
-  private:
-    std::size_t
-    setIndex(Addr blk_addr) const
-    {
-        return static_cast<std::size_t>(
-                (blk_addr / _blockSize) & (_numSets - 1));
-    }
-
-    bool _infinite;
-    unsigned _assoc;
-    unsigned _blockSize;
-    unsigned _numSets;
-    std::vector<CacheBlk> _frames;
-    std::unordered_map<Addr, CacheBlk> _map;
-};
-
 // The paper's finite-SLC configuration: 64 KiB, 4-way, 32 B blocks.
 constexpr unsigned kSlcBytes = 64 * 1024;
 constexpr unsigned kAssoc = 4;
@@ -121,11 +28,10 @@ constexpr unsigned kBlock = 32;
 constexpr std::size_t kProbes = 8192;
 
 /** Fill the array, then probe resident blocks (the demand-hit path). */
-template <typename Array>
 void
-lookupHit(benchmark::State &state)
+BM_LookupHit(benchmark::State &state)
 {
-    Array arr(kSlcBytes, kAssoc, kBlock);
+    CacheArray arr(kSlcBytes, kAssoc, kBlock);
     std::vector<Addr> addrs;
     for (std::size_t i = 0; i < kSlcBytes / kBlock; ++i)
         addrs.push_back(static_cast<Addr>(i) * kBlock);
@@ -147,11 +53,10 @@ lookupHit(benchmark::State &state)
 }
 
 /** Probe non-resident blocks (the prefetch-candidate filter path). */
-template <typename Array>
 void
-lookupMiss(benchmark::State &state)
+BM_LookupMiss(benchmark::State &state)
 {
-    Array arr(kSlcBytes, kAssoc, kBlock);
+    CacheArray arr(kSlcBytes, kAssoc, kBlock);
     for (std::size_t i = 0; i < kSlcBytes / kBlock; ++i)
         arr.fill(arr.findVictim(static_cast<Addr>(i) * kBlock),
                  static_cast<Addr>(i) * kBlock, CohState::Shared, 0);
@@ -170,11 +75,10 @@ lookupMiss(benchmark::State &state)
 }
 
 /** Fill a working set 4x the capacity: the evict/refill churn path. */
-template <typename Array>
 void
-fillEvict(benchmark::State &state)
+BM_FillEvict(benchmark::State &state)
 {
-    Array arr(kSlcBytes, kAssoc, kBlock);
+    CacheArray arr(kSlcBytes, kAssoc, kBlock);
     Tick now = 0;
     for (auto _ : state) {
         for (std::size_t i = 0; i < kProbes; ++i) {
@@ -192,13 +96,12 @@ fillEvict(benchmark::State &state)
 }
 
 /** Infinite mode: grow a large resident set from empty (fills only). */
-template <typename Array>
 void
-infiniteFill(benchmark::State &state)
+BM_InfiniteFill(benchmark::State &state)
 {
     std::uint64_t sink = 0;
     for (auto _ : state) {
-        Array arr(0, 1, kBlock);
+        CacheArray arr(0, 1, kBlock);
         for (std::size_t i = 0; i < kProbes; ++i) {
             Addr a = static_cast<Addr>(i) * kBlock;
             arr.fill(arr.findVictim(a), a, CohState::Shared, 0);
@@ -215,11 +118,10 @@ infiniteFill(benchmark::State &state)
  * of the paper's infinite SLC, where every demand access and prefetch
  * candidate lands after the working set is resident.
  */
-template <typename Array>
 void
-infiniteFind(benchmark::State &state)
+BM_InfiniteFind(benchmark::State &state)
 {
-    Array arr(0, 1, kBlock);
+    CacheArray arr(0, 1, kBlock);
     for (std::size_t i = 0; i < kProbes; ++i) {
         Addr a = static_cast<Addr>(i) * kBlock;
         arr.fill(arr.findVictim(a), a, CohState::Shared, 0);
@@ -241,46 +143,11 @@ infiniteFind(benchmark::State &state)
                             static_cast<std::int64_t>(kProbes));
 }
 
-void BM_LookupHit(benchmark::State &s) { lookupHit<CacheArray>(s); }
-void BM_LegacyLookupHit(benchmark::State &s)
-{
-    lookupHit<LegacyCacheArray>(s);
-}
-
-void BM_LookupMiss(benchmark::State &s) { lookupMiss<CacheArray>(s); }
-void BM_LegacyLookupMiss(benchmark::State &s)
-{
-    lookupMiss<LegacyCacheArray>(s);
-}
-
-void BM_FillEvict(benchmark::State &s) { fillEvict<CacheArray>(s); }
-void BM_LegacyFillEvict(benchmark::State &s)
-{
-    fillEvict<LegacyCacheArray>(s);
-}
-
-void BM_InfiniteFill(benchmark::State &s) { infiniteFill<CacheArray>(s); }
-void BM_LegacyInfiniteFill(benchmark::State &s)
-{
-    infiniteFill<LegacyCacheArray>(s);
-}
-
-void BM_InfiniteFind(benchmark::State &s) { infiniteFind<CacheArray>(s); }
-void BM_LegacyInfiniteFind(benchmark::State &s)
-{
-    infiniteFind<LegacyCacheArray>(s);
-}
-
 BENCHMARK(BM_LookupHit);
-BENCHMARK(BM_LegacyLookupHit);
 BENCHMARK(BM_LookupMiss);
-BENCHMARK(BM_LegacyLookupMiss);
 BENCHMARK(BM_FillEvict);
-BENCHMARK(BM_LegacyFillEvict);
 BENCHMARK(BM_InfiniteFill);
-BENCHMARK(BM_LegacyInfiniteFill);
 BENCHMARK(BM_InfiniteFind);
-BENCHMARK(BM_LegacyInfiniteFind);
 
 } // namespace
 

@@ -1,9 +1,8 @@
 #include "render.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <initializer_list>
-
-#include "common.hh"
 
 namespace psim::bench
 {
@@ -15,6 +14,54 @@ using spec::AxisValue;
 using spec::CellResult;
 using spec::Results;
 using spec::Spec;
+
+/**
+ * Format a prefetch efficiency for a table cell: "0.63"-style, or an
+ * em dash when the run issued no prefetches (efficiency is NaN).
+ */
+std::string
+fmtEff(double eff, int width = 0)
+{
+    char buf[32];
+    if (std::isnan(eff)) {
+        // The em dash is 3 UTF-8 bytes but one display column; widen
+        // the field so printf's byte-counting padding still lines up.
+        std::snprintf(buf, sizeof(buf), "%*s", width ? width + 2 : 0,
+                      "—");
+    } else {
+        std::snprintf(buf, sizeof(buf), "%*.2f", width, eff);
+    }
+    return buf;
+}
+
+/** Format the dominant strides like the paper: "1(93%), 65(42%)". */
+std::string
+dominantStrides(const StrideCharacterizer::Report &r, unsigned max_entries)
+{
+    std::string out;
+    unsigned shown = 0;
+    for (const auto &[stride, fraction] : r.topStrides) {
+        if (shown >= max_entries || fraction < 0.05)
+            break;
+        if (shown)
+            out += ", ";
+        out += std::to_string(stride) + "(" +
+               std::to_string(static_cast<int>(fraction * 100 + 0.5)) +
+               "%)";
+        ++shown;
+    }
+    if (out.empty())
+        out = "-";
+    return out;
+}
+
+void
+hr(unsigned width = 78)
+{
+    for (unsigned i = 0; i < width; ++i)
+        std::putchar('-');
+    std::putchar('\n');
+}
 
 const CellResult &
 cellAt(const Spec &s, const Results &r, std::size_t group,

@@ -1,12 +1,12 @@
 /**
  * @file
- * Report renderers: turn one executed spec (sim/spec.hh) back into the
- * exact stdout of the legacy per-table harness it replaced.
+ * Report renderers: turn one executed spec (sim/spec.hh) into the
+ * paper-layout table run_spec prints on stdout.
  *
  * Each renderer is keyed by the spec's "report" id and addresses cells
  * through Spec::cellIndex(), so the printed table is independent of
- * the flat cell order and byte-identical to the pre-spec binaries
- * (pinned in tests/golden/<name>.stdout.txt). A spec with report
+ * the flat cell order (pinned in tests/golden/<name>.stdout.txt).
+ * A spec with report
  * "none" renders nothing -- the JSON results document is the output.
  */
 

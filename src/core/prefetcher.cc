@@ -4,7 +4,6 @@
 #include "core/chase.hh"
 #include "core/ddet.hh"
 #include "core/idet.hh"
-#include "core/idet_lookahead.hh"
 #include "core/mstride.hh"
 #include "core/ptron.hh"
 #include "core/sequential.hh"
@@ -43,8 +42,8 @@ makeScheme(const MachineConfig &cfg, PrefetchScheme scheme)
                 cfg.blockSize, p.degree, p.adaptiveMaxDegree,
                 p.adaptiveWindow);
       case PrefetchScheme::IDetLookahead:
-        return std::make_unique<IDetLookaheadPrefetcher>(p.rptEntries,
-                p.lookaheadStrides, cfg.blockSize);
+        return std::make_unique<IDetPrefetcher>(p.rptEntries, p.degree,
+                cfg.blockSize, p.lookaheadStrides);
       case PrefetchScheme::MultiStride:
         return std::make_unique<MultiStridePrefetcher>(p.rptEntries,
                 p.mstrideWays, p.mstrideConf, p.degree, cfg.blockSize);

@@ -108,6 +108,9 @@ MachineConfig::validate() const
         psim_fatal("write buffers need at least one entry");
     if (prefetch.degree == 0)
         psim_fatal("degree of prefetching must be >= 1");
+    // Lookahead 0 would select IDetPrefetcher's tagged continuation.
+    if (prefetch.lookaheadStrides == 0)
+        psim_fatal("lookaheadStrides must be >= 1");
     if (prefetch.mstrideWays == 0 || prefetch.mstrideWays > 8)
         psim_fatal("mstrideWays %u is outside [1, 8]",
                    prefetch.mstrideWays);

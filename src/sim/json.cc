@@ -443,8 +443,8 @@ serializeValue(const Value &v, std::string &out)
       case Value::Type::Number: {
         double n = v.asNumber("");
         if (!std::isfinite(n)) {
-            // JSON has no NaN/Inf; an absent value becomes null (same
-            // convention as the legacy bench JSON emitter).
+            // JSON has no NaN/Inf; an absent value (the prefetch
+            // efficiency of a run that issued none) becomes null.
             out += "null";
             break;
         }

@@ -12,7 +12,7 @@
  * document (scripts/results_schema.json) that golden `BENCH_*.json`
  * snapshots and scripts/diff_results.py regression-gate in CI.
  *
- * The bench layer (bench/run_spec + the thin legacy shims) adds the
+ * The bench layer (bench/run_spec.cc and bench/render.cc) adds the
  * table renderers that turn a Results into the paper's printed layout;
  * everything in this header is presentation-free grid plumbing.
  *

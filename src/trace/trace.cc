@@ -12,41 +12,11 @@ namespace
 
 constexpr std::uint64_t kMagic = 0x505349'4d54524bULL; // "PSIMTRK"
 
-/**
- * Version 2: explicit little-endian field-by-field serialization.
- * Version 1 wrote the structs below as raw host memory; trace.hh always
- * documented "little-endian records", so v1 files were only correct on
- * little-endian hosts. The v1 read path below preserves exactly that.
- */
+/** Version 2: explicit little-endian field-by-field serialization. */
 constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kLegacyVersion = 1;
 
 constexpr std::size_t kHeaderBytes = 24;
 constexpr std::size_t kRecordBytes = 40;
-
-/** Fixed 40-byte on-disk record (v1 raw layout; v2 field order). */
-struct DiskRecord
-{
-    std::uint64_t tick;
-    std::uint64_t pc;
-    std::uint64_t addr;
-    std::uint32_t node;
-    std::uint8_t kind;
-    std::uint8_t hit;
-    std::uint8_t pad[10];
-};
-
-static_assert(sizeof(DiskRecord) == kRecordBytes, "trace record layout");
-
-struct Header
-{
-    std::uint64_t magic;
-    std::uint32_t version;
-    std::uint32_t reserved;
-    std::uint64_t count;
-};
-
-static_assert(sizeof(Header) == kHeaderBytes, "trace header layout");
 
 void
 putLe(unsigned char *p, std::uint64_t v, unsigned bytes)
@@ -170,22 +140,9 @@ TraceReader::TraceReader(const std::string &path, bool salvage)
     _in.read(reinterpret_cast<char *>(buf), sizeof(buf));
     if (!_in || getLe(buf + 0, 8) != kMagic)
         psim_fatal("'%s' is not a psim trace", path.c_str());
-    _version = static_cast<std::uint32_t>(getLe(buf + 8, 4));
-    if (_version != kVersion && _version != kLegacyVersion)
-        psim_fatal("trace version %u unsupported", _version);
-    if (_version == kLegacyVersion) {
-        // v1 wrote raw host structs; only correct on little-endian
-        // hosts, which is where every v1 file was produced. The layout
-        // then matches v2 byte-for-byte, so decoding is shared.
-        std::uint32_t one = 1;
-        unsigned char lsb;
-        std::memcpy(&lsb, &one, 1);
-        if (lsb != 1) {
-            psim_fatal("trace '%s' is version 1 (host-endian); "
-                       "re-capture with this build for a portable v2 "
-                       "trace", path.c_str());
-        }
-    }
+    const auto version = static_cast<std::uint32_t>(getLe(buf + 8, 4));
+    if (version != kVersion)
+        psim_fatal("trace version %u unsupported", version);
     _count = getLe(buf + 16, 8);
 
     const std::uint64_t body = file_size - kHeaderBytes;

@@ -13,10 +13,7 @@
  * 40-byte records: tick (8), pc (8), addr (8), node (4), kind (1),
  * hit (1), 10 bytes of zero padding. Every field is serialized
  * explicitly in little-endian byte order, so captures are portable
- * across hosts and archivable. Version-1 files (written as raw
- * host-endian structs by older builds) are still readable on
- * little-endian hosts via a compatibility path behind the version
- * check.
+ * across hosts and archivable. Any other version is rejected.
  *
  * The header's record count is written by TraceWriter::close(); a
  * reader cross-checks it against the actual file size and fails loudly
@@ -101,7 +98,6 @@ class TraceReader
     bool next(TraceRecord &rec);
 
     std::uint64_t count() const { return _count; }
-    std::uint32_t version() const { return _version; }
 
     /** Convenience: read a whole file into memory. */
     static std::vector<TraceRecord> readAll(const std::string &path,
@@ -111,7 +107,6 @@ class TraceReader
     std::ifstream _in;
     std::uint64_t _count = 0;
     std::uint64_t _read = 0;
-    std::uint32_t _version = 0;
 };
 
 } // namespace psim

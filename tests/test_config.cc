@@ -111,6 +111,15 @@ TEST(ConfigDeath, RejectsZeroDegree)
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "degree");
 }
 
+TEST(ConfigDeath, RejectsZeroLookahead)
+{
+    MachineConfig cfg;
+    cfg.prefetch.scheme = PrefetchScheme::IDetLookahead;
+    cfg.prefetch.lookaheadStrides = 0;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+            "lookaheadStrides");
+}
+
 TEST(ConfigDeath, RejectsUnknownScheme)
 {
     // The error must name the valid schemes (one registry drives the

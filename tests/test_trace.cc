@@ -222,45 +222,10 @@ TEST(Trace, GoldenBytesMatchTheDocumentedFormat)
     EXPECT_EQ(std::memcmp(bytes.data(), expected, sizeof(expected)), 0);
 
     TraceReader reader(path);
-    EXPECT_EQ(reader.version(), 2u);
     TraceRecord back;
     ASSERT_TRUE(reader.next(back));
     EXPECT_TRUE(back == r);
     std::remove(path.c_str());
-}
-
-// Version-1 compatibility: v1 files were raw little-endian structs with
-// the same layout, so the reader must still accept them (this build
-// only writes v2).
-TEST(Trace, ReadsVersion1Files)
-{
-    std::string path = tmpPath("v1.psimtrace");
-    std::string bytes = readFileBytes([&] {
-        std::string tmp = tmpPath("v1src.psimtrace");
-        TraceWriter w(tmp);
-        TraceRecord r;
-        r.tick = 77;
-        r.pc = 0xAB;
-        r.addr = 0x1000;
-        r.node = 3;
-        r.kind = TraceRecord::Kind::Read;
-        r.hit = false;
-        w.append(r);
-        w.close();
-        return tmp;
-    }());
-    bytes[8] = 1; // patch the version field down to 1
-    writeFileBytes(path, bytes);
-
-    TraceReader reader(path);
-    EXPECT_EQ(reader.version(), 1u);
-    TraceRecord back;
-    ASSERT_TRUE(reader.next(back));
-    EXPECT_EQ(back.tick, 77u);
-    EXPECT_EQ(back.addr, 0x1000u);
-    EXPECT_EQ(back.node, 3u);
-    std::remove(path.c_str());
-    std::remove(tmpPath("v1src.psimtrace").c_str());
 }
 
 TEST(TraceDeath, MissingFileIsFatal)
@@ -305,6 +270,18 @@ captureBytes(const char *name)
 }
 
 } // namespace
+
+// Version 1 (raw host-endian structs) is rejected, not decoded as v2.
+TEST(TraceDeath, Version1IsFatal)
+{
+    std::string path = tmpPath("v1.psimtrace");
+    std::string bytes = captureBytes("v1-src.psimtrace");
+    bytes[8] = 1; // patch the version field down to 1
+    writeFileBytes(path, bytes);
+    EXPECT_EXIT(TraceReader r(path), ::testing::ExitedWithCode(1),
+            "trace version 1 unsupported");
+    std::remove(path.c_str());
+}
 
 TEST(TraceDeath, TruncatedCaptureIsFatal)
 {
