@@ -146,8 +146,6 @@ main(int argc, char **argv)
     spec::Results results = spec::runSpec(sp, opt.exec);
     render(sp, results);
 
-    std::fprintf(stderr, "grid wall-clock: %.2fs with %u jobs\n",
-                 results.wallSeconds, results.jobs);
     if (!opt.out.empty()) {
         writeDocument(opt.out, spec::resultsDocument(sp, opt.exec, results));
         std::fprintf(stderr, "results: %s\n", opt.out.c_str());

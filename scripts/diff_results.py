@@ -1,29 +1,20 @@
 #!/usr/bin/env python3
-"""Compare two psim-results-v1 documents: exact cells, tolerant wall.
+"""Compare two psim-results-v1 documents cell by cell, exactly.
 
 Standard library only. The golden document (first argument) is the
 pinned BENCH_*.json snapshot; the fresh document is a regeneration of
 the same spec. Every simulated quantity -- cell ids, coordinates, all
 metrics, the characterizer report -- must match EXACTLY: the simulator
 is deterministic, so any numeric drift is a behaviour change, not
-noise. Host wall-clock is the one legitimately volatile field; the
-fresh run-level wall_seconds may exceed the golden value by at most
---wall-tol x (default 4.0, one-sided: faster is never a failure).
-Per-cell wall_seconds is informational and never compared.
+noise. Each difference is named (cell, section, metric). The run
+header (shards, procs) is not compared, so documents from different
+shard counts can be checked for cell identity. Host time is not part
+of a results document; bench/perf measures it.
 
-If the golden document carries no usable run.wall_seconds (absent or
-zero), the wall gate cannot run; a note saying so goes to stderr and
-the comparison otherwise proceeds. Pass --strict-wall to turn that
-silent skip into its own failure (exit 3) -- use it in CI jobs that
-rely on the wall gate actually firing.
+Usage: diff_results.py GOLDEN.json FRESH.json
 
-Usage: diff_results.py GOLDEN.json FRESH.json [--wall-tol R]
-                                              [--ignore-wall]
-                                              [--strict-wall]
-
-Exit status: 0 identical (within wall tolerance), 1 any difference,
-2 usage or unreadable/invalid input, 3 wall gate skipped under
---strict-wall.
+Exit status: 0 identical, 1 any difference, 2 usage or
+unreadable/invalid input.
 """
 
 import json
@@ -70,28 +61,7 @@ def diff_cell(idx, gold, fresh, errors):
 
 
 def main(argv):
-    args = argv[1:]
-    wall_tol = 4.0
-    check_wall = True
-    strict_wall = False
-    paths = []
-    i = 0
-    while i < len(args):
-        if args[i] == "--wall-tol":
-            if i + 1 >= len(args):
-                print("--wall-tol needs a value", file=sys.stderr)
-                return 2
-            wall_tol = float(args[i + 1])
-            i += 2
-        elif args[i] == "--ignore-wall":
-            check_wall = False
-            i += 1
-        elif args[i] == "--strict-wall":
-            strict_wall = True
-            i += 1
-        else:
-            paths.append(args[i])
-            i += 1
+    paths = argv[1:]
     if len(paths) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
@@ -114,33 +84,12 @@ def main(argv):
         for idx, (g, f) in enumerate(zip(gcells, fcells)):
             diff_cell(idx, g, f, errors)
 
-    wall_skipped = False
-    if check_wall:
-        gwall = golden.get("run", {}).get("wall_seconds", 0)
-        fwall = fresh.get("run", {}).get("wall_seconds", 0)
-        if gwall > 0:
-            if fwall > gwall * wall_tol:
-                errors.append(
-                    f"run.wall_seconds: fresh {fwall:.2f}s exceeds "
-                    f"{wall_tol:.1f}x golden {gwall:.2f}s -- performance "
-                    f"regression (rerun on an unloaded machine, or repin "
-                    f"the golden if the slowdown is intentional)")
-        else:
-            wall_skipped = True
-            print(f"note: wall-clock gate skipped: golden {paths[0]} "
-                  f"has {'no' if 'wall_seconds' not in golden.get('run', {}) else 'a zero'} "
-                  f"run.wall_seconds", file=sys.stderr)
-
     if errors:
         for e in errors:
             print(f"DIFF {e}", file=sys.stderr)
         print(f"FAIL {paths[1]} differs from {paths[0]} "
               f"({len(errors)} difference(s))", file=sys.stderr)
         return 1
-    if wall_skipped and strict_wall:
-        print(f"FAIL {paths[1]}: --strict-wall and the wall-clock gate "
-              f"could not run", file=sys.stderr)
-        return 3
     print(f"ok   {paths[1]} matches {paths[0]} "
           f"({len(gcells)} cells)")
     return 0

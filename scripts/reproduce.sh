@@ -24,6 +24,3 @@ for s in specs/*.json; do
 done
 python3 scripts/check_stats_schema.py \
     --schema scripts/results_schema.json out/BENCH_*.json
-
-echo "==== bench/micro_prefetchers ===="
-./build/bench/micro_prefetchers

@@ -210,6 +210,10 @@ runFuzz(const FuzzOptions &opts, std::ostream &out)
         for (unsigned i = 0; i < opts.numSeeds; ++i)
             seeds.push_back(opts.seedStart + i);
     }
+    // A run that checks nothing must not report success.
+    if (seeds.empty())
+        psim_fatal("fuzz: no seeds to check (numSeeds is 0 and no "
+                   "explicit seed list was given)");
 
     FuzzReport report;
     report.outcomes.resize(seeds.size());

@@ -42,7 +42,10 @@ const std::vector<PrefetchScheme> &fuzzSchemes();
 
 struct FuzzOptions
 {
-    /** Explicit seed list; when empty, seedStart..seedStart+numSeeds. */
+    /**
+     * Explicit seed list; when empty, seedStart..seedStart+numSeeds.
+     * runFuzz() is fatal when this leaves no seed to check.
+     */
     std::vector<std::uint64_t> seeds;
     std::uint64_t seedStart = 1;
     unsigned numSeeds = 20;

@@ -1,6 +1,5 @@
 #include "sim/spec.hh"
 
-#include <chrono>
 #include <cstdio>
 #include <initializer_list>
 #include <limits>
@@ -15,14 +14,6 @@ namespace psim::spec
 
 namespace
 {
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-            .count();
-}
 
 /** Reject members outside @p allowed (strict spec parsing). */
 void
@@ -508,17 +499,14 @@ runSpec(const Spec &spec, const ExecOptions &exec)
     }
 
     Results out;
-    out.jobs = resolveJobs(exec.jobs);
     out.cells.resize(plan.size());
-    const auto t0 = std::chrono::steady_clock::now();
-    runGrid(plan.size(), out.jobs, [&](std::size_t i) {
+    runGrid(plan.size(), resolveJobs(exec.jobs), [&](std::size_t i) {
         const PlannedCell &cell = plan[i];
         apps::RunOptions ropts;
         ropts.characterize = cell.run.characterize.value_or(false);
         ropts.scale = cell.run.scale.value_or(1);
         exec.obs.apply(ropts, cell.id);
 
-        const auto c0 = std::chrono::steady_clock::now();
         apps::Run run = apps::runWorkload(cell.workload, cell.cfg, ropts);
         if (!run.finished)
             psim_fatal("cell '%s': %s did not run to completion",
@@ -544,10 +532,8 @@ runSpec(const Spec &spec, const ExecOptions &exec)
             r.characterized = true;
             r.characterizer = run.machine->characterizer(0)->finalize();
         }
-        r.wallSeconds = secondsSince(c0);
         out.cells[i] = std::move(r);
     });
-    out.wallSeconds = secondsSince(t0);
     return out;
 }
 
@@ -561,10 +547,8 @@ resultsDocument(const Spec &spec, const ExecOptions &exec,
     doc.set("report", spec.report);
 
     json::Value run = json::Value::makeObject();
-    run.set("jobs", results.jobs);
     run.set("shards", exec.shards);
     run.set("procs", exec.procs);
-    run.set("wall_seconds", results.wallSeconds);
     doc.set("run", std::move(run));
 
     json::Value cells = json::Value::makeArray();
@@ -575,7 +559,6 @@ resultsDocument(const Spec &spec, const ExecOptions &exec,
         for (const auto &[axis, id] : c.coords)
             coords.set(axis, id);
         cell.set("coords", std::move(coords));
-        cell.set("wall_seconds", c.wallSeconds);
 
         json::Value m = json::Value::makeObject();
         m.set("exec_ticks",
@@ -628,41 +611,6 @@ resultsDocument(const Spec &spec, const ExecOptions &exec,
     }
     doc.set("cells", std::move(cells));
     return json::serialize(doc) + "\n";
-}
-
-namespace
-{
-
-json::Value
-scrubValue(const json::Value &v)
-{
-    if (v.isObject()) {
-        json::Value out = json::Value::makeObject();
-        for (const auto &[key, member] : v.asObject("results document")) {
-            if (key == "jobs" || key == "shards" || key == "procs" ||
-                key == "wall_seconds")
-                out.set(key, 0);
-            else
-                out.set(key, scrubValue(member));
-        }
-        return out;
-    }
-    if (v.isArray()) {
-        json::Value out = json::Value::makeArray();
-        for (const json::Value &member : v.asArray("results document"))
-            out.append(scrubValue(member));
-        return out;
-    }
-    return v;
-}
-
-} // namespace
-
-std::string
-scrubVolatile(const std::string &doc)
-{
-    return json::serialize(scrubValue(json::parse(doc, "results document"))) +
-           "\n";
 }
 
 } // namespace psim::spec

@@ -208,7 +208,6 @@ struct CellResult
     double node0ReplacementMisses = 0;
     bool characterized = false;
     StrideCharacterizer::Report characterizer; ///< valid if characterized
-    double wallSeconds = 0;      ///< host wall-clock for this cell
 };
 
 /** Execution parameters that are *not* part of the experiment spec. */
@@ -223,8 +222,6 @@ struct ExecOptions
 struct Results
 {
     std::vector<CellResult> cells; ///< in flat cell order
-    unsigned jobs = 0;             ///< resolved job count
-    double wallSeconds = 0;        ///< whole-grid wall clock
 };
 
 /**
@@ -237,19 +234,13 @@ Results runSpec(const Spec &spec, const ExecOptions &exec);
 /**
  * The canonical `psim-results-v1` document for one executed spec:
  * one line of JSON with per-cell metrics (and the characterizer
- * report where measured) plus wall-clock timing. Cell values are
- * byte-stable across runs, job counts and shard counts; only the
- * "jobs"/"shards"/"wall_seconds" fields vary (see scrubVolatile()).
+ * report where measured) plus the exec inputs that change cell values
+ * ("shards", "procs"). It holds no host measurement, so it is a pure
+ * function of the spec and @p exec: byte-identical at any job count.
+ * Host time is measured by bench/perf only.
  */
 std::string resultsDocument(const Spec &spec, const ExecOptions &exec,
                             const Results &results);
-
-/**
- * Replace the numbers of every volatile field ("jobs", "shards",
- * "procs", "wall_seconds") with 0 so two documents from the same spec
- * can be compared byte-for-byte.
- */
-std::string scrubVolatile(const std::string &doc);
 
 } // namespace psim::spec
 

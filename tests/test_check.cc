@@ -380,6 +380,16 @@ TEST(Fuzz, SmokeRunIsCleanAndDeterministicAcrossJobs)
     EXPECT_EQ(rep1.loadsChecked, rep4.loadsChecked);
 }
 
+TEST(FuzzDeath, EmptySeedSetIsFatal)
+{
+    // "0 seeds, 0 divergent" would read as a pass; it checked nothing.
+    FuzzOptions opts;
+    opts.numSeeds = 0;
+    std::ostringstream out;
+    EXPECT_EXIT(runFuzz(opts, out), ::testing::ExitedWithCode(1),
+            "no seeds to check");
+}
+
 // ---- mutant self-tests: the oracle must reject a broken machine ----
 
 #ifdef PSIM_TEST_HOOKS

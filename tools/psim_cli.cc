@@ -6,11 +6,14 @@
  *
  * Usage:
  *   psim_cli [options]
- *     --workload NAME    mp3d|cholesky|water|lu|ocean|pthor|matmul|fft
+ *     --workload NAME    any registered workload (default lu); the
+ *                        table in src/apps/registry.cc, and an unknown
+ *                        name's error, list them all
  *     --scheme NAME      none|seq|idet|ddet|adaptive|idet-la|
  *                        mstride|chase|ptron (see schemeNames())
  *     --degree N         degree of prefetching (default 1)
- *     --procs N          processors (default 16)
+ *     --procs N          processors (default 16), on the squarest
+ *                        mesh that tiles them (as run_spec --procs)
  *     --slc BYTES        SLC size, 0 = infinite (default 0)
  *     --block BYTES      cache block size (default 32)
  *     --scale N          data-set scale (default 1)
@@ -26,6 +29,9 @@
  *     --sample-csv FILE      sampler time series as CSV
  *     --chrome-trace FILE    chrome://tracing event file
  *     --chrome-window A:B    restrict chrome-trace recording to [A, B]
+ *
+ * Every number must be a plain run of decimal digits that fits; anything
+ * else ("4x", "-1", "abc") is fatal and names the flag.
  *
  * Differential fuzzing subcommand:
  *   psim_cli fuzz [options]
@@ -51,6 +57,7 @@
 
 #include "check/fuzz.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 #include "sim/sampler.hh"
 #include "trace/chrome_trace.hh"
 
@@ -147,25 +154,23 @@ fuzzMain(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--seeds") {
-            opts.numSeeds = static_cast<unsigned>(atoi(value()));
+            opts.numSeeds = parseUnsignedFlag("--seeds", value());
         } else if (arg == "--seed-start") {
-            opts.seedStart =
-                    static_cast<std::uint64_t>(atoll(value()));
+            opts.seedStart = parseUnsignedStrict("--seed-start", value());
         } else if (arg == "--seed") {
-            opts.seeds.push_back(
-                    static_cast<std::uint64_t>(atoll(value())));
+            opts.seeds.push_back(parseUnsignedStrict("--seed", value()));
         } else if (arg == "--corpus") {
             opts.seeds = readCorpus(value());
         } else if (arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(atoi(value()));
+            opts.jobs = parseUnsignedFlag("--jobs", value());
         } else if (arg == "--no-shrink") {
             opts.shrink = false;
         } else if (arg == "--repro-out") {
             opts.reproPath = value();
         } else if (arg == "--tick-limit") {
-            opts.tickLimit = static_cast<Tick>(atoll(value()));
+            opts.tickLimit = parseTickFlag("--tick-limit", value());
         } else if (arg == "--shards") {
-            opts.shards = static_cast<unsigned>(atoi(value()));
+            opts.shards = parseUnsignedFlag("--shards", value());
         } else if (arg == "--mutant") {
             std::string m = value();
             if (m == "corrupt-load")
@@ -221,21 +226,19 @@ main(int argc, char **argv)
         } else if (arg == "--scheme") {
             cfg.prefetch.scheme = parseScheme(value());
         } else if (arg == "--degree") {
-            cfg.prefetch.degree = static_cast<unsigned>(atoi(value()));
+            cfg.prefetch.degree = parseUnsignedFlag("--degree", value());
         } else if (arg == "--procs") {
-            cfg.numProcs = static_cast<unsigned>(atoi(value()));
-            if (cfg.numProcs < 4)
-                cfg.meshCols = cfg.numProcs;
+            applyProcCount(cfg, parseUnsignedFlag("--procs", value()));
         } else if (arg == "--slc") {
-            cfg.slcSize = static_cast<unsigned>(atoi(value()));
+            cfg.slcSize = parseUnsignedFlag("--slc", value());
         } else if (arg == "--block") {
-            cfg.blockSize = static_cast<unsigned>(atoi(value()));
+            cfg.blockSize = parseUnsignedFlag("--block", value());
         } else if (arg == "--scale") {
-            opts.scale = static_cast<unsigned>(atoi(value()));
+            opts.scale = parseUnsignedFlag("--scale", value());
         } else if (arg == "--seed") {
-            cfg.seed = static_cast<std::uint64_t>(atoll(value()));
+            cfg.seed = parseUnsignedStrict("--seed", value());
         } else if (arg == "--shards") {
-            cfg.shards = static_cast<unsigned>(atoi(value()));
+            cfg.shards = parseUnsignedFlag("--shards", value());
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--characterize") {
