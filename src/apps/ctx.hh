@@ -36,11 +36,21 @@ pcOf(const std::source_location &loc)
 {
     // FNV-1a over the file name, mixed with line and column. Shifted
     // left so PCs look word-aligned, as real instruction addresses do.
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char *p = loc.file_name(); *p; ++p) {
-        h ^= static_cast<unsigned char>(*p);
-        h *= 1099511628211ULL;
+    // The name hash is cached by pointer: a kernel's accesses come from
+    // one file, and a string literal's address names its contents.
+    thread_local const char *cached_file = nullptr;
+    thread_local std::uint64_t cached_hash = 0;
+    const char *file = loc.file_name();
+    if (file != cached_file) {
+        std::uint64_t fh = 1469598103934665603ULL;
+        for (const char *p = file; *p; ++p) {
+            fh ^= static_cast<unsigned char>(*p);
+            fh *= 1099511628211ULL;
+        }
+        cached_file = file;
+        cached_hash = fh;
     }
+    std::uint64_t h = cached_hash;
     h ^= static_cast<std::uint64_t>(loc.line()) * 2654435761ULL;
     h ^= static_cast<std::uint64_t>(loc.column()) * 40503ULL;
     return static_cast<Pc>(h << 2);

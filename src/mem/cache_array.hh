@@ -18,7 +18,7 @@
  *    the scan needs no separate valid check.
  *
  *  - Infinite mode is an open-addressed, power-of-two hash table with
- *    linear probing instead of a node-based unordered_map: no pointer
+ *    linear probing instead of a node-based hash map: no pointer
  *    chasing, no per-entry allocation. Entries are never removed --
  *    invalidation clears the coherence state but keeps the key, so
  *    probe chains stay intact and a block's slot is stable until the

@@ -21,10 +21,6 @@ MemCtrl::MemCtrl(Machine &m, NodeId id)
 {
     _audit = m.auditor();
     _locks.setAudit(_audit, _id);
-    // The directory map sits on the hot path of every coherence message;
-    // pre-size it and keep the load factor low to limit rehash churn.
-    _dir.reserve(1024);
-    _dir.max_load_factor(0.7f);
 }
 
 void
@@ -36,7 +32,7 @@ MemCtrl::auditCheckEntry(const DirEntry &ent, const Message &m) const
                    "fetchFrom %u, on %s from %u)",
                    _id, (unsigned long long)m.addr, what,
                    (unsigned)ent.st, (unsigned long long)ent.presence,
-                   ent.owner, (unsigned)ent.busy, ent.pendingAcks,
+                   ent.owner, (unsigned)ent.busy, (unsigned)ent.pendingAcks,
                    ent.fetchFrom, toString(m.type), m.src);
     };
     switch (ent.st) {
@@ -67,8 +63,8 @@ MemCtrl::auditCheckEntry(const DirEntry &ent, const Message &m) const
 bool
 MemCtrl::isMigratory(Addr blk_addr) const
 {
-    auto it = _dir.find(blk_addr);
-    return it != _dir.end() && it->second.migratory;
+    const DirEntry *e = _dir.find(blk_addr);
+    return e && e->migratory;
 }
 
 void
@@ -91,14 +87,13 @@ MemCtrl::DirSnapshot
 MemCtrl::snapshot(Addr blk_addr) const
 {
     DirSnapshot s;
-    auto it = _dir.find(blk_addr);
-    if (it == _dir.end())
+    const DirEntry *e = _dir.find(blk_addr);
+    if (!e)
         return s;
-    const DirEntry &e = it->second;
-    s.st = static_cast<DirSnapshot::St>(e.st);
-    s.presence = e.presence;
-    s.owner = e.owner;
-    s.busy = e.busy;
+    s.st = static_cast<DirSnapshot::St>(e->st);
+    s.presence = e->presence;
+    s.owner = e->owner;
+    s.busy = e->busy;
     return s;
 }
 
@@ -192,7 +187,7 @@ MemCtrl::handleCoherent(const Message &m)
       case MsgType::UpgradeReq:
         if (ent.busy || ent.replayPending) {
             ++queuedAtBusyEntry;
-            ent.waiting.push_back(m);
+            _waiting[m.addr].push_back(m);
             return;
         }
         startOp(ent, m);
@@ -220,8 +215,7 @@ MemCtrl::handleCoherent(const Message &m)
         psim_assert(ent.busy && ent.fetchFrom == m.src,
                 "unexpected fetch reply for %llx from %u",
                 (unsigned long long)m.addr, m.src);
-        ownerDataArrived(ent, m.addr,
-                ent.pending.type == MsgType::ReadReq, m.aux != 0);
+        ownerDataArrived(ent, m.addr, ent.pendingShared, m.aux != 0);
         return;
 
       case MsgType::InvAck:
@@ -265,11 +259,13 @@ MemCtrl::startReadEx(DirEntry &ent, const Message &m, bool as_upgrade)
             return;
         }
         ent.busy = true;
-        ent.pending = m;
+        ent.requester = req;
+        ent.pendingShared = false;
         // Remember whether the requester keeps its shared copy so the
         // completion can pick UpgradeAck vs DataExReply.
-        ent.pending.aux = (as_upgrade && had_copy) ? 1 : 0;
-        ent.pendingAcks = static_cast<unsigned>(std::popcount(others));
+        ent.pendingUpgrade = as_upgrade && had_copy;
+        ent.pendingAcks =
+                static_cast<std::uint8_t>(std::popcount(others));
         for (NodeId n = 0; n < _m.cfg().numProcs; ++n) {
             if (others & bit(n)) {
                 ++invalidationsSent;
@@ -288,8 +284,9 @@ MemCtrl::startReadEx(DirEntry &ent, const Message &m, bool as_upgrade)
         psim_assert(ent.owner != req,
                 "owner %u write-missing its own block", req);
         ent.busy = true;
-        ent.pending = m;
-        ent.pending.aux = 0;
+        ent.requester = req;
+        ent.pendingShared = false;
+        ent.pendingUpgrade = false;
         ent.fetchFrom = ent.owner;
         sendFetch(MsgType::FetchInvReq, ent.owner, m.addr, req);
         return;
@@ -314,13 +311,15 @@ MemCtrl::startOp(DirEntry &ent, const Message &m)
             psim_assert(ent.owner != req,
                     "owner %u read-missing its own block", req);
             ent.busy = true;
-            ent.pending = m;
+            ent.requester = req;
+            ent.pendingShared = true;
+            ent.pendingUpgrade = false;
             ent.fetchFrom = ent.owner;
             if (_m.cfg().migratoryOpt && ent.migratory) {
                 // Migratory block: hand the reader an exclusive copy
                 // so its expected write needs no upgrade.
                 ++migratoryGrants;
-                ent.pending.type = MsgType::ReadExReq;
+                ent.pendingShared = false;
                 sendFetch(MsgType::FetchInvReq, ent.owner, m.addr, req);
             } else {
                 sendFetch(MsgType::FetchReq, ent.owner, m.addr, req);
@@ -355,7 +354,7 @@ void
 MemCtrl::ownerDataArrived(DirEntry &ent, Addr addr, bool owner_kept_copy,
                           bool owner_wrote)
 {
-    NodeId req = ent.pending.requester;
+    NodeId req = ent.requester;
     NodeId old_owner = ent.fetchFrom;
     ent.fetchFrom = kNodeNone;
 
@@ -372,7 +371,7 @@ MemCtrl::ownerDataArrived(DirEntry &ent, Addr addr, bool owner_kept_copy,
         }
     }
 
-    if (ent.pending.type == MsgType::ReadReq) {
+    if (ent.pendingShared) {
         ent.st = DirEntry::St::Clean;
         ent.presence = bit(req);
         if (owner_kept_copy)
@@ -393,8 +392,8 @@ MemCtrl::ownerDataArrived(DirEntry &ent, Addr addr, bool owner_kept_copy,
 void
 MemCtrl::acksComplete(DirEntry &ent, Addr addr)
 {
-    NodeId req = ent.pending.requester;
-    bool as_upgrade = ent.pending.aux == 1;
+    NodeId req = ent.requester;
+    bool as_upgrade = ent.pendingUpgrade;
     ent.st = DirEntry::St::Dirty;
     ent.owner = req;
     ent.presence = 0;
@@ -410,11 +409,13 @@ MemCtrl::acksComplete(DirEntry &ent, Addr addr)
 void
 MemCtrl::unblock(DirEntry &ent, Addr addr)
 {
-    (void)addr;
-    if (ent.waiting.empty())
+    std::vector<Message> *q = _waiting.find(addr);
+    if (!q)
         return;
-    Message next = ent.waiting.front();
-    ent.waiting.pop_front();
+    Message next = q->front();
+    q->erase(q->begin());
+    if (q->empty())
+        _waiting.erase(addr);
     // Queued requests replay against row-buffer-hot data: they pay the
     // directory access but not a fresh DRAM access.
     ent.replayPending = true;

@@ -15,11 +15,11 @@
 #define PSIM_MEM_MEM_CTRL_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "proto/lock_ctrl.hh"
 #include "proto/message.hh"
+#include "sim/block_table.hh"
 #include "sim/resource.hh"
 #include "sim/stats.hh"
 
@@ -99,26 +99,37 @@ class MemCtrl
     }
 
   private:
+    /**
+     * One block's directory state. Kept small: the directory holds one
+     * per block ever referenced at this home. Requests queued while the
+     * entry is busy live in the side table _waiting.
+     */
     struct DirEntry
     {
         enum class St : std::uint8_t { Uncached, Clean, Dirty };
 
-        St st = St::Uncached;
         std::uint64_t presence = 0; ///< sharer bitmask (Clean)
         NodeId owner = kNodeNone;   ///< owner (Dirty)
+        NodeId fetchFrom = kNodeNone; ///< owner a fetch is pending from
+        NodeId requester = kNodeNone; ///< of the request being serviced
+        NodeId lastWriter = kNodeNone; ///< migratory detection
+        /** Invalidation acks still due; at most 63, as the presence
+         *  mask is 64 bits wide. */
+        std::uint8_t pendingAcks = 0;
+        St st = St::Uncached;
 
         bool busy = false;
-        bool replayPending = false;   ///< a queued request is being replayed
-        NodeId fetchFrom = kNodeNone; ///< owner a fetch is pending from
+        bool replayPending = false; ///< a queued request is being replayed
+        /** The request being serviced is granted a shared copy. */
+        bool pendingShared = false;
+        /** It is an upgrade whose requester keeps its shared copy, so
+         *  it completes with UpgradeAck rather than DataExReply. */
+        bool pendingUpgrade = false;
 
         // Migratory-sharing detection (cfg.migratoryOpt).
-        NodeId lastWriter = kNodeNone;
         bool migratory = false;
         std::uint8_t migEvidence = 0; ///< consecutive writer migrations
         std::uint8_t migWasted = 0;   ///< exclusive grants never written
-        unsigned pendingAcks = 0;
-        Message pending;              ///< the request being serviced
-        std::deque<Message> waiting;  ///< queued while busy
     };
 
     /** Claim the memory bank, then run the directory operation. */
@@ -164,7 +175,12 @@ class MemCtrl
     Resource _bank;
     LockCtrl _locks;
     BarrierCtrl _barrier;
-    std::unordered_map<Addr, DirEntry> _dir;
+    /** The directory: entries are created on first reference, never
+     *  erased. See BlockTable's reference rule. */
+    BlockTable<DirEntry> _dir;
+    /** Requests queued at busy entries, in arrival order; a block is
+     *  present only while its queue is non-empty. */
+    BlockTable<std::vector<Message>> _waiting;
 };
 
 } // namespace psim

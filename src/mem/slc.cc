@@ -32,8 +32,7 @@ Slc::Slc(Machine &m, NodeId id, Flc &flc, Cpu &cpu)
 Slc::Mshr *
 Slc::findMshr(Addr blk_addr)
 {
-    auto it = _mshrs.find(blk_addr);
-    return it == _mshrs.end() ? nullptr : &it->second;
+    return _mshrs.find(blk_addr);
 }
 
 bool
@@ -46,7 +45,7 @@ Slc::slwbHasRoom(bool demand) const
 bool
 Slc::hasPendingTransaction(Addr blk_addr) const
 {
-    return _mshrs.count(blk_addr) != 0;
+    return _mshrs.contains(blk_addr);
 }
 
 void
@@ -166,10 +165,10 @@ Slc::tryAccept(const FlwbEntry &e)
 void
 Slc::classifyMiss(Addr blk_addr)
 {
-    auto it = _history.find(blk_addr);
-    if (it == _history.end())
+    const Gone *gone = _history.find(blk_addr);
+    if (!gone)
         ++missesCold;
-    else if (it->second == Gone::Invalidated)
+    else if (*gone == Gone::Invalidated)
         ++missesCoherence;
     else
         ++missesReplacement;
@@ -259,7 +258,7 @@ Slc::processRead(Addr addr, Pc pc)
             fresh.pc = pc;
             fresh.demandAddr = addr;
             fresh.demandWaiting = true;
-            _mshrs.emplace(blk_addr, fresh);
+            _mshrs[blk_addr] = fresh;
             ++_slwbOcc;
             if (_audit) {
                 _audit->checkSlwb(slwbOccupancy(), _slwbCap, false,
@@ -346,7 +345,7 @@ Slc::processWrite(Addr addr, Pc pc)
         e.pc = pc;
         e.upgrade = true;
         e.pendingStores = 1;
-        _mshrs.emplace(blk_addr, e);
+        _mshrs[blk_addr] = e;
         sendToHome(MsgType::UpgradeReq, blk_addr, pc, false);
         return;
     }
@@ -369,7 +368,7 @@ Slc::processWrite(Addr addr, Pc pc)
     e.pc = pc;
     e.upgrade = false;
     e.pendingStores = 1;
-    _mshrs.emplace(blk_addr, e);
+    _mshrs[blk_addr] = e;
     ++_slwbOcc;
     if (_audit) {
         _audit->checkSlwb(slwbOccupancy(), _slwbCap, false,
@@ -420,7 +419,7 @@ Slc::maybePrefetch(Addr trigger_addr, Pc pc,
         e.kind = Mshr::Kind::Prefetch;
         e.blkAddr = blk;
         e.pc = pc;
-        _mshrs.emplace(blk, e);
+        _mshrs[blk] = e;
         ++_slwbOcc;
         ++pfIssued;
         if (_m.commitSink()) {
@@ -536,7 +535,7 @@ Slc::makeRoom(Addr blk_addr)
     if (frame->valid() && frame->addr != blk_addr) {
         if (frame->state == CohState::Modified) {
             ++writebacks;
-            _wbPending.insert(frame->addr);
+            _wbPending[frame->addr] = 1;
             sendToHome(MsgType::WritebackReq, frame->addr, 0, false);
         }
         invalidateBlock(frame, true);
@@ -614,9 +613,12 @@ Slc::handleFill(const Message &m, bool exclusive)
     if (e->kind == Mshr::Kind::Write) {
         psim_assert(exclusive, "write transaction filled shared");
         frame->written = true;
+        // completeStores() resumes the processor; use no MSHR field
+        // after it but the erase by key.
+        bool upgrade = e->upgrade;
         completeStores(*e);
         // An upgrade serviced as read-exclusive never held a data slot.
-        if (!e->upgrade)
+        if (!upgrade)
             --_slwbOcc;
         _mshrs.erase(blk_addr);
         return;
@@ -755,7 +757,7 @@ Slc::receive(const Message &m)
         if (!blk) {
             // Our writeback passed this fetch in flight; the home will
             // use the writeback as the reply.
-            if (!_wbPending.count(m.addr)) {
+            if (!_wbPending.contains(m.addr)) {
                 if (_audit) {
                     _audit->fail(m.addr,
                             "fetch for a block neither resident nor "

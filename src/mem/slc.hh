@@ -21,8 +21,6 @@
 
 #include <deque>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/characterizer.hh"
@@ -32,6 +30,7 @@
 #include "mem/write_buffer.hh"
 #include "proto/message.hh"
 #include "sim/audit.hh"
+#include "sim/block_table.hh"
 #include "sim/resource.hh"
 #include "sim/stats.hh"
 
@@ -210,8 +209,11 @@ class Slc
     std::size_t _slwbCap;
     /** Slot-occupying MSHRs (every kind except Write-as-upgrade). */
     std::size_t _slwbOcc = 0;
-    std::unordered_map<Addr, Mshr> _mshrs;
-    std::unordered_set<Addr> _wbPending; ///< writebacks awaiting ack
+    /** Pending transactions. See BlockTable's reference rule: no Mshr
+     *  pointer is held across an insert into or erase from _mshrs. */
+    BlockTable<Mshr> _mshrs;
+    /** Writebacks awaiting their ack: a set (the value is unused). */
+    BlockTable<std::uint8_t> _wbPending;
     std::deque<Addr> _recentPrefetches;  ///< issue-order ring for aging
 
     /** Tag-array port: serializes FLWB-side and fill accesses. */
@@ -219,7 +221,7 @@ class Slc
 
     /** Miss classification history: why a block last left the cache. */
     enum class Gone : std::uint8_t { Invalidated, Replaced };
-    std::unordered_map<Addr, Gone> _history;
+    BlockTable<Gone> _history;
 
     std::vector<Addr> _candidateBuf; ///< scratch, avoids allocation
 

@@ -237,8 +237,9 @@ TEST(FuzzRun, RecordingDoesNotPerturbTheRun)
         ASSERT_TRUE(m.allFinished());
         ASSERT_TRUE(wl.verify(m));
         mx[rec] = m.metrics();
-        if (rec)
+        if (rec) {
             EXPECT_GT(log.accesses().size(), 0u);
+        }
     }
     EXPECT_EQ(mx[0].execTicks, mx[1].execTicks);
     EXPECT_DOUBLE_EQ(mx[0].reads, mx[1].reads);

@@ -129,3 +129,35 @@ TEST(Types, AlignmentHelpers)
     EXPECT_EQ(log2Exact(1), 0u);
     EXPECT_EQ(log2Exact(4096), 12u);
 }
+
+namespace
+{
+
+/** pcOf's formula, written out without its per-file cache. */
+Pc
+referencePc(const std::source_location &loc)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const char *p = loc.file_name(); *p; ++p) {
+        h ^= static_cast<unsigned char>(*p);
+        h *= 1099511628211ULL;
+    }
+    h ^= static_cast<std::uint64_t>(loc.line()) * 2654435761ULL;
+    h ^= static_cast<std::uint64_t>(loc.column()) * 40503ULL;
+    return static_cast<Pc>(h << 2);
+}
+
+} // namespace
+
+TEST(PcOf, MatchesReferenceFnv1aForTwoSitesInOneFile)
+{
+    const std::source_location a = std::source_location::current();
+    const std::source_location b = std::source_location::current();
+    ASSERT_NE(a.line(), b.line());
+    // The first call fills the file-hash cache, the later ones hit it.
+    EXPECT_EQ(apps::pcOf(a), referencePc(a));
+    EXPECT_EQ(apps::pcOf(b), referencePc(b));
+    EXPECT_EQ(apps::pcOf(a), referencePc(a));
+    EXPECT_NE(apps::pcOf(a), apps::pcOf(b));
+    EXPECT_EQ(apps::pcOf(a) & 3, 0u);
+}

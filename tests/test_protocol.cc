@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "harness.hh"
 #include "mem/mem_ctrl.hh"
 
@@ -310,4 +313,70 @@ TEST(Protocol, ColdCoherenceReplacementClassification)
     EXPECT_DOUBLE_EQ(sys.m.node(0).slc().missesCold.value(), 1.0);
     EXPECT_DOUBLE_EQ(sys.m.node(0).slc().missesCoherence.value(), 1.0);
     EXPECT_DOUBLE_EQ(sys.m.node(0).slc().missesReplacement.value(), 0.0);
+}
+
+TEST(Protocol, BusyEntryReplaysQueuedWritersInOrderWhileDirectoryGrows)
+{
+    // Fifteen writers take one block from its owner at staggered ticks,
+    // so their read-exclusives reach the home in node order and queue
+    // behind the busy entry. Meanwhile every writer sweeps a share of
+    // 384 further blocks with the same home, growing its directory far
+    // past the table's initial 64 slots while the queue is non-empty.
+    MachineConfig cfg; // 16 nodes, 4x4 mesh
+    cfg.audit = true;
+    MiniSystem sys(cfg);
+    const NodeId home = 1;
+    const unsigned nodes = cfg.numProcs;
+    Addr x = pageBase(cfg, home);
+    Addr bar = pageBase(cfg, 2);
+    std::vector<Addr> sweep;
+    for (unsigned k = 1; k <= 3; ++k) {
+        Addr page = pageBase(cfg, home + k * nodes);
+        for (Addr a = page; a < page + cfg.pageSize; a += cfg.blockSize)
+            sweep.push_back(a);
+    }
+    ASSERT_EQ(cfg.homeOf(sweep.back()), home);
+
+    auto thread = [](apps::ThreadCtx &ctx, Addr a, Addr b,
+                     const std::vector<Addr> &blocks) -> Task {
+        if (ctx.tid() == 0)
+            co_await ctx.write<double>(a, 0.0); // Dirty at node 0
+        co_await ctx.barrier(b);
+        if (ctx.tid() != 0) {
+            co_await ctx.think(30 * ctx.tid());
+            co_await ctx.write<double>(a, ctx.tid());
+            for (std::size_t i = ctx.tid() - 1; i < blocks.size();
+                 i += ctx.nthreads() - 1)
+                co_await ctx.read<double>(blocks[i]);
+        }
+        co_await ctx.barrier(b);
+    };
+    for (NodeId n = 0; n < nodes; ++n)
+        sys.run(n, thread(sys.ctx(n), x, bar, sweep));
+
+    // Record every change of the block's owner, as the directory sees
+    // it. The poll only reads state, so it cannot perturb the run.
+    const MemCtrl &dir = sys.m.node(home).mem();
+    std::vector<NodeId> owners;
+    std::function<void()> poll = [&] {
+        auto s = dir.snapshot(x);
+        if (s.st == MemCtrl::DirSnapshot::St::Dirty &&
+            (owners.empty() || owners.back() != s.owner))
+            owners.push_back(s.owner);
+        if (!sys.m.allFinished())
+            sys.m.eq().scheduleIn(1, [&poll] { poll(); });
+    };
+    sys.m.eq().schedule(0, [&poll] { poll(); });
+    ASSERT_TRUE(sys.finish());
+
+    std::vector<NodeId> expected(nodes);
+    for (NodeId n = 0; n < nodes; ++n)
+        expected[n] = n;
+    EXPECT_EQ(owners, expected);
+    // Every writer but the first found the entry busy and queued.
+    EXPECT_DOUBLE_EQ(dir.queuedAtBusyEntry.value(), nodes - 2.0);
+    EXPECT_DOUBLE_EQ(dir.readExReqs.value(), double(nodes));
+    EXPECT_DOUBLE_EQ(dir.readReqs.value(), double(sweep.size()));
+    EXPECT_DOUBLE_EQ(sys.m.store().load<double>(x), nodes - 1.0);
+    sys.m.checkCoherenceInvariants();
 }
