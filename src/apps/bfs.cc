@@ -94,7 +94,7 @@ BfsWorkload::setup(Machine &m)
     _interArrival = cfg.server.interArrival;
     _nV = nextPow2(64 * nproc * _scale);
     _nE = static_cast<std::uint64_t>(_nV) * kDeg;
-    _queries = cfg.server.requests ? cfg.server.requests : 3;
+    _queries = 3;
     _segCap = (_nV + nproc - 1) / nproc;
     _zipf = std::make_unique<ZipfSampler>(_nV, _theta);
 

@@ -99,7 +99,7 @@ HashJoinWorkload::setup(Machine &m)
     _nR = 64ull * nproc * _scale;
     _htCap = 2 * nextPow2(_nR);
     _nkeys = _htCap; // probe keys hit iff their Zipf rank is < nR
-    _perS = cfg.server.requests ? cfg.server.requests : 256ull * _scale;
+    _perS = 256ull * _scale;
     _zipf = std::make_unique<ZipfSampler>(_nkeys, _theta);
 
     _relR = shm().alloc(static_cast<std::size_t>(_nR) * kTupleBytes,

@@ -385,9 +385,9 @@ KvStoreWorkload::setup(Machine &m)
     _interArrival = cfg.server.interArrival;
     _cap = 256 * nextPow2(_scale);
     _nkeys = _cap;
-    const std::uint64_t total = cfg.server.requests
-                                        ? cfg.server.requests
-                                        : 384ull * _scale;
+    // Each thread serves 384 requests per unit of scale, split evenly
+    // over the epochs.
+    const std::uint64_t total = 384ull * _scale;
     _perEpoch = std::max<std::uint64_t>(1, total / kEpochs);
     _zipf = std::make_unique<ZipfSampler>(_nkeys, _theta);
 

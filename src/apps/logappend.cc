@@ -85,8 +85,8 @@ LogAppendWorkload::setup(Machine &m)
     _seed = cfg.seed;
     _theta = cfg.server.zipfTheta;
     _interArrival = cfg.server.interArrival;
-    _perThread = cfg.server.requests ? cfg.server.requests
-                                     : 256ull * _scale;
+    // Appends per thread: 256 per unit of scale.
+    _perThread = 256ull * _scale;
     _idxCap = 2 * nextPow2(_perThread); // load factor <= 50%
     _nkeys = _idxCap;
     _zipf = std::make_unique<ZipfSampler>(_nkeys, _theta);

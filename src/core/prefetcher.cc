@@ -17,9 +17,8 @@ namespace
 
 /**
  * Build @p scheme under @p cfg. The wrapper schemes (chase, ptron)
- * recurse once to build their configured base; MachineConfig::validate
- * rejects wrapper-as-base combinations that would recurse further
- * (ptron may wrap chase, nothing wraps ptron).
+ * recurse once to build their base, which PrefetchConfig fixes to a
+ * non-wrapper scheme.
  */
 std::unique_ptr<Prefetcher>
 makeScheme(const MachineConfig &cfg, PrefetchScheme scheme)
@@ -45,19 +44,15 @@ makeScheme(const MachineConfig &cfg, PrefetchScheme scheme)
         return std::make_unique<IDetPrefetcher>(p.rptEntries, p.degree,
                 cfg.blockSize, p.lookaheadStrides);
       case PrefetchScheme::MultiStride:
+        static_assert(PrefetchConfig::mstrideWays <=
+                      MultiStrideTable::kMaxWays);
         return std::make_unique<MultiStridePrefetcher>(p.rptEntries,
                 p.mstrideWays, p.mstrideConf, p.degree, cfg.blockSize);
       case PrefetchScheme::PtrChase:
-        if (p.chaseBase == PrefetchScheme::PtrChase ||
-            p.chaseBase == PrefetchScheme::Perceptron)
-            psim_fatal("chaseBase must be a non-wrapper scheme");
         return std::make_unique<ChasePrefetcher>(cfg.blockSize,
                 p.chaseDepth, p.chaseEntries,
                 makeScheme(cfg, p.chaseBase));
       case PrefetchScheme::Perceptron:
-        if (p.ptronBase == PrefetchScheme::Perceptron)
-            psim_fatal("ptronBase must not itself be the perceptron "
-                       "filter");
         return std::make_unique<PerceptronFilter>(cfg.blockSize,
                 p.ptronTheta, makeScheme(cfg, p.ptronBase));
     }

@@ -239,8 +239,8 @@ NodeAudit::finalize(const Slc &slc)
 
 // ---- MachineAudit ----
 
-MachineAudit::MachineAudit(unsigned num_procs, unsigned header_flits)
-    : _numProcs(num_procs), _headerFlits(header_flits),
+MachineAudit::MachineAudit(unsigned num_procs)
+    : _numProcs(num_procs),
       _lockRings(num_procs)
 {
     _nodes.reserve(num_procs);
@@ -255,7 +255,7 @@ MachineAudit::onMeshInject(NodeId src, NodeId dst, unsigned flits)
         psim_panic("audit: mesh injection %u -> %u out of range", src,
                    dst);
     }
-    if (flits < _headerFlits)
+    if (flits < MachineConfig::headerFlits)
         psim_panic("audit: %u-flit message shorter than its header", flits);
     ++_meshInjected;
 }

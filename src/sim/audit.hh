@@ -200,7 +200,7 @@ struct LedgerSnapshot
 class MachineAudit
 {
   public:
-    MachineAudit(unsigned num_procs, unsigned header_flits);
+    explicit MachineAudit(unsigned num_procs);
 
     NodeAudit &node(NodeId n) { return *_nodes.at(n); }
 
@@ -254,7 +254,6 @@ class MachineAudit
     };
 
     unsigned _numProcs;
-    unsigned _headerFlits;
     std::uint64_t _meshInjected = 0;
     std::atomic<std::uint64_t> _meshDelivered{0};
     std::vector<LockRing> _lockRings; ///< one per home node

@@ -104,6 +104,9 @@ MachineConfig::validate() const
     if (numProcs == 0 || meshCols == 0 || numProcs % meshCols != 0)
         psim_fatal("mesh %u nodes / %u columns does not tile", numProcs,
                    meshCols);
+    if (numProcs > 64)
+        psim_fatal("%u nodes exceed the directory presence mask's limit "
+                   "of 64 nodes", numProcs);
     if (flwbEntries == 0 || slwbEntries == 0)
         psim_fatal("write buffers need at least one entry");
     if (prefetch.degree == 0)
@@ -111,30 +114,6 @@ MachineConfig::validate() const
     // Lookahead 0 would select IDetPrefetcher's tagged continuation.
     if (prefetch.lookaheadStrides == 0)
         psim_fatal("lookaheadStrides must be >= 1");
-    if (prefetch.mstrideWays == 0 || prefetch.mstrideWays > 8)
-        psim_fatal("mstrideWays %u is outside [1, 8]",
-                   prefetch.mstrideWays);
-    if (prefetch.mstrideConf == 0)
-        psim_fatal("mstrideConf must be >= 1");
-    if (prefetch.chaseDepth == 0)
-        psim_fatal("chaseDepth must be >= 1");
-    if (prefetch.chaseEntries == 0 || !isPowerOf2(prefetch.chaseEntries))
-        psim_fatal("chaseEntries %u is not a power of two",
-                   prefetch.chaseEntries);
-    // Wrapper schemes (chase, ptron) compose a conventional base; the
-    // base must itself be a non-wrapper scheme or construction would
-    // recurse.
-    auto isWrapper = [](PrefetchScheme s) {
-        return s == PrefetchScheme::PtrChase ||
-               s == PrefetchScheme::Perceptron;
-    };
-    if (isWrapper(prefetch.chaseBase))
-        psim_fatal("chaseBase must be a non-wrapper scheme, not '%s'",
-                   toString(prefetch.chaseBase));
-    if (prefetch.ptronBase == PrefetchScheme::Perceptron)
-        psim_fatal("ptronBase must not itself be the perceptron filter");
-    if (flitBits % 8 != 0)
-        psim_fatal("flit size must be whole bytes");
     if (!(server.zipfTheta >= 0.0 && server.zipfTheta < 1.0))
         psim_fatal("server.zipfTheta %f is outside [0, 1)",
                    server.zipfTheta);

@@ -70,19 +70,19 @@ struct PrefetchConfig
     unsigned degree = 1;
 
     /** RPT entries (I-detection); paper: 256, direct-mapped. */
-    unsigned rptEntries = 256;
+    static constexpr unsigned rptEntries = 256;
 
     /** Entries in each of Hagersten's four tables; paper: 16, LRU. */
-    unsigned ddetEntries = 16;
+    static constexpr unsigned ddetEntries = 16;
 
     /**
      * Occurrences of a stride before it is recorded as common
      * (D-detection); paper: 3.
      */
-    unsigned strideThreshold = 3;
+    static constexpr unsigned strideThreshold = 3;
 
     /** Maximum degree for the adaptive sequential scheme. */
-    unsigned adaptiveMaxDegree = 8;
+    static constexpr unsigned adaptiveMaxDegree = 8;
 
     /**
      * Strides the virtual lookahead PC runs ahead of the processor
@@ -91,38 +91,45 @@ struct PrefetchConfig
     unsigned lookaheadStrides = 2;
 
     /** Prefetch outcomes per adaptation decision (adaptive scheme). */
-    unsigned adaptiveWindow = 16;
+    static constexpr unsigned adaptiveWindow = 16;
 
     // ---- Post-paper schemes (ROADMAP item 2) ----
 
     /** Concurrent (stride, confidence) ways per PC (multi-stride RPT). */
-    unsigned mstrideWays = 4;
+    static constexpr unsigned mstrideWays = 4;
 
     /** Confidence a way needs before its stride is prefetched. */
-    unsigned mstrideConf = 2;
+    static constexpr unsigned mstrideConf = 2;
 
     /**
      * Maximum chained prefetch-fill depth for the pointer-chase scheme:
      * 1 chases only from demand-visible blocks, d allows a prefetched
      * block's content to trigger further chases d - 1 more times.
      */
-    unsigned chaseDepth = 2;
+    static constexpr unsigned chaseDepth = 2;
 
     /** Indirect-pattern table entries (pointer-chase), power of two. */
-    unsigned chaseEntries = 64;
+    static constexpr unsigned chaseEntries = 64;
+    static_assert(isPowerOf2(chaseEntries));
 
     /**
      * Conventional scheme the chase prefetcher runs on top of --
      * content-directed candidates augment, not replace, a streaming
      * scheme. Must not itself be a wrapper scheme.
      */
-    PrefetchScheme chaseBase = PrefetchScheme::Sequential;
+    static constexpr PrefetchScheme chaseBase = PrefetchScheme::Sequential;
 
     /** Scheme whose candidates the perceptron filter gates. */
-    PrefetchScheme ptronBase = PrefetchScheme::Sequential;
+    static constexpr PrefetchScheme ptronBase = PrefetchScheme::Sequential;
+
+    static_assert(chaseBase != PrefetchScheme::PtrChase &&
+                  chaseBase != PrefetchScheme::Perceptron &&
+                  ptronBase != PrefetchScheme::PtrChase &&
+                  ptronBase != PrefetchScheme::Perceptron,
+                  "a wrapper base would make construction recurse");
 
     /** Perceptron training threshold (weights train while |sum| <= theta). */
-    unsigned ptronTheta = 8;
+    static constexpr unsigned ptronTheta = 8;
 };
 
 /**
@@ -151,7 +158,8 @@ struct TestHooks
  * logappend): the request-driven front end layered on the paper's
  * machine. All requests are pure functions of (seed, thread, request
  * index) -- see src/apps/reqgen.hh -- so these knobs, not wall-clock
- * or machine state, fully determine every stream.
+ * or machine state, fully determine every stream. Each workload picks
+ * its own scale-dependent request count.
  */
 struct ServerConfig
 {
@@ -162,17 +170,11 @@ struct ServerConfig
     double zipfTheta = 0.99;
 
     /**
-     * Per-thread request count (kvstore/hashjoin/logappend) or query
-     * count (bfs). 0 picks each workload's scale-dependent default.
-     */
-    std::uint64_t requests = 0;
-
-    /**
      * Mean open-loop inter-arrival think gap in pclocks. The actual
      * gap per request is uniform in [1, 2*interArrival - 1]; 0
      * disables arrival gaps entirely (closed-loop saturation).
      */
-    Tick interArrival = 16;
+    static constexpr Tick interArrival = 16;
 };
 
 struct MachineConfig
@@ -205,34 +207,34 @@ struct MachineConfig
     unsigned slwbEntries = 16;
 
     // ---- Timing (ticks are pclocks; 1 pclock = 10 ns) ----
+    //
+    // Only memAccessLat is settable; the rest are constants calibrated
+    // to Table 1. Its 3-pclock FLC fill is not charged: fills are free.
 
     /** FLC read hit; paper: 1 pclock. */
-    Tick flcReadLat = 1;
-
-    /** FLC fill time; paper: 3 pclocks. */
-    Tick flcFillLat = 3;
+    static constexpr Tick flcReadLat = 1;
 
     /** SLC SRAM access; paper: 30 ns = 3 pclocks. */
-    Tick slcAccessLat = 3;
+    static constexpr Tick slcAccessLat = 3;
 
     /**
      * Latency from FLC miss detection to the request being presented to
      * the SLC (FLWB traversal). Calibrated so an SLC hit totals the
      * paper's 6 pclocks: 1 (FLC) + 1 (FLWB) + 3 (SRAM) + 1 (return).
      */
-    Tick flwbLat = 1;
+    static constexpr Tick flwbLat = 1;
 
     /** Returning data from SLC to the processor. */
-    Tick slcToCpuLat = 1;
+    static constexpr Tick slcToCpuLat = 1;
 
     /** DRAM access time; paper: 90 ns = 9 pclocks. */
     Tick memAccessLat = 9;
 
     /** Directory state lookup/update overhead at the home memory. */
-    Tick dirLat = 1;
+    static constexpr Tick dirLat = 1;
 
     /** Local split-transaction bus cycle; paper: 33 MHz = 3 pclocks. */
-    Tick busCycle = 3;
+    static constexpr Tick busCycle = 3;
 
     /**
      * Bus cycles for one transaction phase. The bus is 256 bits wide, so
@@ -240,7 +242,7 @@ struct MachineConfig
      * single bus cycle. Calibrated so a clean local-memory read totals
      * the paper's 28 pclocks (see tests/test_latency.cc).
      */
-    unsigned busPhaseCycles = 1;
+    static constexpr unsigned busPhaseCycles = 1;
 
     // ---- Network (paper Section 4) ----
 
@@ -248,16 +250,17 @@ struct MachineConfig
     unsigned meshCols = 4;
 
     /** Flit size in bits; paper: 32. */
-    unsigned flitBits = 32;
+    static constexpr unsigned flitBits = 32;
+    static_assert(flitBits % 8 == 0, "flit size must be whole bytes");
 
     /** Node fall-through latency in network cycles; paper: 3. */
     Tick fallThrough = 3;
 
     /** Network clock in pclocks per cycle; paper: 100 MHz = 1 pclock. */
-    Tick netCycle = 1;
+    static constexpr Tick netCycle = 1;
 
     /** Header flits on every message (routing + command + address). */
-    unsigned headerFlits = 2;
+    static constexpr unsigned headerFlits = 2;
 
     // ---- Consistency & protocol options ----
 

@@ -252,33 +252,11 @@ applyConfigKey(MachineConfig &cfg, const std::string &key,
         cfg.slwbEntries = u32();
     else if (key == "meshCols")
         cfg.meshCols = u32();
-    else if (key == "flitBits")
-        cfg.flitBits = u32();
-    else if (key == "headerFlits")
-        cfg.headerFlits = u32();
-    else if (key == "busPhaseCycles")
-        cfg.busPhaseCycles = u32();
     // Timing.
-    else if (key == "flcReadLat")
-        cfg.flcReadLat = tick();
-    else if (key == "flcFillLat")
-        cfg.flcFillLat = tick();
-    else if (key == "slcAccessLat")
-        cfg.slcAccessLat = tick();
-    else if (key == "flwbLat")
-        cfg.flwbLat = tick();
-    else if (key == "slcToCpuLat")
-        cfg.slcToCpuLat = tick();
     else if (key == "memAccessLat")
         cfg.memAccessLat = tick();
-    else if (key == "dirLat")
-        cfg.dirLat = tick();
-    else if (key == "busCycle")
-        cfg.busCycle = tick();
     else if (key == "fallThrough")
         cfg.fallThrough = tick();
-    else if (key == "netCycle")
-        cfg.netCycle = tick();
     // Protocol options.
     else if (key == "sequentialConsistency")
         cfg.sequentialConsistency = value.asBool(ctx);
@@ -289,40 +267,11 @@ applyConfigKey(MachineConfig &cfg, const std::string &key,
         cfg.prefetch.scheme = parseScheme(value.asString(ctx));
     else if (key == "prefetch.degree")
         cfg.prefetch.degree = u32();
-    else if (key == "prefetch.rptEntries")
-        cfg.prefetch.rptEntries = u32();
-    else if (key == "prefetch.ddetEntries")
-        cfg.prefetch.ddetEntries = u32();
-    else if (key == "prefetch.strideThreshold")
-        cfg.prefetch.strideThreshold = u32();
-    else if (key == "prefetch.adaptiveMaxDegree")
-        cfg.prefetch.adaptiveMaxDegree = u32();
     else if (key == "prefetch.lookaheadStrides")
         cfg.prefetch.lookaheadStrides = u32();
-    else if (key == "prefetch.adaptiveWindow")
-        cfg.prefetch.adaptiveWindow = u32();
-    else if (key == "prefetch.mstrideWays")
-        cfg.prefetch.mstrideWays = u32();
-    else if (key == "prefetch.mstrideConf")
-        cfg.prefetch.mstrideConf = u32();
-    else if (key == "prefetch.chaseDepth")
-        cfg.prefetch.chaseDepth = u32();
-    else if (key == "prefetch.chaseEntries")
-        cfg.prefetch.chaseEntries = u32();
-    else if (key == "prefetch.chaseBase")
-        cfg.prefetch.chaseBase = parseScheme(value.asString(ctx));
-    else if (key == "prefetch.ptronBase")
-        cfg.prefetch.ptronBase = parseScheme(value.asString(ctx));
-    else if (key == "prefetch.ptronTheta")
-        cfg.prefetch.ptronTheta = u32();
     // Server workload suite.
     else if (key == "server.zipfTheta")
         cfg.server.zipfTheta = value.asNumber(ctx);
-    else if (key == "server.requests")
-        cfg.server.requests = value.asUnsigned(
-                ctx, std::numeric_limits<std::uint64_t>::max());
-    else if (key == "server.interArrival")
-        cfg.server.interArrival = tick();
     else if (key == "seed")
         cfg.seed = value.asUnsigned(
                 ctx, std::numeric_limits<std::uint64_t>::max());

@@ -18,8 +18,6 @@ Machine::Machine(MachineConfig cfg)
       _mesh(_eq, _cfg)
 {
     _cfg.validate();
-    psim_assert(_cfg.numProcs <= 64,
-            "directory presence mask supports at most 64 nodes");
     if (_cfg.shards > 0) {
         _nshards = std::min(_cfg.shards, _cfg.numProcs);
         // Contiguous node blocks per shard; every queue orders events
@@ -47,8 +45,7 @@ Machine::Machine(MachineConfig cfg)
         // The audit is shard-safe: per-node trackers are only touched
         // by their node's owning shard, lock rings are per home node,
         // and the one cross-shard counter (mesh deliveries) is atomic.
-        _audit = std::make_unique<audit::MachineAudit>(_cfg.numProcs,
-                _cfg.headerFlits);
+        _audit = std::make_unique<audit::MachineAudit>(_cfg.numProcs);
         _mesh.setAudit(_audit.get());
     }
     _nodes.reserve(_cfg.numProcs);
@@ -116,13 +113,13 @@ Machine::bindProgram(NodeId id, Task t)
 }
 
 void
-Machine::enableCharacterizers(unsigned min_run)
+Machine::enableCharacterizers()
 {
     psim_assert(!_ran, "characterizers must attach before run()");
     _chars.clear();
     for (NodeId n = 0; n < _cfg.numProcs; ++n) {
-        _chars.push_back(std::make_unique<StrideCharacterizer>(
-                _cfg.blockSize, min_run));
+        _chars.push_back(
+                std::make_unique<StrideCharacterizer>(_cfg.blockSize));
         _nodes[n]->slc().setCharacterizer(_chars.back().get());
     }
 }

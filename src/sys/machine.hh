@@ -119,7 +119,7 @@ class Machine
      * Attach a Table-2/3 stride characterizer to every node's demand
      * read-miss stream. Call before run().
      */
-    void enableCharacterizers(unsigned min_run = 3);
+    void enableCharacterizers();
 
     StrideCharacterizer *
     characterizer(NodeId id)

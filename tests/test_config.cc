@@ -104,6 +104,16 @@ TEST(ConfigDeath, RejectsUntileableMesh)
             "does not tile");
 }
 
+TEST(ConfigDeath, RejectsMoreThan64Nodes)
+{
+    // The directory presence mask is one 64-bit word.
+    MachineConfig cfg;
+    cfg.numProcs = 128;
+    cfg.meshCols = 8;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+            "limit of 64 nodes");
+}
+
 TEST(ConfigDeath, RejectsZeroDegree)
 {
     MachineConfig cfg;
@@ -126,22 +136,4 @@ TEST(ConfigDeath, RejectsUnknownScheme)
     // parser, the printer and this message).
     EXPECT_EXIT(parseScheme("bogus"), ::testing::ExitedWithCode(1),
             "unknown prefetch scheme 'bogus' \\(valid: .*chase.*\\)");
-}
-
-TEST(ConfigDeath, RejectsWrapperAsChaseBase)
-{
-    MachineConfig cfg;
-    cfg.prefetch.scheme = PrefetchScheme::PtrChase;
-    cfg.prefetch.chaseBase = PrefetchScheme::PtrChase;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-            "chaseBase");
-}
-
-TEST(ConfigDeath, RejectsPerceptronAsItsOwnBase)
-{
-    MachineConfig cfg;
-    cfg.prefetch.scheme = PrefetchScheme::Perceptron;
-    cfg.prefetch.ptronBase = PrefetchScheme::Perceptron;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-            "ptronBase");
 }

@@ -199,6 +199,16 @@ TEST(SpecParseDeathTest, RejectsBadConfigAndRunValues)
       "config": {"sequentialConsistency": 3},
       "grid": [{"axes": [{"name": "app", "values": ["lu"]}]}]
     })json"), "expected boolean, got number");
+    // Fixed timings and table sizes are constants in src/sim/config.hh,
+    // and each server workload picks its own request count.
+    for (const std::string key :
+         {"busCycle", "prefetch.rptEntries", "server.requests"}) {
+        EXPECT_DEATH(parseText(R"json({
+          "schema": "psim-spec-v1", "name": "t", "report": "none",
+          "config": {")json" + key + R"json(": 1},
+          "grid": [{"axes": [{"name": "app", "values": ["lu"]}]}]
+        })json"), "unknown machine-config key '" + key + "'");
+    }
 }
 
 TEST(SpecParseDeathTest, LoadSpecRequiresMatchingFileName)

@@ -109,19 +109,19 @@ fuzzUsage(const char *argv0)
     std::exit(2);
 }
 
-/** Parse a seed-corpus file: one seed per line, '#' starts a comment. */
+/**
+ * Parse a seed-corpus file: one decimal seed per line, '#' starts a
+ * comment. A malformed line is fatal and named as FILE:LINE.
+ */
 std::vector<std::uint64_t>
 readCorpus(const std::string &path)
 {
     std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr,
-                "error: cannot read seed corpus '%s'\n", path.c_str());
-        std::exit(1);
-    }
+    if (!in)
+        psim_fatal("cannot read seed corpus '%s'", path.c_str());
     std::vector<std::uint64_t> seeds;
     std::string line;
-    while (std::getline(in, line)) {
+    for (unsigned lineno = 1; std::getline(in, line); ++lineno) {
         std::size_t hash = line.find('#');
         if (hash != std::string::npos)
             line.erase(hash);
@@ -129,16 +129,12 @@ readCorpus(const std::string &path)
         if (b == std::string::npos)
             continue;
         std::size_t e = line.find_last_not_of(" \t\r");
-        seeds.push_back(static_cast<std::uint64_t>(
-                std::strtoull(line.substr(b, e - b + 1).c_str(),
-                        nullptr, 0)));
+        const std::string where = path + ":" + std::to_string(lineno);
+        seeds.push_back(parseUnsignedStrict(where.c_str(),
+                                            line.substr(b, e - b + 1)));
     }
-    if (seeds.empty()) {
-        std::fprintf(stderr,
-                "error: seed corpus '%s' contains no seeds\n",
-                path.c_str());
-        std::exit(1);
-    }
+    if (seeds.empty())
+        psim_fatal("seed corpus '%s' contains no seeds", path.c_str());
     return seeds;
 }
 
