@@ -13,9 +13,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "apps/driver.hh"
 #include "render.hh"
 #include "sim/logging.hh"
 #include "sim/parse.hh"
@@ -114,16 +116,6 @@ resolveSpecPath(const std::string &name_or_path)
     return std::string(dir) + "/" + name_or_path + ".json";
 }
 
-void
-writeDocument(const std::string &path, const std::string &doc)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        psim_fatal("cannot write %s", path.c_str());
-    std::fputs(doc.c_str(), f);
-    std::fclose(f);
-}
-
 } // namespace
 
 int
@@ -147,7 +139,8 @@ main(int argc, char **argv)
     render(sp, results);
 
     if (!opt.out.empty()) {
-        writeDocument(opt.out, spec::resultsDocument(sp, opt.exec, results));
+        const std::string doc = spec::resultsDocument(sp, opt.exec, results);
+        apps::writeFile(opt.out, [&doc](std::ostream &os) { os << doc; });
         std::fprintf(stderr, "results: %s\n", opt.out.c_str());
     }
     return 0;

@@ -197,12 +197,10 @@ class ThreadCtx
                   std::source_location::current())
     {
         bool drop = false;
-#ifdef PSIM_TEST_HOOKS
         const TestHooks &hooks = _m.cfg().testHooks;
         if (hooks.dropStorePeriod &&
             ++_storesCommitted % hooks.dropStorePeriod == 0)
             drop = true;
-#endif
         if (!drop)
             store().store<T>(addr, value);
         record(check::AccessRecord::Kind::Write, addr, &value,
@@ -237,14 +235,12 @@ class ThreadCtx
     T
     commitLoad(Addr addr, T v)
     {
-#ifdef PSIM_TEST_HOOKS
         const TestHooks &hooks = _m.cfg().testHooks;
         if (hooks.corruptReadPeriod &&
             ++_loadsCommitted % hooks.corruptReadPeriod == 0) {
             auto *bytes = reinterpret_cast<std::uint8_t *>(&v);
             bytes[0] ^= 0x01;
         }
-#endif
         record(check::AccessRecord::Kind::Read, addr, &v, sizeof(T));
         return v;
     }

@@ -1,8 +1,6 @@
 #include "apps/driver.hh"
 
-#include <cstdlib>
 #include <fstream>
-#include <functional>
 
 #include "sim/logging.hh"
 #include "sim/parse.hh"
@@ -10,9 +8,6 @@
 #include "trace/chrome_trace.hh"
 
 namespace psim::apps
-{
-
-namespace
 {
 
 void
@@ -28,52 +23,56 @@ writeFile(const std::string &path,
         psim_fatal("write to %s failed", path.c_str());
 }
 
-} // namespace
-
 Run
 runWorkload(const std::string &workload_name, const MachineConfig &cfg,
             const RunOptions &opts)
 {
+    if (!opts.sampleCsv.empty() && opts.sampleInterval == 0)
+        psim_fatal("--sample-csv needs --sample-interval");
+    auto path = [&opts](const std::string &prefix, const char *ext) {
+        return opts.cell.empty() ? prefix : prefix + opts.cell + ext;
+    };
+
     Run run;
     run.machine = std::make_unique<Machine>(cfg);
     run.workload = makeWorkload(workload_name, opts.scale);
+    if (opts.trace)
+        run.machine->enableTracing(*opts.trace);
     if (opts.characterize)
         run.machine->enableCharacterizers();
     if (opts.sampleInterval > 0)
         run.machine->enableSampling(opts.sampleInterval);
-    if (!opts.chromeTracePath.empty())
+    if (!opts.chromeTrace.empty())
         run.machine->enableChromeTrace(opts.chromeStart, opts.chromeEnd);
     run.workload->attach(*run.machine);
-    run.machine->run(opts.limit);
+    run.machine->run();
     run.finished = run.machine->allFinished();
     if (run.finished) {
         run.verified = run.workload->verify(*run.machine);
-        if (opts.checkInvariants)
-            run.machine->checkCoherenceInvariants();
+        run.machine->checkCoherenceInvariants();
     }
     run.metrics = run.machine->metrics();
 
-    if (!opts.statsJsonPath.empty()) {
-        writeFile(opts.statsJsonPath, [&run](std::ostream &os) {
+    if (!opts.statsJson.empty()) {
+        writeFile(path(opts.statsJson, ".json"), [&run](std::ostream &os) {
             run.machine->dumpStatsJson(os);
         });
     }
-    if (!opts.sampleCsvPath.empty()) {
+    if (!opts.sampleCsv.empty()) {
         const stats::Sampler *s = run.machine->sampler();
-        psim_assert(s, "--sample-csv needs a sample interval");
-        writeFile(opts.sampleCsvPath,
-                [s](std::ostream &os) { s->dumpCsv(os); });
+        writeFile(path(opts.sampleCsv, ".csv"),
+                  [s](std::ostream &os) { s->dumpCsv(os); });
     }
-    if (!opts.chromeTracePath.empty()) {
+    if (!opts.chromeTrace.empty()) {
         const ChromeTracer *t = run.machine->chromeTracer();
-        writeFile(opts.chromeTracePath,
-                [t](std::ostream &os) { t->write(os); });
+        writeFile(path(opts.chromeTrace, ".json"),
+                  [t](std::ostream &os) { t->write(os); });
     }
     return run;
 }
 
 bool
-ObservabilityOptions::parseArg(int argc, char **argv, int *i)
+RunOptions::parseArg(int argc, char **argv, int *i)
 {
     std::string arg = argv[*i];
     auto value = [&](const char *flag) {
@@ -82,15 +81,15 @@ ObservabilityOptions::parseArg(int argc, char **argv, int *i)
         return std::string(argv[++*i]);
     };
     if (arg == "--stats-json") {
-        statsJsonPrefix = value("--stats-json");
+        statsJson = value("--stats-json");
         return true;
     }
     if (arg == "--sample-csv") {
-        sampleCsvPrefix = value("--sample-csv");
+        sampleCsv = value("--sample-csv");
         return true;
     }
     if (arg == "--chrome-trace") {
-        chromeTracePrefix = value("--chrome-trace");
+        chromeTrace = value("--chrome-trace");
         return true;
     }
     if (arg == "--sample-interval") {
@@ -116,29 +115,6 @@ ObservabilityOptions::parseArg(int argc, char **argv, int *i)
         return true;
     }
     return false;
-}
-
-void
-ObservabilityOptions::apply(RunOptions &opts, const std::string &cell) const
-{
-    if (!statsJsonPrefix.empty()) {
-        opts.statsJsonPath = cell.empty() ? statsJsonPrefix
-                                          : statsJsonPrefix + cell + ".json";
-    }
-    opts.sampleInterval = sampleInterval;
-    if (!sampleCsvPrefix.empty()) {
-        if (sampleInterval == 0)
-            psim_fatal("--sample-csv needs --sample-interval");
-        opts.sampleCsvPath = cell.empty() ? sampleCsvPrefix
-                                          : sampleCsvPrefix + cell + ".csv";
-    }
-    if (!chromeTracePrefix.empty()) {
-        opts.chromeTracePath = cell.empty()
-                ? chromeTracePrefix
-                : chromeTracePrefix + cell + ".json";
-    }
-    opts.chromeStart = chromeStart;
-    opts.chromeEnd = chromeEnd;
 }
 
 } // namespace psim::apps

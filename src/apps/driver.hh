@@ -2,12 +2,15 @@
  * @file
  * One-call experiment driver: build a machine, attach a workload, run
  * to completion, verify the numerical result, and collect the paper's
- * metrics. Benches, examples and integration tests all go through this.
+ * metrics. run_spec, psim_cli and the integration tests all go
+ * through this.
  */
 
 #ifndef PSIM_APPS_DRIVER_HH
 #define PSIM_APPS_DRIVER_HH
 
+#include <functional>
+#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -26,36 +29,11 @@ struct Run
     bool finished = false;
 };
 
-struct RunOptions
-{
-    unsigned scale = 1;
-    bool characterize = false;   ///< attach Table-2/3 characterizers
-    bool checkInvariants = true; ///< verify coherence invariants after
-    Tick limit = kTickNever;     ///< simulated-time safety limit
-
-    // ---- observability (all read-only: enabling any of these never
-    //      changes simulated behaviour or aggregate statistics) ----
-
-    /** Write the schema'd JSON stats dump here (empty: none). */
-    std::string statsJsonPath;
-    /** Snapshot selected scalars every N ticks (0: off). */
-    Tick sampleInterval = 0;
-    /** Write the sampler's time series as CSV here (empty: none). */
-    std::string sampleCsvPath;
-    /** Write a chrome://tracing event file here (empty: none). */
-    std::string chromeTracePath;
-    /** Chrome-trace recording window in ticks. */
-    Tick chromeStart = 0;
-    Tick chromeEnd = kTickNever;
-};
-
-/** Run @p workload_name on a machine configured by @p cfg. */
-Run runWorkload(const std::string &workload_name, const MachineConfig &cfg,
-                const RunOptions &opts = {});
-
 /**
- * Command-line observability flags shared by the benches, the examples
- * and the tools:
+ * How to run one workload. Besides the run itself it holds the
+ * command-line observability flags shared by run_spec and psim_cli
+ * (all read-only: enabling any of them never changes simulated
+ * behaviour or aggregate statistics):
  *
  *   --stats-json PREFIX      JSON stats dump per run
  *   --sample-interval N      sampler period in ticks (with --stats-json
@@ -64,25 +42,23 @@ Run runWorkload(const std::string &workload_name, const MachineConfig &cfg,
  *   --chrome-trace PREFIX    chrome://tracing / Perfetto event file
  *   --chrome-window A:B      restrict chrome-trace recording to [A, B]
  *
- * PREFIX is a path prefix: grid harnesses run many (app, scheme) cells
- * and apply() expands "<prefix><cell>.json" / ".csv" per cell. Callers
- * with a single run pass an empty cell to use PREFIX verbatim.
+ * PREFIX is a path prefix: a grid runs many cells, and runWorkload()
+ * writes "<prefix><cell>.json" / ".csv" for each. With an empty cell
+ * (a single run) PREFIX is the path itself.
  */
-struct ObservabilityOptions
+struct RunOptions
 {
-    std::string statsJsonPrefix;
-    std::string sampleCsvPrefix;
-    std::string chromeTracePrefix;
-    Tick sampleInterval = 0;
+    unsigned scale = 1;
+    bool characterize = false;    ///< attach Table-2/3 characterizers
+    TraceWriter *trace = nullptr; ///< record the SLC reference stream
+
+    std::string cell; ///< grid cell id; empty: paths used verbatim
+    std::string statsJson;
+    std::string sampleCsv;
+    std::string chromeTrace;
+    Tick sampleInterval = 0; ///< 0: no sampler
     Tick chromeStart = 0;
     Tick chromeEnd = kTickNever;
-
-    bool
-    enabled() const
-    {
-        return !statsJsonPrefix.empty() || !sampleCsvPrefix.empty() ||
-               !chromeTracePrefix.empty() || sampleInterval != 0;
-    }
 
     /**
      * Try to consume argv[*i] (and its value). @return true when the
@@ -90,10 +66,19 @@ struct ObservabilityOptions
      * any consumed value. Fatal on a missing or malformed value.
      */
     bool parseArg(int argc, char **argv, int *i);
-
-    /** Fill the observability fields of @p opts for one cell. */
-    void apply(RunOptions &opts, const std::string &cell) const;
 };
+
+/**
+ * Run @p workload_name on a machine configured by @p cfg, check the
+ * coherence invariants once it finishes, and write the files @p opts
+ * asks for (fatal when one cannot be written).
+ */
+Run runWorkload(const std::string &workload_name, const MachineConfig &cfg,
+                const RunOptions &opts = {});
+
+/** Open @p path for writing and stream @p emit into it (fatal on error). */
+void writeFile(const std::string &path,
+               const std::function<void(std::ostream &)> &emit);
 
 } // namespace psim::apps
 

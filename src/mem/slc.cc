@@ -390,13 +390,11 @@ Slc::maybePrefetch(Addr trigger_addr, Pc pc,
         if (blk == trigger_blk)
             continue;
         bool skip_page_filter = false;
-#ifdef PSIM_TEST_HOOKS
         // Fault injection for the oracle self-test: let the candidate
         // bypass the page filter so check::Oracle must flag it.
         if (cfg.testHooks.allowPageCrossPeriod &&
             ++_hookCandidates % cfg.testHooks.allowPageCrossPeriod == 0)
             skip_page_filter = true;
-#endif
         if (!skip_page_filter && cfg.pageAddr(cand) != trigger_page) {
             // Never prefetch across a page boundary (Section 2).
             ++pfDropPageCross;

@@ -233,10 +233,8 @@ class Slc
     bool _wantContent = false;
     std::vector<std::uint8_t> _contentBuf; ///< scratch, one block
 
-#ifdef PSIM_TEST_HOOKS
     /** Fault-hook opportunity counter (TestHooks::allowPageCrossPeriod). */
     std::uint64_t _hookCandidates = 0;
-#endif
 };
 
 } // namespace psim

@@ -21,10 +21,13 @@
  * quiesce checks (mesh message conservation, no held locks, no pending
  * barrier episodes).
  *
- * Gating: compile-time via the PSIM_AUDIT CMake option (default ON;
- * when OFF every hook dead-strips behind a null pointer), runtime via
- * MachineConfig::audit, which defaults to the PSIM_AUDIT environment
- * variable so CI can audit every bench harness without code changes.
+ * Gating: compile-time via the PSIM_AUDIT CMake option (default ON)
+ * and runtime via MachineConfig::audit, which defaults to the
+ * PSIM_AUDIT environment variable so CI can audit every bench harness
+ * without code changes. OFF does not compile the layer away: audit.cc
+ * and every `if (_audit)` hook are still built. It only makes
+ * compiledIn() false, so no MachineAudit is ever constructed and each
+ * hook is a null-pointer branch that is never taken.
  *
  * On violation the audit dumps the offending block's full event
  * history (issue, fill, merge, hit, invalidation, ... with ticks)
@@ -55,7 +58,7 @@ struct Message;
 namespace audit
 {
 
-/** Is the audit layer compiled into this build (PSIM_AUDIT=ON)? */
+/** May this build construct the audit (PSIM_AUDIT=ON)? */
 constexpr bool
 compiledIn()
 {

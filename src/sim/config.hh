@@ -135,11 +135,10 @@ struct PrefetchConfig
 /**
  * Fault-injection hooks for the differential checker's self-tests.
  * All-zero (the default) means every hook is inert; a period-N hook
- * fires on every Nth opportunity. The hooks are honored only when the
- * PSIM_TEST_HOOKS CMake option compiled them in, and they exist for
- * exactly one purpose: proving that check::Oracle rejects a machine
- * that returns wrong data (tests/test_check.cc). Nothing else may set
- * them.
+ * fires on every Nth opportunity. They exist for exactly one purpose:
+ * proving that check::Oracle rejects a machine that returns wrong data
+ * (tests/test_check.cc and `psim_cli fuzz --mutant`). Nothing else may
+ * set them.
  */
 struct TestHooks
 {

@@ -403,8 +403,63 @@ class Parser
 };
 
 void
-serializeString(const std::string &s, std::string &out)
+serializeValue(const Value &v, std::string &out)
 {
+    switch (v.type()) {
+      case Value::Type::Null:
+        out += "null";
+        break;
+      case Value::Type::Bool:
+        out += v.asBool("") ? "true" : "false";
+        break;
+      case Value::Type::Number:
+        out += number(v.asNumber(""));
+        break;
+      case Value::Type::String:
+        out += quote(v.asString(""));
+        break;
+      case Value::Type::Array: {
+        out += '[';
+        bool first = true;
+        for (const Value &e : v.asArray("")) {
+            if (!first)
+                out += ',';
+            first = false;
+            serializeValue(e, out);
+        }
+        out += ']';
+        break;
+      }
+      case Value::Type::Object: {
+        out += '{';
+        bool first = true;
+        for (const auto &[k, e] : v.asObject("")) {
+            if (!first)
+                out += ',';
+            first = false;
+            out += quote(k);
+            out += ':';
+            serializeValue(e, out);
+        }
+        out += '}';
+        break;
+      }
+    }
+}
+
+} // namespace
+
+Value
+parse(const std::string &text, const std::string &what)
+{
+    return Parser(text, what).document();
+}
+
+std::string
+quote(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
     out += '"';
     for (char c : s) {
         switch (c) {
@@ -428,69 +483,19 @@ serializeString(const std::string &s, std::string &out)
         }
     }
     out += '"';
+    return out;
 }
 
-void
-serializeValue(const Value &v, std::string &out)
+std::string
+number(double n)
 {
-    switch (v.type()) {
-      case Value::Type::Null:
-        out += "null";
-        break;
-      case Value::Type::Bool:
-        out += v.asBool("") ? "true" : "false";
-        break;
-      case Value::Type::Number: {
-        double n = v.asNumber("");
-        if (!std::isfinite(n)) {
-            // JSON has no NaN/Inf; an absent value (the prefetch
-            // efficiency of a run that issued none) becomes null.
-            out += "null";
-            break;
-        }
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", n);
-        out += buf;
-        break;
-      }
-      case Value::Type::String:
-        serializeString(v.asString(""), out);
-        break;
-      case Value::Type::Array: {
-        out += '[';
-        bool first = true;
-        for (const Value &e : v.asArray("")) {
-            if (!first)
-                out += ',';
-            first = false;
-            serializeValue(e, out);
-        }
-        out += ']';
-        break;
-      }
-      case Value::Type::Object: {
-        out += '{';
-        bool first = true;
-        for (const auto &[k, e] : v.asObject("")) {
-            if (!first)
-                out += ',';
-            first = false;
-            serializeString(k, out);
-            out += ':';
-            serializeValue(e, out);
-        }
-        out += '}';
-        break;
-      }
-    }
-}
-
-} // namespace
-
-Value
-parse(const std::string &text, const std::string &what)
-{
-    return Parser(text, what).document();
+    // JSON has no NaN/Inf; an absent value (the prefetch efficiency of
+    // a run that issued none) becomes null.
+    if (!std::isfinite(n))
+        return "null";
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", n);
+    return buf;
 }
 
 std::string

@@ -105,6 +105,14 @@ Value parse(const std::string &text, const std::string &what);
  */
 std::string serialize(const Value &v);
 
+/**
+ * The serializer's leaves, for writers that stream a document without
+ * building a Value tree: @p s as a quoted, escaped string literal, and
+ * @p n as a %.17g number (null when NaN/Inf; JSON has neither).
+ */
+std::string quote(const std::string &s);
+std::string number(double n);
+
 /** Load and parse a JSON file; fatal() on I/O or parse errors. */
 Value loadFile(const std::string &path);
 

@@ -1,7 +1,7 @@
 #include "sim/sampler.hh"
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 
 namespace psim::stats
 {
@@ -73,12 +73,12 @@ Sampler::dumpJson(std::ostream &os) const
 {
     os << "{\"interval\":" << _interval << ",\"probes\":[";
     for (std::size_t i = 0; i < _names.size(); ++i)
-        os << (i ? "," : "") << "\"" << jsonEscape(_names[i]) << "\"";
+        os << (i ? "," : "") << json::quote(_names[i]);
     os << "],\"rows\":[";
     for (std::size_t r = 0; r < _rows.size(); ++r) {
         os << (r ? "," : "") << "[" << _rows[r].tick;
         for (double v : _rows[r].values)
-            os << "," << jsonNumber(v);
+            os << "," << json::number(v);
         os << "]";
     }
     os << "]}";
@@ -94,7 +94,7 @@ Sampler::dumpCsv(std::ostream &os) const
     for (const auto &row : _rows) {
         os << row.tick;
         for (double v : row.values)
-            os << "," << jsonNumber(v);
+            os << "," << json::number(v);
         os << "\n";
     }
 }

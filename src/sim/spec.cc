@@ -451,10 +451,10 @@ runSpec(const Spec &spec, const ExecOptions &exec)
     out.cells.resize(plan.size());
     runGrid(plan.size(), resolveJobs(exec.jobs), [&](std::size_t i) {
         const PlannedCell &cell = plan[i];
-        apps::RunOptions ropts;
+        apps::RunOptions ropts = exec.obs;
         ropts.characterize = cell.run.characterize.value_or(false);
         ropts.scale = cell.run.scale.value_or(1);
-        exec.obs.apply(ropts, cell.id);
+        ropts.cell = cell.id;
 
         apps::Run run = apps::runWorkload(cell.workload, cell.cfg, ropts);
         if (!run.finished)

@@ -105,15 +105,6 @@ struct RunOverrides
         if (other.scale)
             scale = other.scale;
     }
-
-    void
-    apply(apps::RunOptions &opts) const
-    {
-        if (characterize)
-            opts.characterize = *characterize;
-        if (scale)
-            opts.scale = *scale;
-    }
 };
 
 /** One point along an axis. */
@@ -216,7 +207,8 @@ struct ExecOptions
     unsigned jobs = 0;   ///< grid threads; 0: PSIM_JOBS / hardware
     unsigned shards = 0; ///< intra-run shards (0: serial engine)
     unsigned procs = 0;  ///< machine-size override (0: spec/paper value)
-    apps::ObservabilityOptions obs;
+    /** Observability flags; runSpec() fills in each cell's own fields. */
+    apps::RunOptions obs;
 };
 
 struct Results

@@ -1,8 +1,8 @@
 #include "sim/stats.hh"
 
-#include <cmath>
-#include <cstdio>
 #include <iomanip>
+
+#include "sim/json.hh"
 
 namespace psim::stats
 {
@@ -71,77 +71,35 @@ Group::dump(std::ostream &os) const
     }
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null"; // JSON has no NaN/inf; absent value instead
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 void
 Group::dumpJson(std::ostream &os) const
 {
-    os << "{\"name\":\"" << jsonEscape(_name) << "\",\"scalars\":[";
+    os << "{\"name\":" << json::quote(_name) << ",\"scalars\":[";
     bool first = true;
     for (const auto &item : _scalars) {
-        os << (first ? "" : ",") << "{\"name\":\"" << jsonEscape(item.name)
-           << "\",\"desc\":\"" << jsonEscape(item.desc)
-           << "\",\"value\":" << jsonNumber(item.stat->value()) << "}";
+        os << (first ? "" : ",") << "{\"name\":" << json::quote(item.name)
+           << ",\"desc\":" << json::quote(item.desc)
+           << ",\"value\":" << json::number(item.stat->value()) << "}";
         first = false;
     }
     os << "],\"averages\":[";
     first = true;
     for (const auto &item : _averages) {
-        os << (first ? "" : ",") << "{\"name\":\"" << jsonEscape(item.name)
-           << "\",\"desc\":\"" << jsonEscape(item.desc)
-           << "\",\"mean\":" << jsonNumber(item.stat->mean())
-           << ",\"sum\":" << jsonNumber(item.stat->sum())
+        os << (first ? "" : ",") << "{\"name\":" << json::quote(item.name)
+           << ",\"desc\":" << json::quote(item.desc)
+           << ",\"mean\":" << json::number(item.stat->mean())
+           << ",\"sum\":" << json::number(item.stat->sum())
            << ",\"count\":" << item.stat->count()
-           << ",\"min\":" << jsonNumber(item.stat->min())
-           << ",\"max\":" << jsonNumber(item.stat->max()) << "}";
+           << ",\"min\":" << json::number(item.stat->min())
+           << ",\"max\":" << json::number(item.stat->max()) << "}";
         first = false;
     }
     os << "],\"histograms\":[";
     first = true;
     for (const auto &item : _histograms) {
-        os << (first ? "" : ",") << "{\"name\":\"" << jsonEscape(item.name)
-           << "\",\"desc\":\"" << jsonEscape(item.desc)
-           << "\",\"total\":" << item.stat->total() << ",\"buckets\":[";
+        os << (first ? "" : ",") << "{\"name\":" << json::quote(item.name)
+           << ",\"desc\":" << json::quote(item.desc)
+           << ",\"total\":" << item.stat->total() << ",\"buckets\":[";
         bool bfirst = true;
         for (const auto &[key, weight] : item.stat->buckets()) {
             os << (bfirst ? "" : ",") << "{\"key\":" << key

@@ -168,12 +168,6 @@ class Group
     std::vector<Item<Histogram>> _histograms;
 };
 
-/** Escape @p s for inclusion in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
-/** Render @p v as a JSON number ("null" for NaN/inf — JSON has neither). */
-std::string jsonNumber(double v);
-
 /**
  * Owns every statistics Group of one machine. Components call
  * addGroup() once at construction time and register their statistics

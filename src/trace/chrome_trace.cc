@@ -4,8 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 
 namespace psim
 {
@@ -239,8 +239,8 @@ ChromeTracer::write(std::ostream &os) const
     os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
     bool first = true;
     for (const auto &e : _events) {
-        os << (first ? "" : ",") << "{\"name\":\""
-           << stats::jsonEscape(e.name) << "\",\"cat\":\"" << e.cat
+        os << (first ? "" : ",") << "{\"name\":" << json::quote(e.name)
+           << ",\"cat\":\"" << e.cat
            << "\",\"ph\":\"" << e.ph << "\",\"ts\":" << e.ts;
         if (e.ph == 'X')
             os << ",\"dur\":" << e.dur;

@@ -393,8 +393,6 @@ TEST(FuzzDeath, EmptySeedSetIsFatal)
 
 // ---- mutant self-tests: the oracle must reject a broken machine ----
 
-#ifdef PSIM_TEST_HOOKS
-
 TEST(Mutant, CorruptedLoadsAreCaught)
 {
     // A machine that flips a bit in every 7th consumed load value must
@@ -479,5 +477,3 @@ TEST(Mutant, ShrunkReproStillFails)
     EXPECT_TRUE(pred(res.spec));
     EXPECT_LE(res.spec.enabledPhases(), spec.enabledPhases());
 }
-
-#endif // PSIM_TEST_HOOKS

@@ -56,6 +56,20 @@ TEST(JsonSerialize, NonFiniteNumbersBecomeNull)
     EXPECT_EQ(json::serialize(v), R"({"nan":null,"inf":null})");
 }
 
+TEST(JsonSerialize, LeavesEscapeAndFormat)
+{
+    // The streaming writers (stats, sampler, chrome trace) share these.
+    EXPECT_EQ(json::quote("plain"), R"("plain")");
+    EXPECT_EQ(json::quote("a\"b\\c"), R"("a\"b\\c")");
+    EXPECT_EQ(json::quote("x\ny"), R"("x\ny")");
+    EXPECT_EQ(json::quote(std::string(1, '\x01')), R"("\u0001")");
+    EXPECT_EQ(json::number(2), "2");
+    EXPECT_EQ(json::number(2.5), "2.5");
+    EXPECT_EQ(json::number(std::nan("")), "null");
+    EXPECT_EQ(json::number(HUGE_VAL), "null");
+    EXPECT_EQ(json::serialize(Value("a\"b")), json::quote("a\"b"));
+}
+
 TEST(JsonParseDeathTest, RejectsMalformedInput)
 {
     EXPECT_DEATH(json::parse("{\"a\":1} extra", "doc"),

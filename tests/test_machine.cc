@@ -69,12 +69,12 @@ TEST(Machine, RunLimitStopsEarly)
 {
     MachineConfig cfg;
     cfg.numProcs = 4;
-    apps::RunOptions opts;
-    opts.limit = 50; // far too short for any workload
-    opts.checkInvariants = false;
-    apps::Run run = apps::runWorkload("lu", cfg, opts);
-    EXPECT_FALSE(run.finished);
-    EXPECT_LE(run.machine->eq().now(), 50u);
+    Machine m(cfg);
+    auto wl = apps::makeWorkload("lu", 1);
+    wl->attach(m);
+    m.run(50); // far too short for any workload
+    EXPECT_FALSE(m.allFinished());
+    EXPECT_LE(m.eq().now(), 50u);
 }
 
 TEST(Machine, PrefetchEfficiencyIsNaNWithoutPrefetching)

@@ -221,9 +221,7 @@ statsAtShards(const std::string &name, unsigned shards,
     cfg.prefetch.scheme = scheme;
     cfg.shards = shards;
     cfg.audit = audit;
-    apps::RunOptions opts;
-    opts.checkInvariants = false;
-    apps::Run run = apps::runWorkload(name, cfg, opts);
+    apps::Run run = apps::runWorkload(name, cfg);
     EXPECT_TRUE(run.finished) << name << " at shards=" << shards;
     std::ostringstream os;
     run.machine->dumpStats(os);

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "apps/driver.hh"
+#include "sim/json.hh"
 #include "sim/sampler.hh"
 #include "sim/stats.hh"
 #include "trace/chrome_trace.hh"
@@ -34,18 +38,6 @@ smallConfig(PrefetchScheme scheme = PrefetchScheme::Sequential)
 // ---------------------------------------------------------------------
 // Registry JSON rendering
 // ---------------------------------------------------------------------
-
-TEST(StatsJson, EscapesAndFormats)
-{
-    EXPECT_EQ(stats::jsonEscape("plain"), "plain");
-    EXPECT_EQ(stats::jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
-    EXPECT_EQ(stats::jsonEscape("x\ny"), "x\\ny");
-    EXPECT_EQ(stats::jsonNumber(2), "2");
-    EXPECT_EQ(stats::jsonNumber(2.5), "2.5");
-    // JSON has no NaN/inf; non-finite values render as null.
-    EXPECT_EQ(stats::jsonNumber(0.0 / 0.0), "null");
-    EXPECT_EQ(stats::jsonNumber(1.0 / 0.0), "null");
-}
 
 TEST(StatsJson, RegistryDocumentShape)
 {
@@ -106,7 +98,7 @@ TEST(StatsJson, MatchesTextDumpForARealRun)
             std::size_t pos = doc.find(entry);
             ASSERT_NE(pos, std::string::npos) << g->name() << "." << stat;
             std::string value = "\"value\":" +
-                                stats::jsonNumber(s->value());
+                                json::number(s->value());
             EXPECT_NE(doc.find(value, pos), std::string::npos)
                     << g->name() << "." << stat << " = " << s->value();
             ++checked;
@@ -227,13 +219,10 @@ TEST(Observability, ChromeTraceIsReadOnlyToo)
         apps::Run run = apps::runWorkload("lu", smallConfig());
         plain_mx = run.metrics;
     }
-    apps::RunOptions opts;
-    apps::ObservabilityOptions obs;
-    obs.chromeTracePrefix = "unused"; // apply() sets the path...
     apps::Run run;
     {
-        // ...but here the machine is driven directly to keep the test
-        // free of filesystem output.
+        // The machine is driven directly to keep the test free of
+        // filesystem output.
         run.machine = std::make_unique<Machine>(smallConfig());
         run.workload = apps::makeWorkload("lu", 1);
         run.machine->enableChromeTrace();
@@ -294,7 +283,6 @@ TEST(Sampler, BoundaryDrivenSeriesIsShardCountInvariant)
         cfg.shards = shards;
         apps::RunOptions opts;
         opts.sampleInterval = 2000;
-        opts.checkInvariants = false;
         apps::Run run = apps::runWorkload("lu", cfg, opts);
         EXPECT_TRUE(run.finished) << "shards=" << shards;
         std::ostringstream os;
@@ -334,38 +322,55 @@ TEST(Observability, ShardedPathIsReadOnlyToo)
 // Option plumbing
 // ---------------------------------------------------------------------
 
-TEST(ObservabilityOptions, ParsesAndExpandsPerCellPaths)
+TEST(RunOptions, ParsesFlagsAndDerivesPerCellPaths)
 {
-    const char *argv[] = {"prog", "--stats-json", "out/", "--sample-interval",
-                          "250", "--sample-csv", "csv/",
-                          "--chrome-trace", "ct/", "--chrome-window",
-                          "100:900"};
+    const std::string dir = ::testing::TempDir();
+    const std::string stats = dir + "/obs-stats-", csv = dir + "/obs-csv-",
+                      ct = dir + "/obs-ct-";
+    const char *argv[] = {"prog", "--stats-json", stats.c_str(),
+                          "--sample-interval", "250",
+                          "--sample-csv", csv.c_str(),
+                          "--chrome-trace", ct.c_str(),
+                          "--chrome-window", "100:900"};
     int argc = 11;
-    apps::ObservabilityOptions obs;
-    for (int i = 1; i < argc; ++i) {
-        EXPECT_TRUE(obs.parseArg(argc, const_cast<char **>(argv), &i));
-    }
-    EXPECT_TRUE(obs.enabled());
-    EXPECT_EQ(obs.sampleInterval, 250u);
-    EXPECT_EQ(obs.chromeStart, 100u);
-    EXPECT_EQ(obs.chromeEnd, 900u);
-
     apps::RunOptions opts;
-    obs.apply(opts, "lu-seq");
-    EXPECT_EQ(opts.statsJsonPath, "out/lu-seq.json");
-    EXPECT_EQ(opts.sampleCsvPath, "csv/lu-seq.csv");
-    EXPECT_EQ(opts.chromeTracePath, "ct/lu-seq.json");
+    for (int i = 1; i < argc; ++i) {
+        EXPECT_TRUE(opts.parseArg(argc, const_cast<char **>(argv), &i));
+    }
     EXPECT_EQ(opts.sampleInterval, 250u);
+    EXPECT_EQ(opts.chromeStart, 100u);
+    EXPECT_EQ(opts.chromeEnd, 900u);
 
-    // A single-run caller passes an empty cell: paths used verbatim.
-    apps::RunOptions verbatim;
-    obs.apply(verbatim, "");
-    EXPECT_EQ(verbatim.statsJsonPath, "out/");
-    EXPECT_EQ(verbatim.chromeTracePath, "ct/");
+    auto written = [](const std::vector<std::string> &paths) {
+        for (const std::string &p : paths) {
+            if (!std::ifstream(p).good())
+                return false;
+            std::remove(p.c_str());
+        }
+        return true;
+    };
+    // A grid cell writes "<prefix><cell>.json" / ".csv"...
+    opts.cell = "lu-seq";
+    EXPECT_TRUE(apps::runWorkload("lu", smallConfig(), opts).verified);
+    EXPECT_TRUE(written({stats + "lu-seq.json", csv + "lu-seq.csv",
+                         ct + "lu-seq.json"}));
+    // ...and a single run (no cell) uses each path verbatim.
+    opts.cell.clear();
+    EXPECT_TRUE(apps::runWorkload("lu", smallConfig(), opts).verified);
+    EXPECT_TRUE(written({stats, csv, ct}));
 
     // Non-observability arguments are left alone.
     const char *other[] = {"prog", "--jobs", "4"};
     int oi = 1;
-    EXPECT_FALSE(obs.parseArg(3, const_cast<char **>(other), &oi));
+    EXPECT_FALSE(opts.parseArg(3, const_cast<char **>(other), &oi));
     EXPECT_EQ(oi, 1);
+}
+
+TEST(WriteFileDeathTest, AFailedWriteIsFatal)
+{
+    // Every output file, run_spec's results document included, goes
+    // through writeFile(): a full disk must not pass as written.
+    EXPECT_EXIT(apps::writeFile("/dev/full",
+                                [](std::ostream &os) { os << "{}"; }),
+                ::testing::ExitedWithCode(1), "write to /dev/full failed");
 }

@@ -55,13 +55,10 @@
 #include <memory>
 #include <string>
 
+#include "apps/driver.hh"
 #include "check/fuzz.hh"
 #include "sim/logging.hh"
 #include "sim/parse.hh"
-#include "sim/sampler.hh"
-#include "trace/chrome_trace.hh"
-
-#include "apps/driver.hh"
 #include "trace/trace.hh"
 
 using namespace psim;
@@ -81,20 +78,6 @@ usage(const char *argv0)
             "          [--sample-csv FILE] [--chrome-trace FILE]\n"
             "          [--chrome-window A:B]\n", argv0);
     std::exit(2);
-}
-
-/** Open @p path for writing and stream @p emit into it (fatal on error). */
-template <typename Emit>
-void
-writeFile(const std::string &path, Emit emit)
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        psim_fatal("cannot write %s", path.c_str());
-    emit(out);
-    out.flush();
-    if (!out)
-        psim_fatal("write to %s failed", path.c_str());
 }
 
 [[noreturn]] void
@@ -177,11 +160,6 @@ fuzzMain(int argc, char **argv)
                 opts.hooks.allowPageCrossPeriod = 3;
             else
                 fuzzUsage(argv[0]);
-#ifndef PSIM_TEST_HOOKS
-            std::fprintf(stderr, "error: --mutant needs a build with "
-                    "-DPSIM_TEST_HOOKS=ON\n");
-            return 1;
-#endif
         } else if (arg == "--help" || arg == "-h") {
             fuzzUsage(argv[0]);
         } else {
@@ -203,10 +181,8 @@ main(int argc, char **argv)
     std::string workload = "lu";
     std::string trace_path;
     bool dump_stats = false;
-    bool characterize = false;
     MachineConfig cfg;
     apps::RunOptions opts;
-    apps::ObservabilityOptions obs;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -215,7 +191,7 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
-        if (obs.parseArg(argc, argv, &i)) {
+        if (opts.parseArg(argc, argv, &i)) {
             // consumed an observability flag
         } else if (arg == "--workload") {
             workload = value();
@@ -238,7 +214,7 @@ main(int argc, char **argv)
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--characterize") {
-            characterize = true;
+            opts.characterize = true;
         } else if (arg == "--trace") {
             trace_path = value();
         } else if (arg == "--help" || arg == "-h") {
@@ -249,41 +225,25 @@ main(int argc, char **argv)
         }
     }
 
-    opts.characterize = characterize;
-    obs.apply(opts, ""); // single run: prefixes are used verbatim
-
-    // Tracing has to attach before the run, so drive the pieces that
-    // runWorkload() would otherwise wrap.
-    auto machine = std::make_unique<Machine>(cfg);
-    auto wl = apps::makeWorkload(workload, opts.scale);
     std::unique_ptr<TraceWriter> tracer;
     if (!trace_path.empty()) {
         tracer = std::make_unique<TraceWriter>(trace_path);
-        machine->enableTracing(*tracer);
+        opts.trace = tracer.get();
     }
-    if (characterize)
-        machine->enableCharacterizers();
-    if (opts.sampleInterval > 0)
-        machine->enableSampling(opts.sampleInterval);
-    if (!opts.chromeTracePath.empty())
-        machine->enableChromeTrace(opts.chromeStart, opts.chromeEnd);
-    wl->attach(*machine);
-    machine->run();
-    if (!machine->allFinished()) {
+    apps::Run run = apps::runWorkload(workload, cfg, opts);
+    if (!run.finished) {
         std::fprintf(stderr, "error: machine did not quiesce\n");
         return 1;
     }
-    bool verified = wl->verify(*machine);
-    machine->checkCoherenceInvariants();
     if (tracer)
         tracer->close();
 
-    RunMetrics mx = machine->metrics();
+    const RunMetrics &mx = run.metrics;
     std::printf("workload         %s (scale %u)\n", workload.c_str(),
                 opts.scale);
     std::printf("scheme           %s (degree %u)\n",
                 toString(cfg.prefetch.scheme), cfg.prefetch.degree);
-    std::printf("verified         %s\n", verified ? "yes" : "NO");
+    std::printf("verified         %s\n", run.verified ? "yes" : "NO");
     std::printf("exec ticks       %llu\n",
                 static_cast<unsigned long long>(mx.execTicks));
     std::printf("loads / stores   %.0f / %.0f\n", mx.reads, mx.writes);
@@ -304,8 +264,8 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(tracer->count()),
                     trace_path.c_str());
 
-    if (characterize) {
-        auto report = machine->characterizer(0)->finalize();
+    if (opts.characterize) {
+        auto report = run.machine->characterizer(0)->finalize();
         std::printf("\nnode-0 characteristics (Table-2 methodology):\n");
         std::printf("  stride misses   %.1f%%\n",
                     100.0 * report.strideFraction);
@@ -320,22 +280,7 @@ main(int argc, char **argv)
     }
     if (dump_stats) {
         std::printf("\n");
-        machine->dumpStats(std::cout);
+        run.machine->dumpStats(std::cout);
     }
-    if (!opts.statsJsonPath.empty()) {
-        writeFile(opts.statsJsonPath, [&](std::ostream &os) {
-            machine->dumpStatsJson(os);
-        });
-    }
-    if (!opts.sampleCsvPath.empty()) {
-        writeFile(opts.sampleCsvPath, [&](std::ostream &os) {
-            machine->sampler()->dumpCsv(os);
-        });
-    }
-    if (!opts.chromeTracePath.empty()) {
-        writeFile(opts.chromeTracePath, [&](std::ostream &os) {
-            machine->chromeTracer()->write(os);
-        });
-    }
-    return verified ? 0 : 1;
+    return run.verified ? 0 : 1;
 }
