@@ -71,16 +71,6 @@ CacheArray::grow()
     }
 }
 
-void
-CacheArray::forEach(const std::function<void(const CacheBlk &)> &fn) const
-{
-    const std::vector<CacheBlk> &store = _infinite ? _table : _frames;
-    for (const CacheBlk &blk : store) {
-        if (blk.valid())
-            fn(blk);
-    }
-}
-
 std::size_t
 CacheArray::numValid() const
 {

@@ -29,7 +29,6 @@
 #define PSIM_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/types.hh"
@@ -129,7 +128,15 @@ class CacheArray
     }
 
     /** Apply @p fn to every valid block (for invariant checks/stats). */
-    void forEach(const std::function<void(const CacheBlk &)> &fn) const;
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const CacheBlk &blk : _infinite ? _table : _frames) {
+            if (blk.valid())
+                fn(blk);
+        }
+    }
 
     /** Number of currently valid blocks. */
     std::size_t numValid() const;

@@ -9,6 +9,12 @@
  * path. InlineCallback instead provides a fixed-size inline buffer and
  * *no* heap fallback at all: a callable that does not fit is a compile
  * error, so the hot path can never silently regress into malloc.
+ *
+ * The stored callable must also be trivially copyable and trivially
+ * destructible (captures of pointers, references and plain-data
+ * structs). An InlineCallback is then itself trivially copyable: the
+ * event pool copies it as bytes and never runs a destructor, so firing
+ * an event costs exactly one indirect call.
  */
 
 #ifndef PSIM_SIM_CALLBACK_HH
@@ -23,8 +29,8 @@ namespace psim
 {
 
 /**
- * A move-only `void()` callable with @p Capacity bytes of inline
- * storage and no heap fallback.
+ * A trivially copyable `void()` callable with @p Capacity bytes of
+ * inline storage and no heap fallback.
  */
 template <std::size_t Capacity>
 class InlineCallback
@@ -38,77 +44,25 @@ class InlineCallback
     InlineCallback(F &&f) // NOLINT: implicit from any callable
     {
         using Fn = std::decay_t<F>;
+        static_assert(std::is_trivially_copyable_v<Fn> &&
+                              std::is_trivially_destructible_v<Fn>,
+                "callback captures must be trivially copyable and "
+                "trivially destructible (the pool copies them as bytes)");
         static_assert(sizeof(Fn) <= Capacity,
                 "callback capture list exceeds the event queue's inline "
                 "storage; shrink the capture or raise Capacity");
         static_assert(alignof(Fn) <= alignof(std::max_align_t),
                 "callback requires stronger alignment than the inline "
                 "buffer provides");
-        static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                "callbacks must be nothrow-movable (the pool relocates "
-                "them)");
         ::new (static_cast<void *>(_buf)) Fn(std::forward<F>(f));
         _invoke = [](void *p) { (*static_cast<Fn *>(p))(); };
-        _relocate = [](void *dst, void *src) {
-            Fn *from = static_cast<Fn *>(src);
-            ::new (dst) Fn(std::move(*from));
-            from->~Fn();
-        };
-        _destroy = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
     }
-
-    InlineCallback(InlineCallback &&other) noexcept { moveFrom(other); }
-
-    InlineCallback &
-    operator=(InlineCallback &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            moveFrom(other);
-        }
-        return *this;
-    }
-
-    InlineCallback(const InlineCallback &) = delete;
-    InlineCallback &operator=(const InlineCallback &) = delete;
-
-    ~InlineCallback() { reset(); }
-
-    explicit operator bool() const { return _invoke != nullptr; }
 
     void operator()() { _invoke(_buf); }
 
-    /** Destroy the stored callable (if any) and become empty. */
-    void
-    reset()
-    {
-        if (_destroy) {
-            _destroy(_buf);
-            _invoke = nullptr;
-            _relocate = nullptr;
-            _destroy = nullptr;
-        }
-    }
-
   private:
-    void
-    moveFrom(InlineCallback &other) noexcept
-    {
-        if (other._relocate) {
-            other._relocate(_buf, other._buf);
-            _invoke = other._invoke;
-            _relocate = other._relocate;
-            _destroy = other._destroy;
-            other._invoke = nullptr;
-            other._relocate = nullptr;
-            other._destroy = nullptr;
-        }
-    }
-
     alignas(std::max_align_t) std::byte _buf[Capacity];
     void (*_invoke)(void *) = nullptr;
-    void (*_relocate)(void *dst, void *src) = nullptr;
-    void (*_destroy)(void *) = nullptr;
 };
 
 } // namespace psim

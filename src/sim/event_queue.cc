@@ -15,8 +15,6 @@ constexpr std::size_t kInitialPool = 1024;
 
 EventQueue::EventQueue()
 {
-    _bucketHead.fill(kNil);
-    _bucketTail.fill(kNil);
     _occupied.fill(0);
     _pool.reserve(kInitialPool);
     growPool();
@@ -36,169 +34,148 @@ EventQueue::growPool()
     }
 }
 
-std::uint32_t
-EventQueue::allocSlot()
+void
+EventQueue::schedule(Tick when, Callback cb)
 {
+    psim_assert(when >= _now, "schedule in the past: when=%llu now=%llu",
+            (unsigned long long)when, (unsigned long long)_now);
     if (_freeHead == kNil)
         growPool();
     std::uint32_t slot = _freeHead;
-    _freeHead = _pool[slot].next;
+    Event &e = _pool[slot];
+    _freeHead = e.next;
+    e.when = when;
+    if (_shardOrder) {
+        e.owner = _ctxOwner;
+        e.seq = (static_cast<std::uint64_t>(_ctxOwner) << 48) |
+                _ownerCtr[_ctxOwner]++;
+    } else {
+        e.owner = 0;
+        e.seq = _nextSeq++;
+    }
+    e.cb = cb;
+
+    if (_stagingActive && when == _stagingTick) {
+        // runWindow is draining this very tick: a same-tick child must
+        // enter the staging heap directly, where its seq places it
+        // relative to the entries still pending (a wheel bucket would
+        // only be looked at again next tick).
+        _staging.push_back(StagedEntry{e.seq, slot});
+        std::push_heap(_staging.begin(), _staging.end());
+    } else if (when - _now < kWheelSize) {
+        // Every wheel event lies in [now, now + kWheelSize), so a
+        // bucket holds one tick and its FIFO chain is seq order.
+        e.next = kNil;
+        std::uint32_t b = static_cast<std::uint32_t>(when) & kWheelMask;
+        std::uint64_t bit = 1ULL << (b & 63);
+        if (_occupied[b >> 6] & bit) {
+            _pool[_bucketTail[b]].next = slot;
+        } else {
+            _bucketHead[b] = slot;
+            _occupied[b >> 6] |= bit;
+            _summary |= 1ULL << (b >> 6);
+        }
+        _bucketTail[b] = slot;
+    } else {
+        _heap.push_back(HeapEntry{when, e.seq, slot});
+        std::push_heap(_heap.begin(), _heap.end());
+    }
+}
+
+inline std::uint32_t
+EventQueue::firstOccupiedBucket() const
+{
+    // Scan circularly from now's bucket: the rest of now's word, then
+    // the words after it, then wrap to the lowest occupied bucket
+    // (which may sit in now's own word, below now's bit).
+    std::uint32_t from = static_cast<std::uint32_t>(_now) & kWheelMask;
+    std::uint32_t word = from >> 6;
+    std::uint64_t bits = _occupied[word] & (~0ULL << (from & 63));
+    if (!bits) {
+        std::uint64_t later = _summary & (~1ULL << word);
+        word = static_cast<std::uint32_t>(
+                std::countr_zero(later ? later : _summary));
+        bits = _occupied[word];
+    }
+    return (word << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
+}
+
+inline std::uint32_t
+EventQueue::popDue(Tick limit)
+{
+    if (_summary) {
+        // The first occupied bucket from now's position holds the
+        // minimal wheel tick, and its head the minimal wheel seq.
+        std::uint32_t b = firstOccupiedBucket();
+        std::uint32_t slot = _bucketHead[b];
+        const Event &e = _pool[slot];
+        if (_heap.empty() || !heapFirst(_heap.front(), e)) {
+            if (e.when > limit)
+                return kNil;
+            if (e.next != kNil) {
+                _bucketHead[b] = e.next;
+            } else {
+                std::uint64_t &word = _occupied[b >> 6];
+                word &= ~(1ULL << (b & 63));
+                if (!word)
+                    _summary &= ~(1ULL << (b >> 6));
+            }
+            return slot;
+        }
+    } else if (_heap.empty()) {
+        return kNil;
+    }
+    if (_heap.front().when > limit)
+        return kNil;
+    std::uint32_t slot = _heap.front().slot;
+    std::pop_heap(_heap.begin(), _heap.end());
+    _heap.pop_back();
     return slot;
 }
 
-void
-EventQueue::freeSlot(std::uint32_t slot)
+inline void
+EventQueue::fire(std::uint32_t slot)
 {
     Event &e = _pool[slot];
-    e.cb.reset();
-    e.live = false;
-    ++e.gen; // invalidate every outstanding EventId for this slot
-    e.next = _freeHead;
-    _freeHead = slot;
-}
-
-void
-EventQueue::wheelInsert(std::uint32_t slot, Tick when)
-{
-    std::uint32_t b = static_cast<std::uint32_t>(when) & kWheelMask;
-    if (_bucketTail[b] == kNil) {
-        _bucketHead[b] = slot;
-        _occupied[b >> 6] |= 1ULL << (b & 63);
-    } else {
-        _pool[_bucketTail[b]].next = slot;
-    }
-    _bucketTail[b] = slot;
-    ++_wheelCount;
-}
-
-void
-EventQueue::heapInsert(std::uint32_t slot, Tick when, std::uint64_t seq)
-{
-    _heap.push_back(HeapEntry{when, seq, slot});
-    std::push_heap(_heap.begin(), _heap.end());
-}
-
-std::uint32_t
-EventQueue::firstOccupiedBucket(std::uint32_t from) const
-{
-    // Scan the occupancy bitmap circularly starting at bit `from`.
-    std::uint32_t word = from >> 6;
-    std::uint64_t bits = _occupied[word] & (~0ULL << (from & 63));
-    for (std::size_t i = 0; i <= _occupied.size(); ++i) {
-        if (bits)
-            return static_cast<std::uint32_t>(
-                    (word << 6) + std::countr_zero(bits));
-        word = (word + 1) & (static_cast<std::uint32_t>(_occupied.size()) -
-                             1);
-        bits = _occupied[word];
-    }
-    return kNil;
-}
-
-bool
-EventQueue::peekNext(Next &n)
-{
-    // Candidate from the wheel: the first occupied bucket in circular
-    // order from now's position holds the minimal wheel tick (all wheel
-    // events lie in [now, now + kWheelSize)). Reclaim dead heads as we
-    // go; `when` is non-decreasing along a bucket chain, so a live head
-    // is the bucket minimum.
-    std::uint32_t wslot = kNil;
-    std::uint32_t wbucket = 0;
-    while (_wheelCount > 0) {
-        std::uint32_t b = firstOccupiedBucket(
-                static_cast<std::uint32_t>(_now) & kWheelMask);
-        psim_assert(b != kNil, "wheel count/bitmap out of sync");
-        std::uint32_t head = _bucketHead[b];
-        while (head != kNil && !_pool[head].live) {
-            std::uint32_t dead = head;
-            head = _pool[dead].next;
-            freeSlot(dead);
-            --_wheelCount;
-        }
-        _bucketHead[b] = head;
-        if (head == kNil) {
-            _bucketTail[b] = kNil;
-            _occupied[b >> 6] &= ~(1ULL << (b & 63));
-            continue;
-        }
-        wslot = head;
-        wbucket = b;
-        break;
-    }
-
-    // Candidate from the overflow heap, likewise reclaiming dead tops.
-    while (!_heap.empty() && !_pool[_heap.front().slot].live) {
-        std::uint32_t dead = _heap.front().slot;
-        std::pop_heap(_heap.begin(), _heap.end());
-        _heap.pop_back();
-        freeSlot(dead);
-    }
-
-    if (wslot == kNil && _heap.empty())
-        return false;
-
-    if (wslot != kNil && !_heap.empty()) {
-        const Event &w = _pool[wslot];
-        const HeapEntry &h = _heap.front();
-        if (h.when < w.when || (h.when == w.when && h.seq < w.seq)) {
-            n = Next{h.slot, 0, false};
-            return true;
-        }
-    } else if (wslot == kNil) {
-        n = Next{_heap.front().slot, 0, false};
-        return true;
-    }
-    n = Next{wslot, wbucket, true};
-    return true;
-}
-
-void
-EventQueue::removeNext(const Next &n)
-{
-    if (n.wheel) {
-        std::uint32_t b = n.bucket;
-        psim_assert(_bucketHead[b] == n.slot, "wheel cursor desynced");
-        _bucketHead[b] = _pool[n.slot].next;
-        if (_bucketHead[b] == kNil) {
-            _bucketTail[b] = kNil;
-            _occupied[b >> 6] &= ~(1ULL << (b & 63));
-        }
-        --_wheelCount;
-    } else {
-        psim_assert(!_heap.empty() && _heap.front().slot == n.slot,
-                "heap cursor desynced");
-        std::pop_heap(_heap.begin(), _heap.end());
-        _heap.pop_back();
-    }
-}
-
-void
-EventQueue::fire(const Next &n)
-{
-    removeNext(n);
-    Event &e = _pool[n.slot];
     psim_assert(e.when >= _now, "event queue went backwards");
     _now = e.when;
-    Callback cb = std::move(e.cb);
     _ctxOwner = e.owner;
-    --_live;
-    // Free the slot before invoking so the callback can schedule into
-    // it; the generation bump keeps the old EventId stale.
-    freeSlot(n.slot);
+    // Copy the callback out and free the slot before invoking, so the
+    // callback may schedule into it (or grow the pool under it).
+    Callback cb = e.cb;
+    e.next = _freeHead;
+    _freeHead = slot;
     cb();
+}
+
+Tick
+EventQueue::run(Tick limit)
+{
+    for (std::uint32_t slot; (slot = popDue(limit)) != kNil;)
+        fire(slot);
+    if (!empty())
+        _now = limit;
+    return _now;
+}
+
+Tick
+EventQueue::nextWhen() const
+{
+    Tick t = kTickNever;
+    if (_summary)
+        t = _pool[_bucketHead[firstOccupiedBucket()]].when;
+    if (!_heap.empty())
+        t = std::min(t, _heap.front().when);
+    return t;
 }
 
 Tick
 EventQueue::runWindow(Tick end)
 {
     psim_assert(_shardOrder, "runWindow requires shard ordering");
-    Next n;
-    while (peekNext(n)) {
-        Tick t = _pool[n.slot].when;
-        if (t >= end)
-            break;
-        psim_assert(t >= _now, "event queue went backwards");
+    for (std::uint32_t slot;
+         end > 0 && (slot = popDue(end - 1)) != kNil;) {
+        Tick t = _pool[slot].when;
 
         // Pull every event at tick t out of the wheel/heap into the
         // staging heap. Bucket chains are FIFO by insertion, which in
@@ -210,13 +187,9 @@ EventQueue::runWindow(Tick end)
         _stagingTick = t;
         _stagingActive = true;
         do {
-            const Event &e = _pool[n.slot];
-            StagedEntry staged{e.seq, n.slot, e.gen};
-            removeNext(n);
-            _staging.push_back(staged);
+            _staging.push_back(StagedEntry{_pool[slot].seq, slot});
             std::push_heap(_staging.begin(), _staging.end());
-        } while (peekNext(n) && _pool[n.slot].when == t);
-        _now = t;
+        } while ((slot = popDue(t)) != kNil);
 
         // Drain in seq order. Callbacks may schedule further events at
         // this same tick; schedule() feeds those straight into the
@@ -224,74 +197,13 @@ EventQueue::runWindow(Tick end)
         // always sorts after its (already fired) parent.
         while (!_staging.empty()) {
             std::pop_heap(_staging.begin(), _staging.end());
-            StagedEntry s = _staging.back();
+            std::uint32_t staged = _staging.back().slot;
             _staging.pop_back();
-            Event &e = _pool[s.slot];
-            if (e.gen != s.gen)
-                continue; // slot freed (and possibly reused) already
-            if (!e.live) {
-                freeSlot(s.slot); // cancelled while staged
-                continue;
-            }
-            Callback cb = std::move(e.cb);
-            _ctxOwner = e.owner;
-            --_live;
-            freeSlot(s.slot);
-            cb();
+            fire(staged);
         }
         _stagingActive = false;
     }
     return _now;
-}
-
-bool
-EventQueue::runOne()
-{
-    Next n;
-    if (!peekNext(n))
-        return false;
-    fire(n);
-    return true;
-}
-
-Tick
-EventQueue::run(Tick limit)
-{
-    Next n;
-    while (peekNext(n)) {
-        if (_pool[n.slot].when > limit) {
-            _now = limit;
-            return _now;
-        }
-        fire(n);
-    }
-    return _now;
-}
-
-void
-EventQueue::reset()
-{
-    for (std::size_t s = 0; s < _pool.size(); ++s) {
-        Event &e = _pool[s];
-        e.cb.reset();
-        e.live = false;
-        ++e.gen;
-        e.next = s + 1 < _pool.size()
-                ? static_cast<std::uint32_t>(s + 1) : kNil;
-    }
-    _freeHead = _pool.empty() ? kNil : 0;
-    _bucketHead.fill(kNil);
-    _bucketTail.fill(kNil);
-    _occupied.fill(0);
-    _wheelCount = 0;
-    _heap.clear();
-    _live = 0;
-    _now = 0;
-    _nextSeq = 1;
-    _staging.clear();
-    _stagingActive = false;
-    _ctxOwner = 0;
-    _ownerCtr.assign(_ownerCtr.size(), 0);
 }
 
 } // namespace psim

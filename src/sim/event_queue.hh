@@ -8,16 +8,19 @@
  *
  * The engine is allocation-free in steady state:
  *
- *  - Events live in a preallocated, free-listed pool; an EventId packs
- *    (slot, generation) so cancel() is an O(1) generation check instead
- *    of the old lazy-delete list with its O(n) scan per pop.
+ *  - Events live in a preallocated, free-listed pool. There is no
+ *    cancellation: every scheduled event fires exactly once.
  *  - Callbacks are stored inline (InlineCallback) with no heap
- *    fallback; an oversized capture list is a compile error.
+ *    fallback and must be trivially copyable; an oversized or
+ *    non-trivial capture list is a compile error.
  *  - Short-delay schedules — the overwhelmingly common case (cache,
- *    bus, mesh and CPU latencies are tens of ticks) — go into a
- *    256-bucket time wheel whose occupied buckets are tracked in a
- *    bitmap; only schedules ≥ 256 ticks out touch the overflow binary
- *    heap.
+ *    bus, mesh and CPU latencies are tens to hundreds of ticks) — go
+ *    into a 4096-bucket time wheel. Its occupied buckets are tracked in
+ *    64 bitmap words plus one summary word over them, so finding the
+ *    next bucket is two count-trailing-zeros. Only schedules ≥ 4096
+ *    ticks out touch the overflow binary heap.
+ *  - run() pops and fires in one loop: find the next bucket, unlink its
+ *    head, free the slot, copy out and invoke the callback.
  *
  * Sharded mode (setShardOrder) changes only the tie-break rule: instead
  * of a queue-global insertion counter, every event carries an
@@ -35,7 +38,6 @@
 #ifndef PSIM_SIM_EVENT_QUEUE_HH
 #define PSIM_SIM_EVENT_QUEUE_HH
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -58,8 +60,8 @@ class EventQueue
 
     using Callback = InlineCallback<kCallbackCapacity>;
 
-    /** Opaque handle for cancelling a scheduled event. */
-    using EventId = std::uint64_t;
+    /** Ticks covered by the time wheel; farther schedules use the heap. */
+    static constexpr std::uint32_t kWheelSize = 4096;
 
     EventQueue();
     ~EventQueue() = default;
@@ -78,7 +80,7 @@ class EventQueue
     void
     setShardOrder(unsigned num_owners)
     {
-        psim_assert(_live == 0, "setShardOrder on a non-empty queue");
+        psim_assert(empty(), "setShardOrder on a non-empty queue");
         _shardOrder = true;
         _ownerCtr.assign(num_owners, 0);
     }
@@ -94,98 +96,32 @@ class EventQueue
     /**
      * Schedule @p cb at absolute tick @p when.
      * @pre when >= now()
-     * @return handle usable with cancel()
      */
-    EventId
-    schedule(Tick when, Callback cb)
-    {
-        psim_assert(when >= _now,
-                "schedule in the past: when=%llu now=%llu",
-                (unsigned long long)when, (unsigned long long)_now);
-        std::uint32_t slot = allocSlot();
-        Event &e = _pool[slot];
-        e.when = when;
-        if (_shardOrder) {
-            e.owner = _ctxOwner;
-            e.seq = (static_cast<std::uint64_t>(_ctxOwner) << 48) |
-                    _ownerCtr[_ctxOwner]++;
-        } else {
-            e.owner = 0;
-            e.seq = _nextSeq++;
-        }
-        e.cb = std::move(cb);
-        e.next = kNil;
-        e.live = true;
-        ++_live;
-        if (_stagingActive && when == _stagingTick) {
-            // runWindow is draining this very tick: a same-tick child
-            // must enter the staging heap directly, where its seq places
-            // it relative to the entries still pending (a wheel bucket
-            // would only be looked at again next tick).
-            _staging.push_back(StagedEntry{e.seq, slot, e.gen});
-            std::push_heap(_staging.begin(), _staging.end());
-        } else if (when - _now < kWheelSize) {
-            wheelInsert(slot, when);
-        } else {
-            heapInsert(slot, when, e.seq);
-        }
-        return makeId(e.gen, slot);
-    }
+    void schedule(Tick when, Callback cb);
 
     /**
      * Schedule on behalf of node @p owner (cross-shard message delivery
      * at a window boundary: the event's ordering key must be stamped
      * from the destination node's counter, not the caller's context).
      */
-    EventId
+    void
     scheduleRemote(Tick when, NodeId owner, Callback cb)
     {
         NodeId saved = _ctxOwner;
         _ctxOwner = owner;
-        EventId id = schedule(when, std::move(cb));
+        schedule(when, cb);
         _ctxOwner = saved;
-        return id;
     }
 
     /** Schedule @p cb @p delta ticks from now. */
-    EventId
-    scheduleIn(Tick delta, Callback cb)
+    void scheduleIn(Tick delta, Callback cb) { schedule(_now + delta, cb); }
+
+    /** True when no events remain. */
+    bool
+    empty() const
     {
-        return schedule(_now + delta, std::move(cb));
+        return _summary == 0 && _heap.empty() && _staging.empty();
     }
-
-    /**
-     * Cancel a previously scheduled event in O(1). Cancelling an event
-     * that has already fired (or been cancelled) is a no-op: the
-     * generation check rejects the stale handle without accumulating
-     * any per-cancel state.
-     */
-    void
-    cancel(EventId id)
-    {
-        std::uint32_t slot = slotOf(id);
-        if (slot >= _pool.size())
-            return;
-        Event &e = _pool[slot];
-        if (e.gen != genOf(id) || !e.live)
-            return;
-        e.live = false;
-        e.cb.reset();
-        --_live;
-        // The slot stays linked in its wheel bucket / heap entry and is
-        // reclaimed when the cursor reaches it.
-    }
-
-    /** True when no live events remain. */
-    bool empty() const { return _live == 0; }
-
-    /** Number of events still pending. */
-    std::size_t pending() const { return _live; }
-
-    /**
-     * Run the next event. @return false if the queue was empty.
-     */
-    bool runOne();
 
     /**
      * Run until the queue drains or @p limit ticks have been simulated.
@@ -193,17 +129,12 @@ class EventQueue
      */
     Tick run(Tick limit = kTickNever);
 
-    /** Tick of the earliest live event, or kTickNever when drained. */
-    Tick
-    nextWhen()
-    {
-        Next n;
-        return peekNext(n) ? _pool[n.slot].when : kTickNever;
-    }
+    /** Tick of the earliest pending event, or kTickNever when drained. */
+    Tick nextWhen() const;
 
     /**
      * Jump time forward to @p t without running anything.
-     * @pre no live event is scheduled before @p t
+     * @pre no event is scheduled before @p t
      */
     void
     advanceTo(Tick t)
@@ -220,38 +151,30 @@ class EventQueue
      */
     Tick runWindow(Tick end);
 
-    /** Drop all pending events and reset time to zero. */
-    void reset();
-
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;
-    static constexpr std::uint32_t kWheelBits = 8;
-    static constexpr std::uint32_t kWheelSize = 1u << kWheelBits;
     static constexpr std::uint32_t kWheelMask = kWheelSize - 1;
+    static constexpr std::uint32_t kWheelWords = kWheelSize / 64;
+    static_assert(kWheelWords == 64,
+            "one summary word must cover the occupancy bitmap");
 
     struct Event
     {
         Tick when = 0;
         std::uint64_t seq = 0;
         Callback cb;
-        std::uint32_t gen = 1;  ///< bumped on free; stale ids mismatch
         std::uint32_t next = kNil; ///< bucket chain or free list
-        NodeId owner = 0;       ///< sharded mode: scheduling node
-        bool live = false;
+        NodeId owner = 0;          ///< sharded mode: scheduling node
     };
 
     /**
      * One same-tick event pulled out of its container by runWindow,
-     * waiting in the staging min-heap for its seq-ordered turn. The
-     * (gen, live) pair is re-validated at pop: the event may have been
-     * cancelled while staged, and its slot may even have been freed and
-     * reused by an earlier same-tick callback.
+     * waiting in the staging min-heap for its seq-ordered turn.
      */
     struct StagedEntry
     {
         std::uint64_t seq;
         std::uint32_t slot;
-        std::uint32_t gen;
 
         bool
         operator<(const StagedEntry &o) const
@@ -277,55 +200,33 @@ class EventQueue
         }
     };
 
-    /** Where peekNext() found the next live event. */
-    struct Next
+    /** True when heap entry @p h fires before wheel event @p e. */
+    static bool
+    heapFirst(const HeapEntry &h, const Event &e)
     {
-        std::uint32_t slot;
-        std::uint32_t bucket; ///< valid when wheel
-        bool wheel;
-    };
-
-    static EventId
-    makeId(std::uint32_t gen, std::uint32_t slot)
-    {
-        return (static_cast<EventId>(gen) << 32) | slot;
+        return h.when < e.when || (h.when == e.when && h.seq < e.seq);
     }
 
-    static std::uint32_t slotOf(EventId id)
-    {
-        return static_cast<std::uint32_t>(id);
-    }
-
-    static std::uint32_t genOf(EventId id)
-    {
-        return static_cast<std::uint32_t>(id >> 32);
-    }
-
-    std::uint32_t allocSlot();
-    void freeSlot(std::uint32_t slot);
     void growPool();
 
-    void wheelInsert(std::uint32_t slot, Tick when);
-    void heapInsert(std::uint32_t slot, Tick when, std::uint64_t seq);
+    // The three helpers below are forced inline: without it GCC keeps
+    // popDue() out of line, and run() pays a call per event.
 
-    /** First occupied bucket at circular distance >= 0 from @p from. */
-    std::uint32_t firstOccupiedBucket(std::uint32_t from) const;
+    /** First occupied bucket at circular distance >= 0 from now. */
+    [[gnu::always_inline]] std::uint32_t firstOccupiedBucket() const;
 
     /**
-     * Reclaim dead events at the container fronts and locate the next
-     * live event without removing it. @return false when drained.
+     * Unlink the earliest event from the wheel or the heap and return
+     * its slot, or kNil when the queue is drained or that event lies
+     * after @p limit. The slot is not freed.
      */
-    bool peekNext(Next &n);
+    [[gnu::always_inline]] std::uint32_t popDue(Tick limit);
 
-    /** Remove the event found by peekNext() from its container. */
-    void removeNext(const Next &n);
-
-    /** Pop, free and invoke the (live) event found by peekNext(). */
-    void fire(const Next &n);
+    /** Free @p slot, advance time to its tick and invoke its callback. */
+    [[gnu::always_inline]] void fire(std::uint32_t slot);
 
     Tick _now = 0;
     std::uint64_t _nextSeq = 1;
-    std::size_t _live = 0;
 
     // Sharded deterministic ordering (setShardOrder / runWindow).
     bool _shardOrder = false;
@@ -338,11 +239,13 @@ class EventQueue
     std::vector<Event> _pool;
     std::uint32_t _freeHead = kNil;
 
-    // Two-level front: time wheel for [now, now + kWheelSize) ...
+    // Two-level front: time wheel for [now, now + kWheelSize) ... A
+    // bucket's head and tail are meaningful only while its occupancy
+    // bit is set, so construction clears just the bitmap.
     std::array<std::uint32_t, kWheelSize> _bucketHead;
     std::array<std::uint32_t, kWheelSize> _bucketTail;
-    std::array<std::uint64_t, kWheelSize / 64> _occupied;
-    std::size_t _wheelCount = 0;
+    std::array<std::uint64_t, kWheelWords> _occupied;
+    std::uint64_t _summary = 0; ///< bit w set iff _occupied[w] != 0
 
     // ... and a binary min-heap for everything farther out.
     std::vector<HeapEntry> _heap;

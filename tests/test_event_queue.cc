@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 
 using namespace psim;
 
@@ -18,7 +20,8 @@ TEST(EventQueue, StartsEmptyAtTickZero)
     EventQueue eq;
     EXPECT_EQ(eq.now(), 0u);
     EXPECT_TRUE(eq.empty());
-    EXPECT_FALSE(eq.runOne());
+    EXPECT_EQ(eq.run(), 0u);
+    EXPECT_EQ(eq.now(), 0u);
 }
 
 TEST(EventQueue, RunsEventsInTimeOrder)
@@ -71,116 +74,41 @@ TEST(EventQueue, RunHonorsLimit)
     EXPECT_EQ(fired, 2);
 }
 
-TEST(EventQueue, CancelPreventsExecution)
-{
-    EventQueue eq;
-    int fired = 0;
-    auto id = eq.schedule(10, [&] { ++fired; });
-    eq.schedule(20, [&] { ++fired; });
-    eq.cancel(id);
-    eq.run();
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelAfterFireIsNoop)
-{
-    EventQueue eq;
-    int fired = 0;
-    auto id = eq.schedule(1, [&] { ++fired; });
-    eq.run();
-    eq.cancel(id); // must not crash or affect later events
-    eq.schedule(eq.now() + 1, [&] { ++fired; });
-    eq.run();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, ResetClearsTimeAndEvents)
-{
-    EventQueue eq;
-    eq.schedule(10, [] {});
-    eq.run();
-    eq.reset();
-    EXPECT_EQ(eq.now(), 0u);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, PendingCountTracksLiveEvents)
-{
-    EventQueue eq;
-    auto a = eq.schedule(1, [] {});
-    eq.schedule(2, [] {});
-    EXPECT_EQ(eq.pending(), 2u);
-    eq.cancel(a);
-    eq.run();
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
-TEST(EventQueue, CancelIsImmediatelyReflectedInPending)
-{
-    EventQueue eq;
-    auto id = eq.schedule(10, [] {});
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.cancel(id);
-    EXPECT_EQ(eq.pending(), 0u);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_FALSE(eq.runOne());
-}
-
-TEST(EventQueue, DoubleCancelIsNoop)
-{
-    EventQueue eq;
-    int fired = 0;
-    auto id = eq.schedule(10, [&] { ++fired; });
-    eq.schedule(20, [&] { ++fired; });
-    eq.cancel(id);
-    eq.cancel(id);
-    eq.run();
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, StaleIdDoesNotCancelSlotReuse)
-{
-    // A fired event's id must never cancel a later event that happens
-    // to reuse its pool slot: the generation check has to reject it.
-    EventQueue eq;
-    int fired = 0;
-    std::vector<EventQueue::EventId> old_ids;
-    for (int i = 0; i < 100; ++i)
-        old_ids.push_back(eq.schedule(1, [] {}));
-    eq.run();
-    for (int i = 0; i < 200; ++i)
-        eq.schedule(eq.now() + 1, [&] { ++fired; });
-    for (auto id : old_ids)
-        eq.cancel(id); // stale: every slot was recycled
-    eq.run();
-    EXPECT_EQ(fired, 200);
-}
+// The wheel covers [now, now + kWheelSize); anything farther goes
+// through the overflow heap. The delays below are relative to that
+// horizon so the heap stays exercised whatever the wheel's size.
+constexpr Tick kWheel = EventQueue::kWheelSize;
 
 TEST(EventQueue, InsertionOrderTiesAcrossWheelAndHeap)
 {
     // Two events at the same tick, one through the overflow heap
-    // (scheduled 300 out) and one through the time wheel (scheduled
-    // when the tick was near): firing order is insertion order.
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(300, [&] { order.push_back(1); }); // heap, seq 1
-    eq.schedule(100, [&] {
-        eq.schedule(300, [&] { order.push_back(2); }); // wheel, later seq
-    });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-
-    eq.reset();
-    order.clear();
-    eq.schedule(100, [&] {
-        // Scheduled at t=100, i.e. after the heap event below was
-        // inserted: it ties at tick 300 but loses the insertion-order
-        // tie-break even though it sits in the faster container.
-        eq.schedule(300, [&] { order.push_back(1); });
-    });
-    eq.schedule(300, [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{2, 1}));
+    // (scheduled past the horizon) and one through the time wheel
+    // (scheduled when the tick was near): firing order is insertion
+    // order.
+    constexpr Tick kTie = kWheel + 44;
+    {
+        EventQueue eq;
+        std::vector<int> order;
+        eq.schedule(kTie, [&] { order.push_back(1); }); // heap, seq 1
+        eq.schedule(100, [&] {
+            eq.schedule(kTie, [&] { order.push_back(2); }); // wheel
+        });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    }
+    {
+        EventQueue eq;
+        std::vector<int> order;
+        eq.schedule(100, [&] {
+            // Scheduled at t=100, i.e. after the heap event below was
+            // inserted: it ties at kTie but loses the insertion-order
+            // tie-break even though it sits in the faster container.
+            eq.schedule(kTie, [&] { order.push_back(1); });
+        });
+        eq.schedule(kTie, [&] { order.push_back(2); });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{2, 1}));
+    }
 }
 
 TEST(EventQueue, LongAndShortDelaysInterleaveInTimeOrder)
@@ -188,26 +116,40 @@ TEST(EventQueue, LongAndShortDelaysInterleaveInTimeOrder)
     EventQueue eq;
     std::vector<Tick> fired_at;
     // Mix of wheel-horizon hits and heap residents.
-    for (Tick d : {400u, 1u, 255u, 256u, 1000u, 7u, 512u, 257u})
+    for (Tick d : {kWheel + kWheel / 2, Tick{1}, kWheel - 1, kWheel,
+                   4 * kWheel, Tick{7}, 2 * kWheel, kWheel + 1})
         eq.scheduleIn(d, [&] { fired_at.push_back(eq.now()); });
     eq.run();
     std::vector<Tick> sorted = fired_at;
     std::sort(sorted.begin(), sorted.end());
     EXPECT_EQ(fired_at, sorted);
     EXPECT_EQ(fired_at.size(), 8u);
-    EXPECT_EQ(eq.now(), 1000u);
+    EXPECT_EQ(eq.now(), 4 * kWheel);
 }
 
-TEST(EventQueue, CancelWorksOnHeapResidents)
+TEST(EventQueue, NextBucketWrapsFromLastBitmapWordToFirst)
 {
+    // Park now in the wheel's last occupancy word (the top 64 buckets).
+    // The next event sits later in that word, and the one after it wraps
+    // to word 0.
     EventQueue eq;
-    int fired = 0;
-    auto far = eq.scheduleIn(10000, [&] { ++fired; });
-    eq.scheduleIn(20000, [&] { ++fired; });
-    eq.cancel(far);
+    std::vector<Tick> fired;
+    auto record = [&] { fired.push_back(eq.now()); };
+    const Tick start = kWheel - 40;
+    eq.schedule(start, [&] {
+        eq.scheduleIn(kWheel - 10, record);
+        eq.scheduleIn(45, record);
+        eq.scheduleIn(20, record);
+    });
     eq.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.now(), 20000u);
+    EXPECT_EQ(fired, (std::vector<Tick>{start + 20, start + 45,
+                                        start + kWheel - 10}));
+
+    // Now is in the last word again, and the only event is one bucket
+    // behind it: the circular scan must come back to this word.
+    eq.scheduleIn(kWheel - 1, record);
+    eq.run();
+    EXPECT_EQ(fired.back(), start + 2 * kWheel - 11);
 }
 
 TEST(EventQueue, ManyEventsGrowThePoolTransparently)
@@ -215,68 +157,141 @@ TEST(EventQueue, ManyEventsGrowThePoolTransparently)
     EventQueue eq;
     int fired = 0;
     for (int i = 0; i < 10000; ++i)
-        eq.scheduleIn(1 + static_cast<Tick>(i % 300),
+        eq.scheduleIn(1 + static_cast<Tick>(i) % (kWheel + kWheel / 4),
                       [&] { ++fired; });
     eq.run();
     EXPECT_EQ(fired, 10000);
 }
 
-TEST(EventQueue, IdsFromBeforeResetAreStale)
+namespace
 {
-    EventQueue eq;
-    int fired = 0;
-    auto id = eq.schedule(10, [&] { ++fired; });
-    eq.reset();
-    auto id2 = eq.schedule(10, [&] { ++fired; });
-    eq.cancel(id); // stale generation: must not cancel id2's event
-    (void)id2;
-    eq.run();
-    EXPECT_EQ(fired, 1);
-}
 
-TEST(EventQueue, StaleCancelsDoNotSlowLaterPops)
+using Firing = std::pair<std::uint64_t, Tick>; ///< (event id, now)
+
+/**
+ * A random engine program. Event ids count schedules in order, and what
+ * an event schedules when it fires is a function of its id alone, so
+ * the engine and the reference model below replay the same program as
+ * long as they fire in the same order.
+ */
+struct Program
 {
-    // Regression for the seed engine's leak: cancelling an
-    // already-fired id parked it in a lazy-delete list forever and
-    // every subsequent pop paid a linear scan. With the generation
-    // check a stale cancel is stateless, so a drain after 10k stale
-    // cancels must cost the same as one before.
-    using Clock = std::chrono::steady_clock;
-    constexpr int kEvents = 10000;
-    EventQueue eq;
+    std::uint64_t seed;
+    std::uint64_t budget; ///< total events the program schedules
 
-    std::vector<EventQueue::EventId> ids;
-    auto drain = [&](bool record) {
-        int fired = 0;
-        for (int i = 0; i < kEvents; ++i) {
-            auto id = eq.scheduleIn(1 + static_cast<Tick>(i % 97),
-                                    [&] { ++fired; });
-            if (record)
-                ids.push_back(id);
+    static Tick
+    delay(Rng &r)
+    {
+        switch (r.below(4)) {
+          case 0:
+            return 0; // same tick
+          case 1:
+            return r.below(64); // typical component latencies
+          case 2:
+            return kWheel - 2 + r.below(5); // around the wheel horizon
+          default:
+            return r.below(3 * kWheel + 1);
         }
-        eq.run();
-        return fired;
-    };
+    }
 
-    auto t0 = Clock::now();
-    ASSERT_EQ(drain(true), kEvents);
-    auto t1 = Clock::now();
+    std::vector<Tick>
+    children(std::uint64_t id) const
+    {
+        Rng r(seed * 0x9e3779b97f4a7c15ULL + id);
+        std::vector<Tick> delays(r.below(4));
+        for (Tick &d : delays)
+            d = delay(r);
+        return delays;
+    }
+};
 
-    for (auto id : ids)
-        eq.cancel(id); // all fired: every cancel is stale
+/** The engine under test running a Program. */
+struct EngineRun
+{
+    const Program &prog;
+    EventQueue eq;
+    std::uint64_t nextId = 0;
+    std::vector<Firing> fired;
 
-    auto t2 = Clock::now();
-    ASSERT_EQ(drain(false), kEvents);
-    auto t3 = Clock::now();
+    void
+    schedule(Tick when)
+    {
+        std::uint64_t id = nextId++;
+        eq.schedule(when, [this, id] { fire(id); });
+    }
 
-    using us = std::chrono::microseconds;
-    auto before = std::chrono::duration_cast<us>(t1 - t0).count();
-    auto after = std::chrono::duration_cast<us>(t3 - t2).count();
-    // Identical workloads; allow 10x for scheduler noise (the seed
-    // engine was ~100x here and got worse with the event count).
-    EXPECT_LT(after, std::max<long long>(before, 1000) * 10)
-            << "pop cost grew after stale cancels: " << before << "us -> "
-            << after << "us";
+    void
+    fire(std::uint64_t id)
+    {
+        fired.emplace_back(id, eq.now());
+        for (Tick d : prog.children(id)) {
+            if (nextId < prog.budget)
+                schedule(eq.now() + d); // nested schedule
+        }
+    }
+};
+
+/** Reference: a priority queue ordered by (tick, insertion counter). */
+struct ReferenceRun
+{
+    const Program &prog;
+    std::priority_queue<Firing, std::vector<Firing>,
+                        std::greater<>> queue; ///< (when, id)
+    Tick now = 0;
+    std::uint64_t nextId = 0;
+    std::vector<Firing> fired;
+
+    void schedule(Tick when) { queue.emplace(when, nextId++); }
+
+    Tick
+    run(Tick limit)
+    {
+        while (!queue.empty()) {
+            auto [when, id] = queue.top();
+            if (when > limit) {
+                now = limit;
+                return now;
+            }
+            queue.pop();
+            now = when;
+            fired.emplace_back(id, now);
+            for (Tick d : prog.children(id)) {
+                if (nextId < prog.budget)
+                    schedule(now + d);
+            }
+        }
+        return now;
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, MatchesAReferenceQueueOnRandomPrograms)
+{
+    for (std::uint64_t p = 0; p < 300; ++p) {
+        Rng drive(p + 1);
+        Program prog{p, 50 + drive.below(1000)};
+        EngineRun engine{prog, {}, 0, {}};
+        ReferenceRun ref{prog, {}, 0, 0, {}};
+        while (engine.nextId < prog.budget || !engine.eq.empty()) {
+            // Top-level schedules between run() calls; a drained queue
+            // always gets at least one so the program makes progress.
+            std::uint64_t n = drive.below(3) + (engine.eq.empty() ? 1 : 0);
+            for (; n > 0 && engine.nextId < prog.budget; --n) {
+                Tick when = engine.eq.now() + Program::delay(drive);
+                engine.schedule(when);
+                ref.schedule(when);
+            }
+            Tick limit = drive.chance(0.2)
+                    ? kTickNever : engine.eq.now() + drive.below(2 * kWheel);
+            Tick stopped = engine.eq.run(limit);
+            ASSERT_EQ(stopped, ref.run(limit)) << "program " << p;
+            ASSERT_EQ(engine.eq.now(), ref.now) << "program " << p;
+            ASSERT_EQ(engine.eq.empty(), ref.queue.empty())
+                    << "program " << p;
+            ASSERT_EQ(engine.fired, ref.fired) << "program " << p;
+        }
+    }
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)
