@@ -38,7 +38,7 @@ struct Options
 
 /**
  * Parse `--spec`, `--jobs N` (or `-jN`), `--json/--out PATH`,
- * `--apps a,b,c`, `--shards N`, `--procs N` and the shared
+ * `--apps a,b,c`, `--procs N` and the shared
  * observability flags (--stats-json PREFIX, --sample-interval N,
  * --sample-csv PREFIX, --chrome-trace PREFIX, --chrome-window A:B).
  * Unknown arguments are fatal so typos do not silently serialize.
@@ -64,9 +64,6 @@ parseArgs(int argc, char **argv)
             opt.out = value("--json");
         } else if (arg == "--spec") {
             opt.spec = value("--spec");
-        } else if (arg == "--shards") {
-            opt.exec.shards =
-                    parseUnsignedFlag("--shards", value("--shards"));
         } else if (arg == "--procs") {
             opt.exec.procs = parseUnsignedFlag("--procs", value("--procs"));
         } else if (arg == "--apps") {
@@ -86,7 +83,7 @@ parseArgs(int argc, char **argv)
             psim_fatal("unknown argument '%s' "
                        "(supported: --spec NAME|PATH, --jobs N, "
                        "--json/--out PATH, --apps a,b, "
-                       "--shards N, --procs N, "
+                       "--procs N, "
                        "--stats-json PREFIX, --sample-interval N, "
                        "--sample-csv PREFIX, --chrome-trace PREFIX, "
                        "--chrome-window A:B)",

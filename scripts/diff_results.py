@@ -3,13 +3,12 @@
 
 Standard library only. The golden document (first argument) is the
 pinned BENCH_*.json snapshot; the fresh document is a regeneration of
-the same spec. Every simulated quantity -- cell ids, coordinates, all
-metrics, the characterizer report -- must match EXACTLY: the simulator
-is deterministic, so any numeric drift is a behaviour change, not
-noise. Each difference is named (cell, section, metric). The run
-header (shards, procs) is not compared, so documents from different
-shard counts can be checked for cell identity. Host time is not part
-of a results document; bench/perf measures it.
+the same spec. The run header (procs) and every simulated quantity --
+cell ids, coordinates, all metrics, the characterizer report -- must
+match EXACTLY: the simulator is deterministic, so any numeric drift is
+a behaviour change, not noise. Each difference is named (cell, section,
+metric). Host time is not part of a results document; bench/perf
+measures it.
 
 Usage: diff_results.py GOLDEN.json FRESH.json
 
@@ -70,7 +69,7 @@ def main(argv):
     fresh = load(paths[1])
     errors = []
 
-    for key in ("name", "report"):
+    for key in ("name", "report", "run"):
         if golden.get(key) != fresh.get(key):
             errors.append(f"{key}: golden {golden.get(key)!r} != fresh "
                           f"{fresh.get(key)!r}")

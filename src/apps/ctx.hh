@@ -255,16 +255,16 @@ class ThreadCtx
         psim_assert(len <= sizeof(check::AccessRecord::value),
                 "access wider than an AccessRecord value");
         check::AccessRecord rec;
-        // Stamp from the owning node's queue: under the sharded engine
-        // the global queue's clock does not advance, and the record's
-        // tick is this node's position in the canonical merge order.
-        rec.tick = _m.eqOf(_tid).now();
+        // The record's tick is the commit point on the machine's one
+        // event queue; the sink receives records in execution order,
+        // which is the order the oracle replays them in.
+        rec.tick = _m.eq().now();
         rec.node = _tid;
         rec.kind = kind;
         rec.len = static_cast<std::uint8_t>(len);
         rec.addr = addr;
         std::memcpy(rec.value, value, len);
-        _m.commitAccess(rec);
+        _m.commitSink()->onAccess(rec);
     }
 
     Machine &_m;

@@ -8,7 +8,7 @@
  * (spec seed, thread id, request index): the generator holds no
  * mutable state, draws nothing from the machine (no clocks, no
  * addresses, no iteration-order-dependent containers), and therefore
- * produces byte-identical streams at every --jobs and --shards count.
+ * produces byte-identical streams at every --jobs count.
  * at() enforces that contract with a recompute-and-compare assertion
  * in the generator itself, not just in the tests.
  *

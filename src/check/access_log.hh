@@ -5,13 +5,10 @@
  * The machine can stream every *committed* shared-memory access --
  * every functional store the moment it lands in the backing store and
  * every load value the moment the processor consumes it -- into a
- * CommitSink. On the serial engine the order of onAccess() calls is
- * exactly the order in which the backing store was touched; on the
- * sharded engine the machine stages records per node and merges them at
- * every window boundary in the canonical (tick, node, per-node index)
- * order, which is the same total order a --shards 1 run executes. A
- * sequentially-consistent reference model (check::Oracle) can replay
- * either stream and re-derive every load value independently.
+ * CommitSink. The order of onAccess() calls is exactly the order in
+ * which the backing store was touched, so a sequentially-consistent
+ * reference model (check::Oracle) can replay the stream and re-derive
+ * every load value independently.
  *
  * Recording is observability-grade: attaching a sink never changes
  * simulated behaviour, timing, or any aggregate statistic. The sink

@@ -68,7 +68,7 @@ imageDigest(const BackingStore &store)
 
 MachineConfig
 configFor(const ProgramSpec &spec, PrefetchScheme scheme,
-          const TestHooks &hooks, unsigned shards)
+          const TestHooks &hooks)
 {
     MachineConfig cfg;
     cfg.numProcs = spec.threads;
@@ -78,7 +78,6 @@ configFor(const ProgramSpec &spec, PrefetchScheme scheme,
     cfg.prefetch.degree = spec.degree;
     cfg.seed = spec.seed;
     cfg.testHooks = hooks;
-    cfg.shards = shards;
     return cfg;
 }
 
@@ -86,9 +85,9 @@ configFor(const ProgramSpec &spec, PrefetchScheme scheme,
 
 SchemeRun
 runOneScheme(const ProgramSpec &spec, PrefetchScheme scheme,
-             const TestHooks &hooks, Tick tick_limit, unsigned shards)
+             const TestHooks &hooks, Tick tick_limit)
 {
-    MachineConfig cfg = configFor(spec, scheme, hooks, shards);
+    MachineConfig cfg = configFor(spec, scheme, hooks);
     Machine m(cfg);
     FuzzWorkload wl(spec);
     AccessLog log;
@@ -115,13 +114,13 @@ runOneScheme(const ProgramSpec &spec, PrefetchScheme scheme,
 
 bool
 specDiverges(const ProgramSpec &spec, const TestHooks &hooks,
-             Tick tick_limit, std::string *why, unsigned shards)
+             Tick tick_limit, std::string *why)
 {
     const auto &schemes = fuzzSchemes();
     std::vector<SchemeRun> runs;
     runs.reserve(schemes.size());
     for (PrefetchScheme s : schemes)
-        runs.push_back(runOneScheme(spec, s, hooks, tick_limit, shards));
+        runs.push_back(runOneScheme(spec, s, hooks, tick_limit));
 
     for (std::size_t i = 0; i < schemes.size(); ++i) {
         const char *name = toString(schemes[i]);
@@ -178,12 +177,11 @@ checkSeed(std::uint64_t seed, const FuzzOptions &opts)
 
     // Count checked loads from one representative run (baseline).
     SchemeRun base = runOneScheme(spec, PrefetchScheme::None,
-            opts.hooks, opts.tickLimit, opts.shards);
+            opts.hooks, opts.tickLimit);
     out.loadsChecked = base.oracle.loadsChecked;
 
     std::string why;
-    if (!specDiverges(spec, opts.hooks, opts.tickLimit, &why,
-                opts.shards)) {
+    if (!specDiverges(spec, opts.hooks, opts.tickLimit, &why)) {
         out.ok = true;
         return out;
     }
@@ -191,8 +189,7 @@ checkSeed(std::uint64_t seed, const FuzzOptions &opts)
     out.detail = why;
     if (opts.shrink) {
         auto pred = [&opts](const ProgramSpec &s) {
-            return specDiverges(s, opts.hooks, opts.tickLimit,
-                    nullptr, opts.shards);
+            return specDiverges(s, opts.hooks, opts.tickLimit, nullptr);
         };
         ShrinkResult res = shrink(spec, pred, opts.shrinkBudget);
         out.minimized = res.spec.describe();

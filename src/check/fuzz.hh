@@ -54,14 +54,6 @@ struct FuzzOptions
     bool shrink = true;
     unsigned shrinkBudget = 48;
 
-    /**
-     * Engine under test: 0 = classic serial engine, N >= 1 = windowed
-     * parallel engine with N shards per machine. The oracle consumes
-     * the canonically merged commit stream either way, so the whole
-     * correctness stack gates the sharded engine directly.
-     */
-    unsigned shards = 0;
-
     /** Quiesce deadline per run; exceeding it is itself a failure. */
     Tick tickLimit = 50'000'000;
 
@@ -102,21 +94,18 @@ struct FuzzReport
 
 /**
  * Run one program under one scheme with commit recording, the SC
- * oracle, and the native verifier, on the serial engine (shards = 0)
- * or the sharded one. Exposed for tests (the page-rule property test
- * and the oracle mutant tests drive it directly).
+ * oracle, and the native verifier. Exposed for tests (the page-rule
+ * property test and the oracle mutant tests drive it directly).
  */
 SchemeRun runOneScheme(const ProgramSpec &spec, PrefetchScheme scheme,
-                       const TestHooks &hooks, Tick tick_limit,
-                       unsigned shards = 0);
+                       const TestHooks &hooks, Tick tick_limit);
 
 /**
  * Differential check of one program over all schemes. Returns true
  * when some check failed; @p why (may be null) receives a description.
  */
 bool specDiverges(const ProgramSpec &spec, const TestHooks &hooks,
-                  Tick tick_limit, std::string *why,
-                  unsigned shards = 0);
+                  Tick tick_limit, std::string *why);
 
 /** The full driver: fan seeds out, check, shrink failures, report. */
 FuzzReport runFuzz(const FuzzOptions &opts, std::ostream &out);

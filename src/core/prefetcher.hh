@@ -38,9 +38,9 @@ namespace psim
  * fills, and (b) synthesized observations (fill = true) when a read or
  * prefetch transaction completes -- the only two points where the
  * functional block content is coherence-stable, so reading it cannot
- * race with a concurrent writer under the sharded engine. Schemes that
- * do not ask for content never see fill observations and behave
- * byte-identically to earlier releases.
+ * race with a concurrent writer. Schemes that do not ask for content
+ * never see fill observations and behave byte-identically to earlier
+ * releases.
  */
 struct ReadObservation
 {

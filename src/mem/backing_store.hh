@@ -8,23 +8,16 @@
  * models. Typed accessors require naturally aligned accesses, which is
  * what the workloads (and SPARC, the paper's ISA) generate.
  *
- * The page table is a fixed-size bucket array of lock-free singly
- * linked chains so the sharded engine's worker threads can fault pages
- * in concurrently: lookups are acquire-loads down a chain, inserts a
- * single CAS on the bucket head (the loser of a same-page race frees
- * its node and adopts the winner's page). Nodes are never removed, so
- * a page pointer, once obtained, stays valid for the store's lifetime.
- * Byte ranges within a page are only written by the node that owns the
- * simulated address at that instant -- data-race freedom of the
- * simulated program, which the memory model already requires, is what
- * makes the host-level accesses race-free too.
+ * The page table is a fixed-size bucket array of singly linked chains;
+ * a miss pushes a zeroed page onto the front of its chain. Pages are
+ * never removed, so a page pointer, once obtained, stays valid for the
+ * store's lifetime.
  */
 
 #ifndef PSIM_MEM_BACKING_STORE_HH
 #define PSIM_MEM_BACKING_STORE_HH
 
 #include <array>
-#include <atomic>
 #include <cstring>
 #include <memory>
 #include <type_traits>
@@ -42,20 +35,6 @@ class BackingStore
         : _pageSize(page_size)
     {
         psim_assert(isPowerOf2(page_size), "page size must be power of 2");
-        for (auto &b : _buckets)
-            b.store(nullptr, std::memory_order_relaxed);
-    }
-
-    ~BackingStore()
-    {
-        for (auto &b : _buckets) {
-            PageNode *n = b.load(std::memory_order_relaxed);
-            while (n) {
-                PageNode *next = n->next;
-                delete n;
-                n = next;
-            }
-        }
     }
 
     BackingStore(const BackingStore &) = delete;
@@ -112,16 +91,14 @@ class BackingStore
      * Visit every materialized page as (base address, page bytes).
      * Unmaterialized pages read as zero; a visitor that treats absence
      * as zeros (as the differential oracle does) sees the whole image.
-     * Iteration order is unspecified. Not safe concurrently with
-     * writes; call when the machine is quiescent.
+     * Iteration order is unspecified.
      */
     template <typename Fn>
     void
     forEachPage(Fn &&fn) const
     {
-        for (const auto &b : _buckets) {
-            for (const PageNode *n = b.load(std::memory_order_acquire);
-                 n; n = n->next)
+        for (const auto &head : _buckets) {
+            for (const PageNode *n = head.get(); n; n = n->next.get())
                 fn(n->base, n->data.get(), _pageSize);
         }
     }
@@ -130,7 +107,7 @@ class BackingStore
     struct PageNode
     {
         Addr base;
-        PageNode *next;
+        std::unique_ptr<PageNode> next;
         std::unique_ptr<std::uint8_t[]> data;
     };
 
@@ -160,9 +137,8 @@ class BackingStore
     findPage(Addr addr) const
     {
         Addr base = alignDown(addr, _pageSize);
-        for (const PageNode *n = _buckets[bucketOf(base)].load(
-                     std::memory_order_acquire);
-             n; n = n->next) {
+        for (const PageNode *n = _buckets[bucketOf(base)].get(); n;
+             n = n->next.get()) {
             if (n->base == base)
                 return n->data.get();
         }
@@ -173,35 +149,21 @@ class BackingStore
     ensurePage(Addr addr)
     {
         Addr base = alignDown(addr, _pageSize);
-        std::atomic<PageNode *> &head = _buckets[bucketOf(base)];
-        PageNode *top = head.load(std::memory_order_acquire);
-        for (PageNode *n = top; n; n = n->next) {
+        std::unique_ptr<PageNode> &head = _buckets[bucketOf(base)];
+        for (PageNode *n = head.get(); n; n = n->next.get()) {
             if (n->base == base)
                 return n->data.get();
         }
-        // Allocate a zeroed page and publish it with a CAS on the
-        // bucket head; whoever loses the race rescans the fresh
-        // prefix for a concurrently inserted node for the same page.
         auto fresh = std::make_unique<PageNode>();
         fresh->base = base;
+        fresh->next = std::move(head);
         fresh->data = std::make_unique<std::uint8_t[]>(_pageSize);
-        std::memset(fresh->data.get(), 0, _pageSize);
-        fresh->next = top;
-        for (;;) {
-            if (head.compare_exchange_weak(top, fresh.get(),
-                                           std::memory_order_release,
-                                           std::memory_order_acquire))
-                return fresh.release()->data.get();
-            for (PageNode *n = top; n && n != fresh->next; n = n->next) {
-                if (n->base == base)
-                    return n->data.get(); // lost a same-page race
-            }
-            fresh->next = top;
-        }
+        head = std::move(fresh);
+        return head->data.get();
     }
 
     unsigned _pageSize;
-    std::array<std::atomic<PageNode *>, kBuckets> _buckets;
+    std::array<std::unique_ptr<PageNode>, kBuckets> _buckets;
 };
 
 } // namespace psim

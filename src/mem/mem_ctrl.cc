@@ -10,7 +10,7 @@ namespace psim
 
 MemCtrl::MemCtrl(Machine &m, NodeId id)
     : _m(m),
-      _eq(m.eqOf(id)),
+      _eq(m.eq()),
       _id(id),
       _locks([this](NodeId dst, Addr addr) {
           reply(MsgType::LockGrant, dst, addr, 0);
@@ -20,7 +20,7 @@ MemCtrl::MemCtrl(Machine &m, NodeId id)
       })
 {
     _audit = m.auditor();
-    _locks.setAudit(_audit, _id);
+    _locks.setAudit(_audit);
 }
 
 void

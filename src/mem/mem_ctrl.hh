@@ -168,7 +168,7 @@ class MemCtrl
     static std::uint64_t bit(NodeId n) { return 1ULL << n; }
 
     Machine &_m;
-    /** This node's event queue (per-shard in sharded mode). */
+    /** The machine's event queue. */
     EventQueue &_eq;
     NodeId _id;
     audit::MachineAudit *_audit = nullptr; ///< null when auditing is off

@@ -14,7 +14,7 @@ namespace psim
 
 Slc::Slc(Machine &m, NodeId id, Flc &flc, Cpu &cpu)
     : _m(m),
-      _eq(m.eqOf(id)),
+      _eq(m.eq()),
       _id(id),
       _flc(flc),
       _cpu(cpu),
@@ -279,8 +279,7 @@ Slc::processRead(Addr addr, Pc pc)
     if (_wantContent && hit) {
         // A valid copy pins the block's coherence epoch: no writer can
         // be granted ownership before our InvAck, so reading the
-        // functional words here is race-free and deterministic even
-        // under the sharded engine.
+        // functional words here is race-free and deterministic.
         _m.store().read(blk_addr, _contentBuf.data(),
                         cfg.blockSize);
         obs.content = _contentBuf.data();
@@ -426,7 +425,7 @@ Slc::maybePrefetch(Addr trigger_addr, Pc pc,
             rec.node = _id;
             rec.trigger = trigger_addr;
             rec.block = blk;
-            _m.commitPrefetchIssue(rec);
+            _m.commitSink()->onPrefetchIssue(rec);
         }
         if (_chrome)
             _chrome->prefetchIssue(_id, blk, _eq.now());

@@ -183,7 +183,7 @@ class Slc
     void invalidateBlock(CacheBlk *blk, bool replacement);
 
     Machine &_m;
-    /** This node's event queue (per-shard in sharded mode). */
+    /** The machine's event queue. */
     EventQueue &_eq;
     NodeId _id;
     Flc &_flc;

@@ -35,8 +35,8 @@ Mesh::hops(NodeId src, NodeId dst) const
                                  std::abs(a.y - b.y));
 }
 
-Tick
-Mesh::traverse(NodeId src, NodeId dst, unsigned flits, Tick now)
+void
+Mesh::send(NodeId src, NodeId dst, unsigned flits, DeliverFn deliver)
 {
     psim_assert(src != dst, "mesh send to self");
     psim_assert(src < _cfg.numProcs && dst < _cfg.numProcs,
@@ -54,6 +54,7 @@ Mesh::traverse(NodeId src, NodeId dst, unsigned flits, Tick now)
     // indexes links directly from the coordinates -- this is the
     // per-message hot path, and materializing the route as a vector
     // showed up as the top allocation site in the fig6 profile.
+    const Tick now = _eq.now();
     Coord cur = coordOf(src);
     const Coord end = coordOf(dst);
     Tick head = now;
@@ -80,14 +81,7 @@ Mesh::traverse(NodeId src, NodeId dst, unsigned flits, Tick now)
     msgLatency.sample(static_cast<double>(arrival - now));
     if (_chrome)
         _chrome->meshMessage(src, dst, flits, now, arrival);
-
-    return arrival;
-}
-
-void
-Mesh::send(NodeId src, NodeId dst, unsigned flits, DeliverFn deliver)
-{
-    _eq.schedule(traverse(src, dst, flits, _eq.now()), std::move(deliver));
+    _eq.schedule(arrival, deliver);
 }
 
 } // namespace psim

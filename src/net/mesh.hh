@@ -43,15 +43,6 @@ class Mesh
      */
     void send(NodeId src, NodeId dst, unsigned flits, DeliverFn deliver);
 
-    /**
-     * Timing-and-stats core of send(): claim every link on the X-Y
-     * route for an injection at tick @p now and return the tail-flit
-     * arrival tick. The sharded engine calls this directly at window
-     * boundaries (injections sorted by send tick) and schedules the
-     * delivery into the destination shard itself.
-     */
-    Tick traverse(NodeId src, NodeId dst, unsigned flits, Tick now);
-
     /** Attach the audit layer (mesh message conservation). */
     void setAudit(audit::MachineAudit *a) { _audit = a; }
 

@@ -37,18 +37,8 @@ class LockCtrl
 
     explicit LockCtrl(GrantFn grant) : _grant(std::move(grant)) {}
 
-    /**
-     * Attach the audit layer (lock-event ring + structured failures).
-     * @p home is the owning memory controller's node id: lock events
-     * are recorded into that home's ring, which keeps the audit
-     * shard-safe (a lock's events all happen at its home node).
-     */
-    void
-    setAudit(audit::MachineAudit *a, NodeId home)
-    {
-        _audit = a;
-        _home = home;
-    }
+    /** Attach the audit layer (lock-event ring + structured failures). */
+    void setAudit(audit::MachineAudit *a) { _audit = a; }
 
     /** A LockReq arrived from @p src. */
     void
@@ -56,13 +46,13 @@ class LockCtrl
     {
         ++requests;
         if (_audit)
-            _audit->onLockEvent(_home, addr, src, "request");
+            _audit->onLockEvent(addr, src, "request");
         LockState &l = _locks[addr];
         if (!l.held) {
             l.held = true;
             l.holder = src;
             if (_audit)
-                _audit->onLockEvent(_home, addr, src, "grant");
+                _audit->onLockEvent(addr, src, "grant");
             _grant(src, addr);
         } else {
             l.waiters.push_back(src);
@@ -79,21 +69,21 @@ class LockCtrl
         auto it = _locks.find(addr);
         if (it == _locks.end() || !it->second.held) {
             if (_audit)
-                _audit->failLock(_home, addr, "release of a free lock");
+                _audit->failLock(addr, "release of a free lock");
             psim_panic("release of free lock %llx",
                     (unsigned long long)addr);
         }
         LockState &l = it->second;
         if (l.holder != src) {
             if (_audit)
-                _audit->failLock(_home, addr,
+                _audit->failLock(addr,
                         strfmt("node %u releasing lock held by %u", src,
                                l.holder));
             psim_panic("node %u releasing lock held by %u", src,
                     l.holder);
         }
         if (_audit)
-            _audit->onLockEvent(_home, addr, src, "release");
+            _audit->onLockEvent(addr, src, "release");
         if (l.waiters.empty()) {
             l.held = false;
             l.holder = kNodeNone;
@@ -101,7 +91,7 @@ class LockCtrl
             l.holder = l.waiters.front();
             l.waiters.pop_front();
             if (_audit)
-                _audit->onLockEvent(_home, addr, l.holder, "handoff");
+                _audit->onLockEvent(addr, l.holder, "handoff");
             _grant(l.holder, addr);
         }
     }
@@ -155,7 +145,6 @@ class LockCtrl
 
     GrantFn _grant;
     audit::MachineAudit *_audit = nullptr;
-    NodeId _home = 0; ///< owning memory controller's node id
     std::unordered_map<Addr, LockState> _locks;
 };
 

@@ -240,8 +240,7 @@ NodeAudit::finalize(const Slc &slc)
 // ---- MachineAudit ----
 
 MachineAudit::MachineAudit(unsigned num_procs)
-    : _numProcs(num_procs),
-      _lockRings(num_procs)
+    : _numProcs(num_procs)
 {
     _nodes.reserve(num_procs);
     for (NodeId n = 0; n < num_procs; ++n)
@@ -269,31 +268,26 @@ MachineAudit::onDeliver(const Message &m)
                    "%u -> %u (requester %u)",
                    toString(m.type), m.src, m.dst, m.requester);
     }
-    if (m.src != m.dst) {
-        // Deliveries execute on the destination node's shard thread;
-        // this is the one counter multiple shards bump concurrently.
-        _meshDelivered.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (m.src != m.dst)
+        ++_meshDelivered;
 }
 
 void
-MachineAudit::onLockEvent(NodeId home, Addr lock, NodeId node,
-                          const char *what)
+MachineAudit::onLockEvent(Addr lock, NodeId node, const char *what)
 {
-    std::deque<LockEvent> &ring = _lockRings.at(home).events;
-    if (ring.size() >= kLockRingCap)
-        ring.pop_front();
-    ring.push_back(LockEvent{lock, node, what});
+    if (_lockEvents.size() >= kLockRingCap)
+        _lockEvents.pop_front();
+    _lockEvents.push_back(LockEvent{lock, node, what});
 }
 
 void
-MachineAudit::failLock(NodeId home, Addr lock, const std::string &msg)
+MachineAudit::failLock(Addr lock, const std::string &msg)
 {
     std::fprintf(stderr,
                  "==== audit failure: lock %#" PRIx64
-                 " (home node %u recent lock events) ====\n",
-                 lock, home);
-    for (const LockEvent &e : _lockRings.at(home).events) {
+                 " (recent lock events) ====\n",
+                 lock);
+    for (const LockEvent &e : _lockEvents) {
         std::fprintf(stderr, "  lock %#" PRIx64 "  node %2u  %s\n",
                      e.lock, e.node, e.what);
     }
@@ -303,11 +297,10 @@ MachineAudit::failLock(NodeId home, Addr lock, const std::string &msg)
 void
 MachineAudit::finalize(const Machine &m)
 {
-    std::uint64_t delivered = meshDelivered();
-    if (_meshInjected != delivered) {
+    if (_meshInjected != _meshDelivered) {
         psim_panic("audit: mesh message conservation violated: "
                    "%" PRIu64 " injected, %" PRIu64 " delivered",
-                   _meshInjected, delivered);
+                   _meshInjected, _meshDelivered);
     }
     for (NodeId n = 0; n < _numProcs; ++n) {
         const MemCtrl &mem = m.node(n).mem();

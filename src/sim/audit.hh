@@ -38,7 +38,6 @@
 #define PSIM_SIM_AUDIT_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -191,14 +190,6 @@ struct LedgerSnapshot
  * Machine-wide audit: owns the per-node trackers and the global
  * checks that span nodes -- mesh message conservation, message-field
  * validation on every delivery, and lock/barrier quiescence.
- *
- * Shard safety: every per-node tracker is touched only by its node's
- * owning shard; mesh injections are counted from the (single-threaded)
- * window exchange; deliveries land on destination shard threads, so
- * their counter is the one atomic. Lock events are recorded per home
- * node -- every event for a lock happens at that lock's home LockCtrl,
- * on the home's owning shard -- so the rings need no synchronization
- * and stay deterministic at every shard count.
  */
 class MachineAudit
 {
@@ -207,26 +198,17 @@ class MachineAudit
 
     NodeAudit &node(NodeId n) { return *_nodes.at(n); }
 
-    /**
-     * A message entered the mesh. Called by Mesh::send (serial engine)
-     * or the window exchange (sharded engine); single-threaded either
-     * way.
-     */
+    /** A message entered the mesh (called by Mesh::send). */
     void onMeshInject(NodeId src, NodeId dst, unsigned flits);
 
     /** A message reached its destination component. */
     void onDeliver(const Message &m);
 
-    /**
-     * Record a lock request/grant/release into the bounded ring of the
-     * lock's home node @p home.
-     */
-    void onLockEvent(NodeId home, Addr lock, NodeId node,
-                     const char *what);
+    /** Record a lock request/grant/release into the bounded ring. */
+    void onLockEvent(Addr lock, NodeId node, const char *what);
 
-    /** Structured lock failure: dump @p home's recent lock events. */
-    [[noreturn]] void failLock(NodeId home, Addr lock,
-                               const std::string &msg);
+    /** Structured lock failure: dump the recent lock events. */
+    [[noreturn]] void failLock(Addr lock, const std::string &msg);
 
     /** Global quiesce-time checks (call when the machine finished). */
     void finalize(const Machine &m);
@@ -235,12 +217,7 @@ class MachineAudit
     LedgerSnapshot exportLedger() const;
 
     std::uint64_t meshInjected() const { return _meshInjected; }
-
-    std::uint64_t
-    meshDelivered() const
-    {
-        return _meshDelivered.load(std::memory_order_relaxed);
-    }
+    std::uint64_t meshDelivered() const { return _meshDelivered; }
 
   private:
     struct LockEvent
@@ -250,16 +227,10 @@ class MachineAudit
         const char *what;
     };
 
-    /** Per-home lock-event ring, padded: homes live on shard threads. */
-    struct alignas(64) LockRing
-    {
-        std::deque<LockEvent> events;
-    };
-
     unsigned _numProcs;
     std::uint64_t _meshInjected = 0;
-    std::atomic<std::uint64_t> _meshDelivered{0};
-    std::vector<LockRing> _lockRings; ///< one per home node
+    std::uint64_t _meshDelivered = 0;
+    std::deque<LockEvent> _lockEvents; ///< bounded, oldest first
     std::vector<std::unique_ptr<NodeAudit>> _nodes;
 };
 

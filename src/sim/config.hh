@@ -290,16 +290,10 @@ struct MachineConfig
     /** Fault injection for oracle self-tests; inert by default. */
     TestHooks testHooks;
 
-    // ---- Execution engine ----
-
     /**
-     * 0 (default): the classic serial event engine, byte-identical to
-     * every earlier release. N >= 1: the windowed parallel engine with
-     * N shards (clamped to numProcs), whose deterministic
-     * (tick, owner, counter) event order is identical at every shard
-     * count -- `shards = 1` is the single-threaded reference for
-     * `shards = 8`. The two engines order same-tick events differently,
-     * so their statistics are compared within a mode, not across modes.
+     * Ignored: psim has one serial event engine. Only bench/perf still
+     * assigns this field (its traced `sim.shard4_speedup` pass); the
+     * benchmark change that retires that metric deletes the field.
      */
     unsigned shards = 0;
 

@@ -45,24 +45,10 @@ EventQueue::schedule(Tick when, Callback cb)
     Event &e = _pool[slot];
     _freeHead = e.next;
     e.when = when;
-    if (_shardOrder) {
-        e.owner = _ctxOwner;
-        e.seq = (static_cast<std::uint64_t>(_ctxOwner) << 48) |
-                _ownerCtr[_ctxOwner]++;
-    } else {
-        e.owner = 0;
-        e.seq = _nextSeq++;
-    }
+    e.seq = _nextSeq++;
     e.cb = cb;
 
-    if (_stagingActive && when == _stagingTick) {
-        // runWindow is draining this very tick: a same-tick child must
-        // enter the staging heap directly, where its seq places it
-        // relative to the entries still pending (a wheel bucket would
-        // only be looked at again next tick).
-        _staging.push_back(StagedEntry{e.seq, slot});
-        std::push_heap(_staging.begin(), _staging.end());
-    } else if (when - _now < kWheelSize) {
+    if (when - _now < kWheelSize) {
         // Every wheel event lies in [now, now + kWheelSize), so a
         // bucket holds one tick and its FIFO chain is seq order.
         e.next = kNil;
@@ -139,7 +125,6 @@ EventQueue::fire(std::uint32_t slot)
     Event &e = _pool[slot];
     psim_assert(e.when >= _now, "event queue went backwards");
     _now = e.when;
-    _ctxOwner = e.owner;
     // Copy the callback out and free the slot before invoking, so the
     // callback may schedule into it (or grow the pool under it).
     Callback cb = e.cb;
@@ -155,54 +140,6 @@ EventQueue::run(Tick limit)
         fire(slot);
     if (!empty())
         _now = limit;
-    return _now;
-}
-
-Tick
-EventQueue::nextWhen() const
-{
-    Tick t = kTickNever;
-    if (_summary)
-        t = _pool[_bucketHead[firstOccupiedBucket()]].when;
-    if (!_heap.empty())
-        t = std::min(t, _heap.front().when);
-    return t;
-}
-
-Tick
-EventQueue::runWindow(Tick end)
-{
-    psim_assert(_shardOrder, "runWindow requires shard ordering");
-    for (std::uint32_t slot;
-         end > 0 && (slot = popDue(end - 1)) != kNil;) {
-        Tick t = _pool[slot].when;
-
-        // Pull every event at tick t out of the wheel/heap into the
-        // staging heap. Bucket chains are FIFO by insertion, which in
-        // sharded mode is not seq order (a window-boundary delivery for
-        // a high-numbered owner may have been inserted before an
-        // in-window event of a low-numbered one); the heap restores the
-        // (owner, counter) order that makes firing shard-count
-        // invariant.
-        _stagingTick = t;
-        _stagingActive = true;
-        do {
-            _staging.push_back(StagedEntry{_pool[slot].seq, slot});
-            std::push_heap(_staging.begin(), _staging.end());
-        } while ((slot = popDue(t)) != kNil);
-
-        // Drain in seq order. Callbacks may schedule further events at
-        // this same tick; schedule() feeds those straight into the
-        // staging heap, and per-owner counters are monotone, so a child
-        // always sorts after its (already fired) parent.
-        while (!_staging.empty()) {
-            std::pop_heap(_staging.begin(), _staging.end());
-            std::uint32_t staged = _staging.back().slot;
-            _staging.pop_back();
-            fire(staged);
-        }
-        _stagingActive = false;
-    }
     return _now;
 }
 

@@ -21,18 +21,6 @@
  *    ticks out touch the overflow binary heap.
  *  - run() pops and fires in one loop: find the next bucket, unlink its
  *    head, free the slot, copy out and invoke the callback.
- *
- * Sharded mode (setShardOrder) changes only the tie-break rule: instead
- * of a queue-global insertion counter, every event carries an
- * (owner, per-owner counter) key packed into `seq`, where the owner is
- * the node on whose behalf the event was scheduled. Per-owner counters
- * advance in each node's own deterministic event order, so the total
- * (when, seq) order is identical no matter how nodes are partitioned
- * into shards — the property the windowed parallel engine
- * (sys/machine.cc runSharded) relies on for byte-identical statistics
- * at every shard count. Because wheel buckets are FIFO by insertion
- * (not by seq), sharded mode drains each tick through a small staging
- * heap (runWindow) that restores seq order among same-tick events.
  */
 
 #ifndef PSIM_SIM_EVENT_QUEUE_HH
@@ -72,46 +60,10 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * Switch to the sharded deterministic tie-break: events are ordered
-     * by (when, owner, per-owner counter) instead of (when, global
-     * counter). Must be called on an empty queue, before any schedule.
-     * @param num_owners one counter per machine node
-     */
-    void
-    setShardOrder(unsigned num_owners)
-    {
-        psim_assert(empty(), "setShardOrder on a non-empty queue");
-        _shardOrder = true;
-        _ownerCtr.assign(num_owners, 0);
-    }
-
-    /**
-     * Set the node on whose behalf subsequent schedules happen. In
-     * sharded mode runWindow() maintains this automatically (each event
-     * inherits the owner of the event that scheduled it); the machine
-     * sets it explicitly only for the initial per-node start events.
-     */
-    void setContextOwner(NodeId owner) { _ctxOwner = owner; }
-
-    /**
      * Schedule @p cb at absolute tick @p when.
      * @pre when >= now()
      */
     void schedule(Tick when, Callback cb);
-
-    /**
-     * Schedule on behalf of node @p owner (cross-shard message delivery
-     * at a window boundary: the event's ordering key must be stamped
-     * from the destination node's counter, not the caller's context).
-     */
-    void
-    scheduleRemote(Tick when, NodeId owner, Callback cb)
-    {
-        NodeId saved = _ctxOwner;
-        _ctxOwner = owner;
-        schedule(when, cb);
-        _ctxOwner = saved;
-    }
 
     /** Schedule @p cb @p delta ticks from now. */
     void scheduleIn(Tick delta, Callback cb) { schedule(_now + delta, cb); }
@@ -120,7 +72,7 @@ class EventQueue
     bool
     empty() const
     {
-        return _summary == 0 && _heap.empty() && _staging.empty();
+        return _summary == 0 && _heap.empty();
     }
 
     /**
@@ -128,28 +80,6 @@ class EventQueue
      * @return the tick at which execution stopped.
      */
     Tick run(Tick limit = kTickNever);
-
-    /** Tick of the earliest pending event, or kTickNever when drained. */
-    Tick nextWhen() const;
-
-    /**
-     * Jump time forward to @p t without running anything.
-     * @pre no event is scheduled before @p t
-     */
-    void
-    advanceTo(Tick t)
-    {
-        psim_assert(t >= _now, "advanceTo into the past");
-        psim_assert(nextWhen() >= t, "advanceTo over a pending event");
-        _now = t;
-    }
-
-    /**
-     * Sharded mode: fire every event with when < @p end, draining each
-     * tick through the staging heap so same-tick events run in seq
-     * order regardless of which container held them. @return now().
-     */
-    Tick runWindow(Tick end);
 
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;
@@ -164,23 +94,6 @@ class EventQueue
         std::uint64_t seq = 0;
         Callback cb;
         std::uint32_t next = kNil; ///< bucket chain or free list
-        NodeId owner = 0;          ///< sharded mode: scheduling node
-    };
-
-    /**
-     * One same-tick event pulled out of its container by runWindow,
-     * waiting in the staging min-heap for its seq-ordered turn.
-     */
-    struct StagedEntry
-    {
-        std::uint64_t seq;
-        std::uint32_t slot;
-
-        bool
-        operator<(const StagedEntry &o) const
-        {
-            return seq > o.seq; // std::push_heap max-heap -> min-seq top
-        }
     };
 
     /** Overflow heap entry for schedules beyond the wheel horizon. */
@@ -227,14 +140,6 @@ class EventQueue
 
     Tick _now = 0;
     std::uint64_t _nextSeq = 1;
-
-    // Sharded deterministic ordering (setShardOrder / runWindow).
-    bool _shardOrder = false;
-    bool _stagingActive = false;
-    Tick _stagingTick = 0;
-    NodeId _ctxOwner = 0;
-    std::vector<std::uint64_t> _ownerCtr; ///< per-node seq counters
-    std::vector<StagedEntry> _staging;    ///< same-tick reorder heap
 
     std::vector<Event> _pool;
     std::uint32_t _freeHead = kNil;

@@ -3,8 +3,8 @@
  * Strict numeric parsing for command-line flag values.
  *
  * The benches originally fed flag values straight into strtoul(),
- * which silently accepts trailing garbage ("--shards 4x" ran 4
- * shards), leading whitespace, a *minus sign* (the value wraps to a
+ * which silently accepts trailing garbage ("--jobs 4x" ran 4
+ * jobs), leading whitespace, a *minus sign* (the value wraps to a
  * huge unsigned), and out-of-range values (which wrap through the
  * unsigned cast). These helpers accept exactly the strings that are
  * nonempty runs of decimal digits within range, and fatal() -- naming
@@ -29,7 +29,7 @@ namespace psim
  * Parse @p v as an unsigned decimal integer in [0, @p max]. Strict:
  * every character must be a decimal digit (no sign, no whitespace, no
  * suffix) and the value must fit. fatal() otherwise, blaming @p what
- * (typically the flag name, e.g. "--shards").
+ * (typically the flag name, e.g. "--jobs").
  */
 inline unsigned long long
 parseUnsignedStrict(const char *what, const std::string &v,

@@ -7,12 +7,7 @@ namespace psim::stats
 {
 
 Sampler::Sampler(EventQueue &eq, Tick interval)
-    : _eq(&eq), _interval(interval)
-{
-    psim_assert(interval > 0, "sample interval must be positive");
-}
-
-Sampler::Sampler(Tick interval) : _eq(nullptr), _interval(interval)
+    : _eq(eq), _interval(interval)
 {
     psim_assert(interval > 0, "sample interval must be positive");
 }
@@ -28,44 +23,26 @@ Sampler::addProbe(std::string name, std::function<double()> fn)
 void
 Sampler::start()
 {
-    psim_assert(_eq, "start() is for the event-driven sampler; the "
-            "boundary-driven sampler is fed via sampleAt()");
     psim_assert(!_started, "sampler already started");
     _started = true;
-    _eq->scheduleIn(_interval, [this] { tick(); });
-}
-
-void
-Sampler::snapshot(Tick t)
-{
-    Row row;
-    row.tick = t;
-    row.values.reserve(_probes.size());
-    for (const auto &p : _probes)
-        row.values.push_back(p());
-    _rows.push_back(std::move(row));
-}
-
-void
-Sampler::sampleAt(Tick t)
-{
-    psim_assert(!_eq, "sampleAt() is for the boundary-driven sampler");
-    psim_assert(_rows.empty() || t > _rows.back().tick,
-            "sample ticks must be strictly increasing");
-    _started = true;
-    snapshot(t);
+    _eq.scheduleIn(_interval, [this] { tick(); });
 }
 
 void
 Sampler::tick()
 {
-    snapshot(_eq->now());
+    Row row;
+    row.tick = _eq.now();
+    row.values.reserve(_probes.size());
+    for (const auto &p : _probes)
+        row.values.push_back(p());
+    _rows.push_back(std::move(row));
 
     // The fired event is already reclaimed, so empty() reflects only
     // the simulation's own events: once none remain the run is over and
     // rescheduling would only spin the clock forward.
-    if (!_eq->empty())
-        _eq->scheduleIn(_interval, [this] { tick(); });
+    if (!_eq.empty())
+        _eq.scheduleIn(_interval, [this] { tick(); });
 }
 
 void

@@ -10,19 +10,9 @@
  * sampling enabled produces byte-identical aggregate statistics to one
  * without (asserted by tests/test_stats_export.cc).
  *
- * Two drive modes share the row buffer and the dump formats:
- *
- *  - Event-driven (serial engine): start() schedules a self-renewing
- *    event on the global queue. It stops rescheduling itself as soon as
- *    no other event is pending, so it never keeps the queue alive
- *    artificially.
- *  - Boundary-driven (sharded engine): the machine calls sampleAt() at
- *    the first natural window boundary at or after each sample tick.
- *    All events below that boundary have fired and none at or above it
- *    has, so the snapshot is a quiescent cut; windows themselves are
- *    never reshaped by sampling, so the run is provably unperturbed,
- *    and window starts are shard-count-invariant, so rows are
- *    byte-identical at every shard count.
+ * start() schedules a self-renewing event on the machine's queue. It
+ * stops rescheduling itself as soon as no other event is pending, so
+ * it never keeps the queue alive artificially.
  */
 
 #ifndef PSIM_SIM_SAMPLER_HH
@@ -42,14 +32,8 @@ namespace psim::stats
 class Sampler
 {
   public:
-    /**
-     * Event-driven mode (serial engine).
-     * @param interval ticks between snapshots (must be > 0)
-     */
+    /** @param interval ticks between snapshots (must be > 0) */
     Sampler(EventQueue &eq, Tick interval);
-
-    /** Boundary-driven mode (sharded engine): drive via sampleAt(). */
-    explicit Sampler(Tick interval);
 
     Sampler(const Sampler &) = delete;
     Sampler &operator=(const Sampler &) = delete;
@@ -57,17 +41,9 @@ class Sampler
     /** Register a named probe; call before the first snapshot. */
     void addProbe(std::string name, std::function<double()> fn);
 
-    /** Event-driven only: schedule the first snapshot at now + interval. */
+    /** Schedule the first snapshot at now + interval. */
     void start();
 
-    /**
-     * Boundary-driven only: record one row stamped with tick @p t. The
-     * machine calls this between windows once the next window start has
-     * reached @p t, so the cut is quiescent at that boundary.
-     */
-    void sampleAt(Tick t);
-
-    Tick interval() const { return _interval; }
     const std::vector<std::string> &probeNames() const { return _names; }
 
     /** One row per snapshot: [tick, probe values...]. */
@@ -90,9 +66,8 @@ class Sampler
 
   private:
     void tick();
-    void snapshot(Tick t);
 
-    EventQueue *_eq; ///< null in boundary-driven mode
+    EventQueue &_eq;
     Tick _interval;
     std::vector<std::string> _names;
     std::vector<std::function<double()>> _probes;

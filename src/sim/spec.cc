@@ -443,7 +443,6 @@ runSpec(const Spec &spec, const ExecOptions &exec)
     for (PlannedCell &cell : plan) {
         if (exec.procs)
             applyProcCount(cell.cfg, exec.procs);
-        cell.cfg.shards = exec.shards;
         cell.cfg.validate();
     }
 
@@ -496,7 +495,6 @@ resultsDocument(const Spec &spec, const ExecOptions &exec,
     doc.set("report", spec.report);
 
     json::Value run = json::Value::makeObject();
-    run.set("shards", exec.shards);
     run.set("procs", exec.procs);
     doc.set("run", std::move(run));
 

@@ -204,9 +204,8 @@ struct CellResult
 /** Execution parameters that are *not* part of the experiment spec. */
 struct ExecOptions
 {
-    unsigned jobs = 0;   ///< grid threads; 0: PSIM_JOBS / hardware
-    unsigned shards = 0; ///< intra-run shards (0: serial engine)
-    unsigned procs = 0;  ///< machine-size override (0: spec/paper value)
+    unsigned jobs = 0;  ///< grid threads; 0: PSIM_JOBS / hardware
+    unsigned procs = 0; ///< machine-size override (0: spec/paper value)
     /** Observability flags; runSpec() fills in each cell's own fields. */
     apps::RunOptions obs;
 };
@@ -226,8 +225,8 @@ Results runSpec(const Spec &spec, const ExecOptions &exec);
 /**
  * The canonical `psim-results-v1` document for one executed spec:
  * one line of JSON with per-cell metrics (and the characterizer
- * report where measured) plus the exec inputs that change cell values
- * ("shards", "procs"). It holds no host measurement, so it is a pure
+ * report where measured) plus the one exec input that changes cell
+ * values ("procs"). It holds no host measurement, so it is a pure
  * function of the spec and @p exec: byte-identical at any job count.
  * Host time is measured by bench/perf only.
  */

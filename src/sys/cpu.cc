@@ -7,7 +7,7 @@ namespace psim
 {
 
 Cpu::Cpu(Machine &m, NodeId id, Flc &flc, Flwb &flwb)
-    : _m(m), _eq(m.eqOf(id)), _id(id), _flc(flc), _flwb(flwb)
+    : _m(m), _eq(m.eq()), _id(id), _flc(flc), _flwb(flwb)
 {
 }
 

@@ -147,7 +147,7 @@ class Cpu
     void pushed();
 
     Machine &_m;
-    /** This node's event queue (per-shard in sharded mode). */
+    /** The machine's event queue. */
     EventQueue &_eq;
     NodeId _id;
     Flc &_flc;

@@ -81,20 +81,6 @@ class Machine
 
     EventQueue &eq() { return _eq; }
 
-    /**
-     * The event queue that drives node @p n: the per-shard queue in
-     * sharded mode (cfg.shards >= 1), the global queue otherwise.
-     * Every component of node n schedules exclusively through this.
-     */
-    EventQueue &
-    eqOf(NodeId n)
-    {
-        return _nshards ? *_shardEqs[_shardOfNode[n]] : _eq;
-    }
-
-    /** Number of shards (0 = classic serial engine). */
-    unsigned shards() const { return _nshards; }
-
     const MachineConfig &cfg() const { return _cfg; }
     BackingStore &store() { return _store; }
     Mesh &mesh() { return _mesh; }
@@ -160,43 +146,17 @@ class Machine
 
     /**
      * Stream every committed shared-memory access (and every issued
-     * prefetch) of the coming run into @p sink, for differential
-     * checking (check/oracle.hh). Observability-grade, read-only:
-     * recording never changes simulated behaviour, timing, or any
-     * aggregate statistic. Call before run(); @p sink must outlive it.
+     * prefetch) of the coming run into @p sink, in execution order, for
+     * differential checking (check/oracle.hh). The producers are the
+     * ctx.hh value-commit points and the Slc's prefetch-issue site.
+     * Observability-grade, read-only: recording never changes simulated
+     * behaviour, timing, or any aggregate statistic. Call before run();
+     * @p sink must outlive it.
      */
     void enableCommitRecording(check::CommitSink &sink);
 
     /** The commit sink, or nullptr when recording is off. */
     check::CommitSink *commitSink() const { return _commitSink; }
-
-    /**
-     * Producer entry points for commit recording (ctx.hh value-commit
-     * points and the Slc's prefetch-issue site). Serial engine: forward
-     * straight to the sink in execution order. Sharded engine: append
-     * to the producing node's staging lane; the machine merges lanes at
-     * every window boundary in canonical (tick, node, index) order.
-     * @pre commitSink() != nullptr
-     */
-    void
-    commitAccess(const check::AccessRecord &rec)
-    {
-        if (_nshards > 0) {
-            _commitLanes[rec.node].accesses.push_back(rec);
-            return;
-        }
-        _commitSink->onAccess(rec);
-    }
-
-    void
-    commitPrefetchIssue(const check::PrefetchIssueRecord &rec)
-    {
-        if (_nshards > 0) {
-            _commitLanes[rec.node].prefetches.push_back(rec);
-            return;
-        }
-        _commitSink->onPrefetchIssue(rec);
-    }
 
     /**
      * Start every bound thread and run the machine until all threads
@@ -232,83 +192,12 @@ class Machine
   private:
     void deliver(const Message &m);
 
-    /**
-     * Loud, uniform gate for the observers that genuinely cannot run
-     * under the sharded engine (today: only the binary SLC trace).
-     */
-    void requireSerialEngine(const char *what) const;
-
-    /** The windowed parallel engine (cfg.shards >= 1). */
-    Tick runSharded(Tick limit);
-
-    /**
-     * Route every outboxed cross-node message at a window boundary:
-     * sort into the canonical (send tick, source, append index) order,
-     * walk each through the mesh, and schedule its delivery into the
-     * destination shard. Single-threaded; runs between windows.
-     */
-    void exchangeShardMessages(Tick window_end);
-
-    /**
-     * Merge every observer's per-node staging lanes at a window
-     * boundary (chrome ops, then -- via the exchange that follows --
-     * mesh transits; commit records independently). Single-threaded.
-     */
-    void drainObservers(Tick window_end);
-
-    /** Forward staged commit records to the sink in canonical order. */
-    void drainCommitLanes(Tick window_end);
-
-    /** A cross-node message awaiting the next window boundary. */
-    struct OutMsg
-    {
-        Tick sendTick; ///< mesh-injection tick (src bus completion)
-        Message msg;
-        unsigned flits;
-        bool data;
-    };
-
-    /** Per-source-node outbox, padded so shards never share a line. */
-    struct alignas(64) Outbox
-    {
-        std::vector<OutMsg> msgs;
-    };
-
-    /** Sort key into the outboxes for one window's exchange. */
-    struct XferRef
-    {
-        Tick tick;
-        NodeId src;
-        std::uint32_t idx;
-    };
-
-    /**
-     * Per-node commit-record staging lane (sharded engine), padded so
-     * producer shards never share a cache line. Appends are tick-
-     * monotone within a lane; the boundary merge restores the global
-     * order.
-     */
-    struct alignas(64) CommitLane
-    {
-        std::vector<check::AccessRecord> accesses;
-        std::vector<check::PrefetchIssueRecord> prefetches;
-    };
-
     MachineConfig _cfg;
     EventQueue _eq;
     BackingStore _store;
     /** Created before the mesh and nodes so they can wire into it. */
     std::unique_ptr<audit::MachineAudit> _audit;
     Mesh _mesh;
-    // Sharded-engine state; the queues must outlive the nodes wired to
-    // them, so everything here stays declared before _nodes.
-    std::vector<std::unique_ptr<EventQueue>> _shardEqs;
-    std::vector<unsigned> _shardOfNode;
-    std::vector<Outbox> _outboxes;
-    std::vector<XferRef> _xfer; ///< exchange scratch
-    unsigned _nshards = 0;
-    Tick _windowLookahead = 0;
-    Tick _windowEnd = 0; ///< written between rounds, read by workers
     std::vector<std::unique_ptr<Node>> _nodes;
     std::vector<std::unique_ptr<StrideCharacterizer>> _chars;
     /** Built in the constructor, after the nodes exist. */
@@ -316,7 +205,6 @@ class Machine
     std::unique_ptr<stats::Sampler> _sampler;
     std::unique_ptr<ChromeTracer> _chrome;
     check::CommitSink *_commitSink = nullptr;
-    std::vector<CommitLane> _commitLanes; ///< sized when sharded
     bool _ran = false;
 };
 

@@ -9,8 +9,8 @@ namespace psim
 Node::Node(Machine &m, NodeId id) : _id(id)
 {
     _flc = std::make_unique<Flc>(m.cfg());
-    _flwb = std::make_unique<Flwb>(m.eqOf(id), m.cfg());
-    _bus = std::make_unique<Bus>(m.eqOf(id), m.cfg());
+    _flwb = std::make_unique<Flwb>(m.eq(), m.cfg());
+    _bus = std::make_unique<Bus>(m.eq(), m.cfg());
     _cpu = std::make_unique<Cpu>(m, id, *_flc, *_flwb);
     _slc = std::make_unique<Slc>(m, id, *_flc, *_cpu);
     _mem = std::make_unique<MemCtrl>(m, id);

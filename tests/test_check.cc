@@ -249,28 +249,6 @@ TEST(FuzzRun, RecordingDoesNotPerturbTheRun)
     EXPECT_DOUBLE_EQ(mx[0].flits, mx[1].flits);
 }
 
-// ---- the sharded engine feeds the same correctness stack ----
-
-TEST(FuzzRun, OracleAcceptsTheShardedCommitStream)
-{
-    // runOneScheme at shards=4 stages commit records per node and
-    // merges them at window boundaries; the SC oracle must accept that
-    // stream exactly as it accepts the serial one, and the program
-    // must compute the same final memory image on either engine.
-    ProgramSpec spec = ProgramSpec::generate(7);
-    SchemeRun serial = runOneScheme(spec, PrefetchScheme::Sequential,
-            TestHooks{}, 50'000'000);
-    SchemeRun sharded = runOneScheme(spec, PrefetchScheme::Sequential,
-            TestHooks{}, 50'000'000, 4);
-    ASSERT_TRUE(serial.finished);
-    ASSERT_TRUE(sharded.finished);
-    EXPECT_TRUE(sharded.verified);
-    EXPECT_TRUE(sharded.oracle.ok())
-            << sharded.oracle.divergences.front().describe();
-    EXPECT_GT(sharded.oracle.loadsChecked, 0u);
-    EXPECT_EQ(serial.imageDigest, sharded.imageDigest);
-}
-
 // ---- the 4KB page-boundary rule, end to end ----
 
 TEST(FuzzRun, PageRuleHoldsForEverySchemeAndStrideSign)
@@ -402,18 +380,6 @@ TEST(Mutant, CorruptedLoadsAreCaught)
     hooks.corruptReadPeriod = 7;
     std::string why;
     ASSERT_TRUE(specDiverges(spec, hooks, 50'000'000, &why));
-    EXPECT_NE(why.find("load-value"), std::string::npos) << why;
-}
-
-TEST(Mutant, CorruptedLoadsAreCaughtOnTheShardedEngine)
-{
-    // The fuzz stack must keep its teeth when gating the sharded
-    // engine: a broken machine at --shards 4 is still rejected.
-    ProgramSpec spec = ProgramSpec::generate(1);
-    TestHooks hooks;
-    hooks.corruptReadPeriod = 7;
-    std::string why;
-    ASSERT_TRUE(specDiverges(spec, hooks, 50'000'000, &why, 4));
     EXPECT_NE(why.find("load-value"), std::string::npos) << why;
 }
 

@@ -93,15 +93,40 @@ TEST(Machine, PrefetchEfficiencyIsNaNWithoutPrefetching)
 TEST(Machine, EightAndThirtyTwoProcessorConfigurations)
 {
     // The machine is not hard-wired to 16 nodes: any mesh that tiles
-    // works, and the workloads partition accordingly.
-    for (unsigned procs : {8u, 32u}) {
+    // works, and the workloads partition accordingly. 64 nodes on an
+    // 8x8 mesh is the largest machine psim builds.
+    struct Shape
+    {
+        unsigned procs;
+        unsigned cols;
+    };
+    for (Shape sh : {Shape{8, 4}, Shape{32, 4}, Shape{64, 8}}) {
         MachineConfig cfg;
-        cfg.numProcs = procs;
-        cfg.meshCols = 4;
+        cfg.numProcs = sh.procs;
+        cfg.meshCols = sh.cols;
         apps::Run run = apps::runWorkload("lu", cfg);
-        ASSERT_TRUE(run.finished) << procs;
-        EXPECT_TRUE(run.verified) << procs;
+        ASSERT_TRUE(run.finished) << sh.procs;
+        EXPECT_TRUE(run.verified) << sh.procs;
     }
+}
+
+TEST(Machine, AuditFlagDoesNotPerturbStats)
+{
+    // The runtime audit is observability-grade: every statistic is
+    // byte-identical with the flag on and off.
+    auto statsWithAudit = [](bool audit) {
+        MachineConfig cfg;
+        cfg.prefetch.scheme = PrefetchScheme::IDet;
+        cfg.audit = audit;
+        apps::Run run = apps::runWorkload("lu", cfg);
+        EXPECT_TRUE(run.finished) << "audit=" << audit;
+        std::ostringstream os;
+        run.machine->dumpStats(os);
+        return os.str();
+    };
+    std::string off = statsWithAudit(false);
+    ASSERT_FALSE(off.empty());
+    EXPECT_EQ(off, statsWithAudit(true));
 }
 
 TEST(Machine, SeedChangesWorkloadDataNotStructure)

@@ -4,7 +4,7 @@
  * popularity with the right skew, open-loop arrival gaps that are a
  * pure function of (seed, thread, index), and a bijective rank
  * scramble. These properties are what make the server workloads
- * deterministic at every --jobs and --shards count.
+ * deterministic at every --jobs count.
  */
 
 #include <gtest/gtest.h>

@@ -1,8 +1,8 @@
 /**
  * @file
  * Declarative experiment specs (sim/spec.hh): strict parse-time
- * rejection, grid expansion, job-count and shard-count independence of
- * the canonical results document, and a pinned golden-bytes snapshot.
+ * rejection, grid expansion, job-count independence of the canonical
+ * results document, and a pinned golden-bytes snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -41,20 +41,12 @@ const char *kSmallSpec = R"json({
   ]
 })json";
 
-spec::ExecOptions
-execOptions(unsigned jobs, unsigned shards)
-{
-    spec::ExecOptions exec;
-    exec.jobs = jobs;
-    exec.shards = shards;
-    return exec;
-}
-
 std::string
-smallDoc(unsigned jobs, unsigned shards)
+smallDoc(unsigned jobs)
 {
     spec::Spec sp = parseText(kSmallSpec);
-    spec::ExecOptions exec = execOptions(jobs, shards);
+    spec::ExecOptions exec;
+    exec.jobs = jobs;
     return spec::resultsDocument(sp, exec, spec::runSpec(sp, exec));
 }
 
@@ -239,20 +231,7 @@ TEST(SpecRun, ResultsAreIndependentOfJobCount)
 {
     // The collect-then-print runGrid contract, end to end: the
     // canonical document is byte-identical at any thread count.
-    EXPECT_EQ(smallDoc(1, 0), smallDoc(8, 0));
-}
-
-TEST(SpecRun, ResultsAreIndependentOfShardCount)
-{
-    // The sharded engine's deterministic merge order is the same at
-    // every shard count (serial shards=0 is a different, also-valid
-    // schedule; identity is only promised within the sharded engine).
-    // Both runs render with the 1-shard header, so only cells compare.
-    spec::Spec sp = parseText(kSmallSpec);
-    const spec::ExecOptions exec1 = execOptions(2, 1);
-    EXPECT_EQ(smallDoc(2, 1),
-              spec::resultsDocument(sp, exec1,
-                                    spec::runSpec(sp, execOptions(2, 8))));
+    EXPECT_EQ(smallDoc(1), smallDoc(8));
 }
 
 TEST(SpecRun, GoldenBytesMatchPinnedSnapshot)
@@ -261,7 +240,7 @@ TEST(SpecRun, GoldenBytesMatchPinnedSnapshot)
     // fails after an intentional simulator change, repin:
     //   cp build/tests/spec_small_actual.json tests/golden/spec_small.json
     std::string golden = slurp(PSIM_TEST_GOLDEN_DIR "/spec_small.json");
-    std::string actual = smallDoc(2, 0);
+    std::string actual = smallDoc(2);
     if (actual != golden) {
         std::FILE *f = std::fopen("spec_small_actual.json", "w");
         if (f) {

@@ -270,55 +270,6 @@ TEST(Observability, ChromeWindowRestrictsRecording)
 }
 
 // ---------------------------------------------------------------------
-// The sharded engine's boundary-driven sampler
-// ---------------------------------------------------------------------
-
-TEST(Sampler, BoundaryDrivenSeriesIsShardCountInvariant)
-{
-    // On the sharded engine rows snapshot at the first window boundary
-    // at or after each sample tick; boundaries are shard-count
-    // invariant, so the whole CSV must be too.
-    auto csvAtShards = [](unsigned shards) {
-        MachineConfig cfg = smallConfig();
-        cfg.shards = shards;
-        apps::RunOptions opts;
-        opts.sampleInterval = 2000;
-        apps::Run run = apps::runWorkload("lu", cfg, opts);
-        EXPECT_TRUE(run.finished) << "shards=" << shards;
-        std::ostringstream os;
-        run.machine->sampler()->dumpCsv(os);
-        return os.str();
-    };
-    std::string ref = csvAtShards(1);
-    ASSERT_GT(ref.size(), ref.find('\n') + 1) << "no sample rows";
-    EXPECT_EQ(ref, csvAtShards(2));
-    EXPECT_EQ(ref, csvAtShards(4));
-}
-
-TEST(Observability, ShardedPathIsReadOnlyToo)
-{
-    // Same invariant as DoesNotChangeSimulatedBehavior, on the sharded
-    // engine: sampling plus chrome tracing must not move a single tick.
-    auto statsAt = [](bool observed) {
-        MachineConfig cfg = smallConfig();
-        cfg.shards = 4;
-        Machine m(cfg);
-        auto wl = apps::makeWorkload("lu", 1);
-        if (observed) {
-            m.enableSampling(500);
-            m.enableChromeTrace();
-        }
-        wl->attach(m);
-        m.run();
-        EXPECT_TRUE(m.allFinished());
-        std::ostringstream os;
-        m.dumpStats(os);
-        return os.str();
-    };
-    EXPECT_EQ(statsAt(false), statsAt(true));
-}
-
-// ---------------------------------------------------------------------
 // Option plumbing
 // ---------------------------------------------------------------------
 

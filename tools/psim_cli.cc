@@ -18,7 +18,6 @@
  *     --block BYTES      cache block size (default 32)
  *     --scale N          data-set scale (default 1)
  *     --seed N           PRNG seed (default 12345)
- *     --shards N         windowed parallel engine with N shards (0=serial)
  *     --stats            dump per-node statistics
  *     --characterize     print Table-2 style characteristics (node 0)
  *     --trace FILE       write the SLC reference trace to FILE
@@ -44,7 +43,6 @@
  *     --repro-out FILE   write failing-seed repro report to FILE
  *     --tick-limit N     per-run quiesce deadline in ticks
  *     --mutant NAME      fault injection: corrupt-load|drop-store|page-cross
- *     --shards N         run every machine on the sharded engine
  */
 
 #include <cstdio>
@@ -72,7 +70,7 @@ usage(const char *argv0)
     std::fprintf(stderr,
             "usage: %s [--workload NAME] [--scheme NAME] [--degree N]\n"
             "          [--procs N] [--slc BYTES] [--block BYTES]\n"
-            "          [--scale N] [--seed N] [--shards N] [--stats]\n"
+            "          [--scale N] [--seed N] [--stats]\n"
             "          [--characterize] [--trace FILE]\n"
             "          [--stats-json FILE] [--sample-interval N]\n"
             "          [--sample-csv FILE] [--chrome-trace FILE]\n"
@@ -86,7 +84,7 @@ fuzzUsage(const char *argv0)
     std::fprintf(stderr,
             "usage: %s fuzz [--seeds N] [--seed-start S] [--seed X]...\n"
             "          [--corpus FILE] [--jobs N] [--no-shrink]\n"
-            "          [--repro-out FILE] [--tick-limit N] [--shards N]\n"
+            "          [--repro-out FILE] [--tick-limit N]\n"
             "          [--mutant corrupt-load|drop-store|page-cross]\n",
             argv0);
     std::exit(2);
@@ -148,8 +146,6 @@ fuzzMain(int argc, char **argv)
             opts.reproPath = value();
         } else if (arg == "--tick-limit") {
             opts.tickLimit = parseTickFlag("--tick-limit", value());
-        } else if (arg == "--shards") {
-            opts.shards = parseUnsignedFlag("--shards", value());
         } else if (arg == "--mutant") {
             std::string m = value();
             if (m == "corrupt-load")
@@ -209,8 +205,6 @@ main(int argc, char **argv)
             opts.scale = parseUnsignedFlag("--scale", value());
         } else if (arg == "--seed") {
             cfg.seed = parseUnsignedStrict("--seed", value());
-        } else if (arg == "--shards") {
-            cfg.shards = parseUnsignedFlag("--shards", value());
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--characterize") {
