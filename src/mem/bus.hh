@@ -13,7 +13,6 @@
 #define PSIM_MEM_BUS_HH
 
 #include "sim/config.hh"
-#include "sim/event_queue.hh"
 #include "sim/resource.hh"
 #include "sim/stats.hh"
 
@@ -23,26 +22,26 @@ namespace psim
 class Bus
 {
   public:
-    Bus(EventQueue &eq, const MachineConfig &cfg) : _eq(eq), _cfg(cfg) {}
+    explicit Bus(const MachineConfig &cfg) : _cfg(cfg) {}
 
     /**
-     * Move one message across the bus; @p done runs when the transfer
-     * completes. @p data selects a data-phase transaction (for traffic
-     * accounting).
+     * Move one message, presented at @p now, across the bus. @p data
+     * selects a data-phase transaction (for traffic accounting).
+     * @return the tick at which the transfer completes.
      */
-    void
-    transfer(bool data, EventQueue::Callback done)
+    Tick
+    transfer(Tick now, bool data)
     {
         // Arbitration is pipelined with the previous transfer, so the
         // bus is occupied for the transfer phase only, but each message
         // still experiences arbitration + transfer latency.
         Tick occ = _cfg.busPhaseCycles * _cfg.busCycle;
         Tick arb = _cfg.busCycle;
-        Tick start = res.claim(_eq.now(), occ);
+        Tick start = res.claim(now, occ);
         ++transactions;
         if (data)
             ++dataTransactions;
-        _eq.schedule(start + arb + occ, std::move(done));
+        return start + arb + occ;
     }
 
     Resource res;
@@ -63,7 +62,6 @@ class Bus
     }
 
   private:
-    EventQueue &_eq;
     const MachineConfig &_cfg;
 };
 

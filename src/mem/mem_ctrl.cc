@@ -149,8 +149,7 @@ MemCtrl::receive(const Message &m)
         break;
     }
     Tick start = _bank.claim(_eq.now(), _m.cfg().dirLat);
-    Message copy = m;
-    _eq.schedule(start + delay, [this, copy] { process(copy); });
+    _eq.schedule(start + delay, EventKind::DirProcess, m);
 }
 
 void
@@ -419,14 +418,18 @@ MemCtrl::unblock(DirEntry &ent, Addr addr)
     // Queued requests replay against row-buffer-hot data: they pay the
     // directory access but not a fresh DRAM access.
     ent.replayPending = true;
-    _eq.scheduleIn(_m.cfg().dirLat, [this, next] {
-        DirEntry &e = _dir[next.addr];
-        e.replayPending = false;
-        psim_assert(!e.busy, "queued request replayed into busy entry");
-        startOp(e, next);
-        if (!e.busy)
-            unblock(e, next.addr);
-    });
+    _eq.schedule(_eq.now() + _m.cfg().dirLat, EventKind::DirReplay, next);
+}
+
+void
+MemCtrl::replay(const Message &next)
+{
+    DirEntry &e = _dir[next.addr];
+    e.replayPending = false;
+    psim_assert(!e.busy, "queued request replayed into busy entry");
+    startOp(e, next);
+    if (!e.busy)
+        unblock(e, next.addr);
 }
 
 } // namespace psim

@@ -37,6 +37,12 @@ class MemCtrl
     /** A message delivered over the local bus. */
     void receive(const Message &m);
 
+    /** Run the directory operation once the bank access is done. */
+    void process(const Message &m);
+
+    /** Replay @p next, the request queued behind a busy entry. */
+    void replay(const Message &next);
+
     /** Directory state of a block (tests / invariant checks). */
     struct DirSnapshot
     {
@@ -131,9 +137,6 @@ class MemCtrl
         std::uint8_t migEvidence = 0; ///< consecutive writer migrations
         std::uint8_t migWasted = 0;   ///< exclusive grants never written
     };
-
-    /** Claim the memory bank, then run the directory operation. */
-    void process(const Message &m);
 
     /**
      * Audit cross-check: directory-entry state must be internally

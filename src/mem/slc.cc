@@ -146,16 +146,10 @@ Slc::tryAccept(const FlwbEntry &e)
         if (!_array.find(blk) && !findMshr(blk) && !slwbHasRoom(true))
             return false;
         Tick start = _tagPort.claim(now, cfg.slcAccessLat);
-        Addr addr = e.addr;
-        Pc pc = e.pc;
-        bool is_read = e.kind == FlwbEntry::Kind::ReadMiss;
-        _eq.schedule(start + cfg.slcAccessLat, [this, addr, pc,
-                                                    is_read] {
-            if (is_read)
-                processRead(addr, pc);
-            else
-                processWrite(addr, pc);
-        });
+        _eq.schedule(start + cfg.slcAccessLat,
+                e.kind == FlwbEntry::Kind::ReadMiss ? EventKind::SlcRead
+                                                    : EventKind::SlcWrite,
+                _id, e.addr, e.pc);
         return true;
       }
     }
@@ -215,8 +209,8 @@ Slc::processRead(Addr addr, Pc pc)
             }
         }
         _array.touch(blk, now);
-        _eq.scheduleIn(cfg.slcToCpuLat,
-                [this, addr] { _cpu.readComplete(addr); });
+        _eq.schedule(now + cfg.slcToCpuLat, EventKind::CpuReadDone, _id,
+                addr);
     } else {
         if (Mshr *e = findMshr(blk_addr)) {
             // The block is already on its way; the read rides the
@@ -602,9 +596,8 @@ Slc::handleFill(const Message &m, bool exclusive)
     Addr fill_addr = e->demandWaiting ? e->demandAddr : blk_addr;
 
     if (e->demandWaiting) {
-        Addr daddr = e->demandAddr;
-        _eq.scheduleIn(cfg.slcToCpuLat,
-                [this, daddr] { _cpu.readComplete(daddr); });
+        _eq.schedule(now + cfg.slcToCpuLat, EventKind::CpuReadDone, _id,
+                e->demandAddr);
     }
 
     if (e->kind == Mshr::Kind::Write) {
@@ -740,9 +733,8 @@ Slc::receive(const Message &m)
             // A read missed on the silently evicted copy and merged
             // with this upgrade; the ack carries ownership of valid
             // memory data, so the read completes now.
-            Addr daddr = e->demandAddr;
-            _eq.scheduleIn(_m.cfg().slcToCpuLat,
-                    [this, daddr] { _cpu.readComplete(daddr); });
+            _eq.schedule(_eq.now() + _m.cfg().slcToCpuLat,
+                    EventKind::CpuReadDone, _id, e->demandAddr);
         }
         completeStores(*e);
         _mshrs.erase(m.addr);

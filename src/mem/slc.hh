@@ -20,6 +20,7 @@
 #define PSIM_MEM_SLC_HH
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -52,6 +53,10 @@ class Slc
      * pending-transaction (SLWB) slot and none is free; the FLWB retries.
      */
     bool tryAccept(const FlwbEntry &e);
+
+    /** FLWB-side processing after the tag-array access completes. */
+    void processRead(Addr addr, Pc pc);
+    void processWrite(Addr addr, Pc pc);
 
     /** A coherence message delivered over the local bus. */
     void receive(const Message &m);
@@ -167,10 +172,6 @@ class Slc
     bool slwbHasRoom(bool demand) const;
 
     Mshr *findMshr(Addr blk_addr);
-
-    /** FLWB-side processing after the tag-array access completes. */
-    void processRead(Addr addr, Pc pc);
-    void processWrite(Addr addr, Pc pc);
 
     void classifyMiss(Addr blk_addr);
     void maybePrefetch(Addr trigger_addr, Pc pc,

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
@@ -42,27 +41,10 @@ struct FlwbEntry
 class Flwb
 {
   public:
-    /**
-     * @param try_consume presents the head entry to the SLC; returns
-     *        false if the SLC cannot accept it yet
-     * @param on_space invoked whenever an entry drains (a stalled
-     *        processor can retry its enqueue)
-     */
-    Flwb(EventQueue &eq, const MachineConfig &cfg)
-        : _eq(eq), _cfg(cfg)
+    /** The buffer of node @p node; it schedules its FlwbPump events. */
+    Flwb(EventQueue &eq, const MachineConfig &cfg, NodeId node)
+        : _eq(eq), _cfg(cfg), _node(node)
     {
-    }
-
-    void
-    setConsumer(std::function<bool(const FlwbEntry &)> try_consume)
-    {
-        _tryConsume = std::move(try_consume);
-    }
-
-    void
-    setSpaceCallback(std::function<void()> on_space)
-    {
-        _onSpace = std::move(on_space);
     }
 
     bool full() const { return _q.size() >= _cfg.flwbEntries; }
@@ -79,6 +61,31 @@ class Flwb
         occupancy.sample(static_cast<double>(_q.size()));
         if (!_pumping)
             schedulePump(_cfg.flwbLat);
+    }
+
+    /**
+     * Present the head entry to the SLC (a FlwbPump fired).
+     * @param try_consume returns false if the SLC cannot accept the
+     *        entry yet; the buffer then retries
+     * @param on_space runs whenever an entry drains (a stalled
+     *        processor can retry its enqueue)
+     */
+    template <typename Consume, typename OnSpace>
+    void
+    pump(Consume &&try_consume, OnSpace &&on_space)
+    {
+        _pumping = false;
+        if (_q.empty())
+            return;
+        if (try_consume(_q.front())) {
+            _q.pop_front();
+            on_space();
+            if (!_q.empty())
+                schedulePump(_cfg.flwbLat);
+        } else {
+            ++retries;
+            schedulePump(_cfg.busCycle);
+        }
     }
 
     stats::Scalar pushes;
@@ -99,31 +106,12 @@ class Flwb
     schedulePump(Tick delay)
     {
         _pumping = true;
-        _eq.scheduleIn(delay, [this] { pump(); });
-    }
-
-    void
-    pump()
-    {
-        _pumping = false;
-        if (_q.empty())
-            return;
-        if (_tryConsume(_q.front())) {
-            _q.pop_front();
-            if (_onSpace)
-                _onSpace();
-            if (!_q.empty())
-                schedulePump(_cfg.flwbLat);
-        } else {
-            ++retries;
-            schedulePump(_cfg.busCycle);
-        }
+        _eq.schedule(_eq.now() + delay, EventKind::FlwbPump, _node);
     }
 
     EventQueue &_eq;
     const MachineConfig &_cfg;
-    std::function<bool(const FlwbEntry &)> _tryConsume;
-    std::function<void()> _onSpace;
+    NodeId _node;
     std::deque<FlwbEntry> _q;
     bool _pumping = false;
 };

@@ -8,8 +8,8 @@
 namespace psim
 {
 
-Mesh::Mesh(EventQueue &eq, const MachineConfig &cfg)
-    : _eq(eq), _cfg(cfg), _links(static_cast<std::size_t>(cfg.numProcs) * 4)
+Mesh::Mesh(const MachineConfig &cfg)
+    : _cfg(cfg), _links(static_cast<std::size_t>(cfg.numProcs) * 4)
 {
 }
 
@@ -35,8 +35,8 @@ Mesh::hops(NodeId src, NodeId dst) const
                                  std::abs(a.y - b.y));
 }
 
-void
-Mesh::send(NodeId src, NodeId dst, unsigned flits, DeliverFn deliver)
+Tick
+Mesh::send(Tick now, NodeId src, NodeId dst, unsigned flits)
 {
     psim_assert(src != dst, "mesh send to self");
     psim_assert(src < _cfg.numProcs && dst < _cfg.numProcs,
@@ -54,7 +54,6 @@ Mesh::send(NodeId src, NodeId dst, unsigned flits, DeliverFn deliver)
     // indexes links directly from the coordinates -- this is the
     // per-message hot path, and materializing the route as a vector
     // showed up as the top allocation site in the fig6 profile.
-    const Tick now = _eq.now();
     Coord cur = coordOf(src);
     const Coord end = coordOf(dst);
     Tick head = now;
@@ -81,7 +80,7 @@ Mesh::send(NodeId src, NodeId dst, unsigned flits, DeliverFn deliver)
     msgLatency.sample(static_cast<double>(arrival - now));
     if (_chrome)
         _chrome->meshMessage(src, dst, flits, now, arrival);
-    _eq.schedule(arrival, deliver);
+    return arrival;
 }
 
 } // namespace psim

@@ -18,7 +18,6 @@
 
 #include "sim/audit.hh"
 #include "sim/config.hh"
-#include "sim/event_queue.hh"
 #include "sim/resource.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -31,17 +30,15 @@ class ChromeTracer;
 class Mesh
 {
   public:
-    /** Inline-stored delivery callback (no heap on the message path). */
-    using DeliverFn = EventQueue::Callback;
-
-    Mesh(EventQueue &eq, const MachineConfig &cfg);
+    explicit Mesh(const MachineConfig &cfg);
 
     /**
-     * Inject a message of @p flits flits at node @p src destined for
-     * node @p dst; @p deliver runs when the tail flit arrives.
+     * Inject a message of @p flits flits at node @p src at tick @p now,
+     * destined for node @p dst.
+     * @return the tick at which its tail flit arrives.
      * @pre src != dst (local traffic stays on the node bus).
      */
-    void send(NodeId src, NodeId dst, unsigned flits, DeliverFn deliver);
+    Tick send(Tick now, NodeId src, NodeId dst, unsigned flits);
 
     /** Attach the audit layer (mesh message conservation). */
     void setAudit(audit::MachineAudit *a) { _audit = a; }
@@ -86,8 +83,6 @@ class Mesh
     Coord coordOf(NodeId n) const;
     NodeId nodeOf(int x, int y) const;
 
-
-    EventQueue &_eq;
     const MachineConfig &_cfg;
     audit::MachineAudit *_audit = nullptr; ///< null when auditing is off
     ChromeTracer *_chrome = nullptr;       ///< null when tracing is off

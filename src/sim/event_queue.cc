@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <bit>
 
 namespace psim
 {
@@ -35,7 +34,7 @@ EventQueue::growPool()
 }
 
 void
-EventQueue::schedule(Tick when, Callback cb)
+EventQueue::schedule(Tick when, EventKind kind, const Message &payload)
 {
     psim_assert(when >= _now, "schedule in the past: when=%llu now=%llu",
             (unsigned long long)when, (unsigned long long)_now);
@@ -46,7 +45,8 @@ EventQueue::schedule(Tick when, Callback cb)
     _freeHead = e.next;
     e.when = when;
     e.seq = _nextSeq++;
-    e.cb = cb;
+    e.payload = payload;
+    e.kind = kind;
 
     if (when - _now < kWheelSize) {
         // Every wheel event lies in [now, now + kWheelSize), so a
@@ -66,81 +66,6 @@ EventQueue::schedule(Tick when, Callback cb)
         _heap.push_back(HeapEntry{when, e.seq, slot});
         std::push_heap(_heap.begin(), _heap.end());
     }
-}
-
-inline std::uint32_t
-EventQueue::firstOccupiedBucket() const
-{
-    // Scan circularly from now's bucket: the rest of now's word, then
-    // the words after it, then wrap to the lowest occupied bucket
-    // (which may sit in now's own word, below now's bit).
-    std::uint32_t from = static_cast<std::uint32_t>(_now) & kWheelMask;
-    std::uint32_t word = from >> 6;
-    std::uint64_t bits = _occupied[word] & (~0ULL << (from & 63));
-    if (!bits) {
-        std::uint64_t later = _summary & (~1ULL << word);
-        word = static_cast<std::uint32_t>(
-                std::countr_zero(later ? later : _summary));
-        bits = _occupied[word];
-    }
-    return (word << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
-}
-
-inline std::uint32_t
-EventQueue::popDue(Tick limit)
-{
-    if (_summary) {
-        // The first occupied bucket from now's position holds the
-        // minimal wheel tick, and its head the minimal wheel seq.
-        std::uint32_t b = firstOccupiedBucket();
-        std::uint32_t slot = _bucketHead[b];
-        const Event &e = _pool[slot];
-        if (_heap.empty() || !heapFirst(_heap.front(), e)) {
-            if (e.when > limit)
-                return kNil;
-            if (e.next != kNil) {
-                _bucketHead[b] = e.next;
-            } else {
-                std::uint64_t &word = _occupied[b >> 6];
-                word &= ~(1ULL << (b & 63));
-                if (!word)
-                    _summary &= ~(1ULL << (b >> 6));
-            }
-            return slot;
-        }
-    } else if (_heap.empty()) {
-        return kNil;
-    }
-    if (_heap.front().when > limit)
-        return kNil;
-    std::uint32_t slot = _heap.front().slot;
-    std::pop_heap(_heap.begin(), _heap.end());
-    _heap.pop_back();
-    return slot;
-}
-
-inline void
-EventQueue::fire(std::uint32_t slot)
-{
-    Event &e = _pool[slot];
-    psim_assert(e.when >= _now, "event queue went backwards");
-    _now = e.when;
-    // Copy the callback out and free the slot before invoking, so the
-    // callback may schedule into it (or grow the pool under it).
-    Callback cb = e.cb;
-    e.next = _freeHead;
-    _freeHead = slot;
-    cb();
-}
-
-Tick
-EventQueue::run(Tick limit)
-{
-    for (std::uint32_t slot; (slot = popDue(limit)) != kNil;)
-        fire(slot);
-    if (!empty())
-        _now = limit;
-    return _now;
 }
 
 } // namespace psim

@@ -6,8 +6,7 @@
 namespace psim::stats
 {
 
-Sampler::Sampler(EventQueue &eq, Tick interval)
-    : _eq(eq), _interval(interval)
+Sampler::Sampler(Tick interval) : _interval(interval)
 {
     psim_assert(interval > 0, "sample interval must be positive");
 }
@@ -15,34 +14,20 @@ Sampler::Sampler(EventQueue &eq, Tick interval)
 void
 Sampler::addProbe(std::string name, std::function<double()> fn)
 {
-    psim_assert(!_started, "probes must register before start()");
+    psim_assert(_rows.empty(), "probes must register before sampling");
     _names.push_back(std::move(name));
     _probes.push_back(std::move(fn));
 }
 
 void
-Sampler::start()
-{
-    psim_assert(!_started, "sampler already started");
-    _started = true;
-    _eq.scheduleIn(_interval, [this] { tick(); });
-}
-
-void
-Sampler::tick()
+Sampler::sample(Tick now)
 {
     Row row;
-    row.tick = _eq.now();
+    row.tick = now;
     row.values.reserve(_probes.size());
     for (const auto &p : _probes)
         row.values.push_back(p());
     _rows.push_back(std::move(row));
-
-    // The fired event is already reclaimed, so empty() reflects only
-    // the simulation's own events: once none remain the run is over and
-    // rescheduling would only spin the clock forward.
-    if (!_eq.empty())
-        _eq.scheduleIn(_interval, [this] { tick(); });
 }
 
 void

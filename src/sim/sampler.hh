@@ -10,7 +10,7 @@
  * sampling enabled produces byte-identical aggregate statistics to one
  * without (asserted by tests/test_stats_export.cc).
  *
- * start() schedules a self-renewing event on the machine's queue. It
+ * The machine drives it with a self-renewing SamplerTick event, which
  * stops rescheduling itself as soon as no other event is pending, so
  * it never keeps the queue alive artificially.
  */
@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace psim::stats
@@ -33,7 +32,7 @@ class Sampler
 {
   public:
     /** @param interval ticks between snapshots (must be > 0) */
-    Sampler(EventQueue &eq, Tick interval);
+    explicit Sampler(Tick interval);
 
     Sampler(const Sampler &) = delete;
     Sampler &operator=(const Sampler &) = delete;
@@ -41,8 +40,11 @@ class Sampler
     /** Register a named probe; call before the first snapshot. */
     void addProbe(std::string name, std::function<double()> fn);
 
-    /** Schedule the first snapshot at now + interval. */
-    void start();
+    /** Ticks between snapshots. */
+    Tick interval() const { return _interval; }
+
+    /** Record one row of every probe's value at tick @p now. */
+    void sample(Tick now);
 
     const std::vector<std::string> &probeNames() const { return _names; }
 
@@ -65,14 +67,10 @@ class Sampler
     void dumpCsv(std::ostream &os) const;
 
   private:
-    void tick();
-
-    EventQueue &_eq;
     Tick _interval;
     std::vector<std::string> _names;
     std::vector<std::function<double()>> _probes;
     std::vector<Row> _rows;
-    bool _started = false;
 };
 
 } // namespace psim::stats

@@ -25,13 +25,21 @@ Cpu::start()
         _finished = true;
         return;
     }
-    _eq.scheduleIn(0, [this] {
-        _task.resume();
-        if (_task.done() && !_finished) {
-            _finished = true;
-            finishTick = static_cast<double>(_eq.now());
-        }
-    });
+    _waiting = _task.handle();
+    resumeNow();
+}
+
+void
+Cpu::resume()
+{
+    auto h = _waiting;
+    _waiting = nullptr;
+    _pending = Pending::None;
+    h.resume();
+    if (_task.done() && !_finished) {
+        _finished = true;
+        finishTick = static_cast<double>(_eq.now());
+    }
 }
 
 const char *
@@ -60,16 +68,7 @@ void
 Cpu::resumeAt(Tick when)
 {
     psim_assert(_waiting, "cpu %u resume without a waiting thread", _id);
-    _eq.schedule(when, [this] {
-        auto h = _waiting;
-        _waiting = nullptr;
-        _pending = Pending::None;
-        h.resume();
-        if (_task.done() && !_finished) {
-            _finished = true;
-            finishTick = static_cast<double>(_eq.now());
-        }
-    });
+    _eq.schedule(when, EventKind::CpuResume, _id);
 }
 
 void
@@ -152,12 +151,18 @@ Cpu::issueLoad(Addr addr, Pc pc, std::coroutine_handle<> h)
     }
     // The miss is known after the 1-pclock FLC probe; only then does
     // the request enter the FLWB.
+    _eq.schedule(_opStart + _m.cfg().flcReadLat, EventKind::CpuFlcMiss, _id,
+            addr, pc);
+}
+
+void
+Cpu::flcMiss(Addr addr, Pc pc)
+{
     FlwbEntry e;
     e.kind = FlwbEntry::Kind::ReadMiss;
     e.addr = addr;
     e.pc = pc;
-    _eq.scheduleIn(_m.cfg().flcReadLat,
-            [this, e] { pushOrStall(e, Pending::Read); });
+    pushOrStall(e, Pending::Read);
 }
 
 void

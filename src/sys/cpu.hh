@@ -44,6 +44,9 @@ class Cpu
     /** Schedule the first resume of the thread at the current tick. */
     void start();
 
+    /** Resume the waiting thread (a CpuResume event fired). */
+    void resume();
+
     bool finished() const { return _finished; }
 
     // ---- called by the awaitables in apps/ctx.hh ----
@@ -57,6 +60,12 @@ class Cpu
     void think(Tick cycles, std::coroutine_handle<> h);
 
     // ---- called by the memory hierarchy ----
+
+    /**
+     * The FLC probe of a load at @p addr / @p pc missed one FLC access
+     * ago; the request now enters the FLWB.
+     */
+    void flcMiss(Addr addr, Pc pc);
 
     /** A demand read completed (data available to the processor). */
     void readComplete(Addr addr);
@@ -135,8 +144,8 @@ class Cpu
     void resumeNow();
 
     /**
-     * Enqueue @p e, stalling on a full FLWB. @p then runs once the
-     * entry is in the buffer.
+     * Enqueue @p e, stalling on a full FLWB. The processor enters
+     * state @p after once the entry is in the buffer.
      */
     void pushOrStall(const FlwbEntry &e, Pending after);
 

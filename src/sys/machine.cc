@@ -14,7 +14,7 @@ namespace psim
 Machine::Machine(MachineConfig cfg)
     : _cfg(cfg),
       _store(cfg.pageSize),
-      _mesh(_eq, _cfg)
+      _mesh(_cfg)
 {
     _cfg.validate();
     if (_cfg.audit && audit::compiledIn()) {
@@ -47,26 +47,70 @@ Machine::~Machine() = default;
 void
 Machine::send(const Message &m)
 {
-    bool data = carriesData(m.type);
-    _nodes[m.src]->bus().transfer(data, [this, m, data] {
-        if (m.dst == m.src) {
-            deliver(m);
-            return;
-        }
-        unsigned flits = _cfg.flitsFor(data ? _cfg.blockSize : 0);
-        _mesh.send(m.src, m.dst, flits, [this, m, data] {
-            _nodes[m.dst]->bus().transfer(data,
-                    [this, m] { deliver(m); });
-        });
-    });
+    Tick done = _nodes[m.src]->bus().transfer(_eq.now(),
+            carriesData(m.type));
+    _eq.schedule(done, EventKind::MsgBusOut, m);
 }
 
 void
-Machine::deliver(const Message &m)
+Machine::fire(EventKind kind, const Message &m)
 {
-    if (_audit)
-        _audit->onDeliver(m);
-    _nodes[m.dst]->deliver(m);
+    const Tick now = _eq.now();
+    switch (kind) {
+      case EventKind::CpuResume:
+        _nodes[m.dst]->cpu().resume();
+        return;
+      case EventKind::CpuFlcMiss:
+        _nodes[m.dst]->cpu().flcMiss(m.addr, m.pc);
+        return;
+      case EventKind::FlwbPump:
+        _nodes[m.dst]->pumpFlwb();
+        return;
+      case EventKind::SlcRead:
+        _nodes[m.dst]->slc().processRead(m.addr, m.pc);
+        return;
+      case EventKind::SlcWrite:
+        _nodes[m.dst]->slc().processWrite(m.addr, m.pc);
+        return;
+      case EventKind::CpuReadDone:
+        _nodes[m.dst]->cpu().readComplete(m.addr);
+        return;
+      case EventKind::MsgMeshArrive:
+        _eq.schedule(_nodes[m.dst]->bus().transfer(now,
+                             carriesData(m.type)),
+                EventKind::MsgDeliver, m);
+        return;
+      case EventKind::MsgBusOut:
+        if (m.dst != m.src) {
+            bool data = carriesData(m.type);
+            unsigned flits = _cfg.flitsFor(data ? _cfg.blockSize : 0);
+            _eq.schedule(_mesh.send(now, m.src, m.dst, flits),
+                    EventKind::MsgMeshArrive, m);
+            return;
+        }
+        // Local traffic is delivered straight off the source bus.
+        [[fallthrough]];
+      case EventKind::MsgDeliver:
+        if (_audit)
+            _audit->onDeliver(m);
+        _nodes[m.dst]->deliver(m);
+        return;
+      case EventKind::DirProcess:
+        _nodes[m.dst]->mem().process(m);
+        return;
+      case EventKind::DirReplay:
+        _nodes[m.dst]->mem().replay(m);
+        return;
+      case EventKind::SamplerTick:
+        _sampler->sample(now);
+        // This event's slot is already free, so empty() reflects only
+        // the simulation's own events: once none remain the run is over
+        // and rescheduling would only spin the clock forward.
+        if (!_eq.empty())
+            _eq.schedule(now + _sampler->interval(), kind, m);
+        return;
+    }
+    psim_panic("bad event kind %u", static_cast<unsigned>(kind));
 }
 
 void
@@ -102,7 +146,7 @@ Machine::enableSampling(Tick interval)
 {
     psim_assert(!_ran, "sampling must attach before run()");
     psim_assert(!_sampler, "sampling already enabled");
-    _sampler = std::make_unique<stats::Sampler>(_eq, interval);
+    _sampler = std::make_unique<stats::Sampler>(interval);
     for (NodeId n = 0; n < _cfg.numProcs; ++n) {
         Node *node = _nodes[n].get();
         std::string prefix = "node" + std::to_string(n);
@@ -124,7 +168,7 @@ Machine::enableSampling(Tick interval)
     }
     _sampler->addProbe("mesh.flits",
             [this] { return _mesh.flitsInjected.value(); });
-    _sampler->start();
+    _eq.schedule(_eq.now() + interval, EventKind::SamplerTick, Message{});
 }
 
 void
@@ -149,11 +193,16 @@ Machine::enableChromeTrace(Tick start, Tick end)
 Tick
 Machine::run(Tick limit)
 {
-    _ran = true;
-    for (auto &node : _nodes)
-        node->cpu().start();
-    Tick end = _eq.run(limit);
-    if (allFinished()) {
+    if (!_ran) {
+        _ran = true;
+        for (auto &node : _nodes)
+            node->cpu().start();
+    } else if (_eq.empty()) {
+        return _eq.now(); // over (and finalized) or deadlocked
+    }
+    Tick end = _eq.run(limit,
+            [this](EventKind kind, const Message &m) { fire(kind, m); });
+    if (_eq.empty() && allFinished()) {
         for (auto &node : _nodes)
             node->slc().finalizeStats();
         if (_audit)

@@ -159,8 +159,10 @@ class Machine
     check::CommitSink *commitSink() const { return _commitSink; }
 
     /**
-     * Start every bound thread and run the machine until all threads
-     * finish (or @p limit ticks pass). @return final tick.
+     * Run the machine until all threads finish and the queue drains, or
+     * until tick @p limit. The first call starts every bound thread; a
+     * later call continues where the previous one stopped.
+     * @return final tick.
      */
     Tick run(Tick limit = kTickNever);
 
@@ -190,7 +192,8 @@ class Machine
     void checkCoherenceInvariants() const;
 
   private:
-    void deliver(const Message &m);
+    /** Act on one event popped from the queue. */
+    void fire(EventKind kind, const Message &m);
 
     MachineConfig _cfg;
     EventQueue _eq;

@@ -9,15 +9,18 @@ namespace psim
 Node::Node(Machine &m, NodeId id) : _id(id)
 {
     _flc = std::make_unique<Flc>(m.cfg());
-    _flwb = std::make_unique<Flwb>(m.eq(), m.cfg());
-    _bus = std::make_unique<Bus>(m.eq(), m.cfg());
+    _flwb = std::make_unique<Flwb>(m.eq(), m.cfg(), id);
+    _bus = std::make_unique<Bus>(m.cfg());
     _cpu = std::make_unique<Cpu>(m, id, *_flc, *_flwb);
     _slc = std::make_unique<Slc>(m, id, *_flc, *_cpu);
     _mem = std::make_unique<MemCtrl>(m, id);
+}
 
-    _flwb->setConsumer(
-            [this](const FlwbEntry &e) { return _slc->tryAccept(e); });
-    _flwb->setSpaceCallback([this] { _cpu->flwbSpace(); });
+void
+Node::pumpFlwb()
+{
+    _flwb->pump([this](const FlwbEntry &e) { return _slc->tryAccept(e); },
+            [this] { _cpu->flwbSpace(); });
 }
 
 void

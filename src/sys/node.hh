@@ -32,6 +32,9 @@ class Node
     /** Deliver a message that has crossed this node's bus. */
     void deliver(const Message &msg);
 
+    /** Present the FLWB head to the SLC (a FlwbPump fired). */
+    void pumpFlwb();
+
     Cpu &cpu() { return *_cpu; }
     Flc &flc() { return *_flc; }
     Flwb &flwb() { return *_flwb; }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -15,18 +16,81 @@
 
 using namespace psim;
 
+namespace
+{
+
+/**
+ * Drives the queue with test-side actions: each event's payload carries
+ * the index of the action it fires, and run() dispatches on it.
+ */
+struct ActionQueue : EventQueue
+{
+    std::vector<std::function<void()>> actions;
+
+    void
+    schedule(Tick when, std::function<void()> f)
+    {
+        actions.push_back(std::move(f));
+        EventQueue::schedule(when, EventKind::CpuResume, 0,
+                actions.size() - 1);
+    }
+
+    void
+    scheduleIn(Tick delta, std::function<void()> f)
+    {
+        schedule(now() + delta, std::move(f));
+    }
+
+    Tick
+    run(Tick limit = kTickNever)
+    {
+        return EventQueue::run(limit, [this](EventKind, const Message &m) {
+            auto f = actions[m.addr]; // an action may add actions
+            f();
+        });
+    }
+};
+
+} // namespace
+
 TEST(EventQueue, StartsEmptyAtTickZero)
 {
-    EventQueue eq;
+    ActionQueue eq;
     EXPECT_EQ(eq.now(), 0u);
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.run(), 0u);
     EXPECT_EQ(eq.now(), 0u);
 }
 
-TEST(EventQueue, RunsEventsInTimeOrder)
+TEST(EventQueue, DispatchReceivesKindAndPayload)
 {
     EventQueue eq;
+    Message msg;
+    msg.type = MsgType::FetchInvReq;
+    msg.src = 3;
+    msg.dst = 7;
+    msg.addr = 0x1240;
+    eq.schedule(4, EventKind::MsgMeshArrive, msg);
+    eq.schedule(2, EventKind::CpuFlcMiss, 9, 0x80, 0x44);
+    std::vector<std::pair<EventKind, Message>> got;
+    eq.run(kTickNever, [&](EventKind k, const Message &m) {
+        got.emplace_back(k, m);
+    });
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].first, EventKind::CpuFlcMiss);
+    EXPECT_EQ(got[0].second.dst, 9u);
+    EXPECT_EQ(got[0].second.addr, 0x80u);
+    EXPECT_EQ(got[0].second.pc, 0x44u);
+    EXPECT_EQ(got[1].first, EventKind::MsgMeshArrive);
+    EXPECT_EQ(got[1].second.type, MsgType::FetchInvReq);
+    EXPECT_EQ(got[1].second.src, 3u);
+    EXPECT_EQ(got[1].second.dst, 7u);
+    EXPECT_EQ(got[1].second.addr, 0x1240u);
+}
+
+TEST(EventQueue, RunsEventsInTimeOrder)
+{
+    ActionQueue eq;
     std::vector<int> order;
     eq.schedule(30, [&] { order.push_back(3); });
     eq.schedule(10, [&] { order.push_back(1); });
@@ -38,7 +102,7 @@ TEST(EventQueue, RunsEventsInTimeOrder)
 
 TEST(EventQueue, TiesBreakByInsertionOrder)
 {
-    EventQueue eq;
+    ActionQueue eq;
     std::vector<int> order;
     for (int i = 0; i < 8; ++i)
         eq.schedule(5, [&order, i] { order.push_back(i); });
@@ -49,7 +113,7 @@ TEST(EventQueue, TiesBreakByInsertionOrder)
 
 TEST(EventQueue, EventsMayScheduleMoreEvents)
 {
-    EventQueue eq;
+    ActionQueue eq;
     int fired = 0;
     eq.schedule(1, [&] {
         ++fired;
@@ -62,7 +126,7 @@ TEST(EventQueue, EventsMayScheduleMoreEvents)
 
 TEST(EventQueue, RunHonorsLimit)
 {
-    EventQueue eq;
+    ActionQueue eq;
     int fired = 0;
     eq.schedule(10, [&] { ++fired; });
     eq.schedule(100, [&] { ++fired; });
@@ -87,7 +151,7 @@ TEST(EventQueue, InsertionOrderTiesAcrossWheelAndHeap)
     // order.
     constexpr Tick kTie = kWheel + 44;
     {
-        EventQueue eq;
+        ActionQueue eq;
         std::vector<int> order;
         eq.schedule(kTie, [&] { order.push_back(1); }); // heap, seq 1
         eq.schedule(100, [&] {
@@ -97,7 +161,7 @@ TEST(EventQueue, InsertionOrderTiesAcrossWheelAndHeap)
         EXPECT_EQ(order, (std::vector<int>{1, 2}));
     }
     {
-        EventQueue eq;
+        ActionQueue eq;
         std::vector<int> order;
         eq.schedule(100, [&] {
             // Scheduled at t=100, i.e. after the heap event below was
@@ -113,7 +177,7 @@ TEST(EventQueue, InsertionOrderTiesAcrossWheelAndHeap)
 
 TEST(EventQueue, LongAndShortDelaysInterleaveInTimeOrder)
 {
-    EventQueue eq;
+    ActionQueue eq;
     std::vector<Tick> fired_at;
     // Mix of wheel-horizon hits and heap residents.
     for (Tick d : {kWheel + kWheel / 2, Tick{1}, kWheel - 1, kWheel,
@@ -132,7 +196,7 @@ TEST(EventQueue, NextBucketWrapsFromLastBitmapWordToFirst)
     // Park now in the wheel's last occupancy word (the top 64 buckets).
     // The next event sits later in that word, and the one after it wraps
     // to word 0.
-    EventQueue eq;
+    ActionQueue eq;
     std::vector<Tick> fired;
     auto record = [&] { fired.push_back(eq.now()); };
     const Tick start = kWheel - 40;
@@ -154,7 +218,7 @@ TEST(EventQueue, NextBucketWrapsFromLastBitmapWordToFirst)
 
 TEST(EventQueue, ManyEventsGrowThePoolTransparently)
 {
-    EventQueue eq;
+    ActionQueue eq;
     int fired = 0;
     for (int i = 0; i < 10000; ++i)
         eq.scheduleIn(1 + static_cast<Tick>(i) % (kWheel + kWheel / 4),
@@ -216,8 +280,15 @@ struct EngineRun
     void
     schedule(Tick when)
     {
-        std::uint64_t id = nextId++;
-        eq.schedule(when, [this, id] { fire(id); });
+        eq.schedule(when, EventKind::CpuResume, 0, nextId++);
+    }
+
+    Tick
+    run(Tick limit)
+    {
+        return eq.run(limit, [this](EventKind, const Message &m) {
+            fire(m.addr);
+        });
     }
 
     void
@@ -284,7 +355,7 @@ TEST(EventQueue, MatchesAReferenceQueueOnRandomPrograms)
             }
             Tick limit = drive.chance(0.2)
                     ? kTickNever : engine.eq.now() + drive.below(2 * kWheel);
-            Tick stopped = engine.eq.run(limit);
+            Tick stopped = engine.run(limit);
             ASSERT_EQ(stopped, ref.run(limit)) << "program " << p;
             ASSERT_EQ(engine.eq.now(), ref.now) << "program " << p;
             ASSERT_EQ(engine.eq.empty(), ref.queue.empty())
@@ -296,7 +367,7 @@ TEST(EventQueue, MatchesAReferenceQueueOnRandomPrograms)
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)
 {
-    EventQueue eq;
+    ActionQueue eq;
     eq.schedule(10, [] {});
     eq.run();
     EXPECT_DEATH(eq.schedule(5, [] {}), "schedule in the past");

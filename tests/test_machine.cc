@@ -75,6 +75,20 @@ TEST(Machine, RunLimitStopsEarly)
     m.run(50); // far too short for any workload
     EXPECT_FALSE(m.allFinished());
     EXPECT_LE(m.eq().now(), 50u);
+
+    // A second call continues the same run to the end, with the same
+    // statistics as one uninterrupted run.
+    m.run();
+    ASSERT_TRUE(m.allFinished());
+    EXPECT_TRUE(wl->verify(m));
+    Machine whole(cfg);
+    auto wl_whole = apps::makeWorkload("lu", 1);
+    wl_whole->attach(whole);
+    whole.run();
+    std::ostringstream stepped_stats, whole_stats;
+    m.dumpStats(stepped_stats);
+    whole.dumpStats(whole_stats);
+    EXPECT_EQ(stepped_stats.str(), whole_stats.str());
 }
 
 TEST(Machine, PrefetchEfficiencyIsNaNWithoutPrefetching)

@@ -17,9 +17,8 @@ namespace
 
 struct Harness
 {
-    EventQueue eq;
     MachineConfig cfg;
-    Mesh mesh{eq, cfg};
+    Mesh mesh{cfg};
 };
 
 } // namespace
@@ -39,10 +38,8 @@ TEST(Mesh, HopCountsAreManhattan)
 TEST(Mesh, UncontendedLatencyMatchesFormula)
 {
     Harness h;
-    Tick done = kTickNever;
     unsigned flits = 10;
-    h.mesh.send(0, 5, flits, [&] { done = h.eq.now(); });
-    h.eq.run();
+    Tick done = h.mesh.send(0, 0, 5, flits);
     // hops * fallThrough + flits network cycles.
     EXPECT_EQ(done, h.mesh.baseLatency(2, flits));
 }
@@ -50,21 +47,16 @@ TEST(Mesh, UncontendedLatencyMatchesFormula)
 TEST(Mesh, SingleHopHeaderMessage)
 {
     Harness h;
-    Tick done = 0;
-    h.mesh.send(0, 1, 2, [&] { done = h.eq.now(); });
-    h.eq.run();
+    Tick done = h.mesh.send(0, 0, 1, 2);
     EXPECT_EQ(done, 3u + 2u); // 1 hop fall-through + 2 flits
 }
 
 TEST(Mesh, SharedLinkSerializesWorms)
 {
     Harness h;
-    std::vector<Tick> arrivals;
     // Two messages over the same 0->1 link, injected together.
-    h.mesh.send(0, 1, 10, [&] { arrivals.push_back(h.eq.now()); });
-    h.mesh.send(0, 1, 10, [&] { arrivals.push_back(h.eq.now()); });
-    h.eq.run();
-    ASSERT_EQ(arrivals.size(), 2u);
+    std::vector<Tick> arrivals{h.mesh.send(0, 0, 1, 10),
+                               h.mesh.send(0, 0, 1, 10)};
     EXPECT_EQ(arrivals[0], 13u);
     // The second worm waits for the first to release the link.
     EXPECT_EQ(arrivals[1], arrivals[0] + 10u);
@@ -73,10 +65,8 @@ TEST(Mesh, SharedLinkSerializesWorms)
 TEST(Mesh, DisjointPathsDoNotInterfere)
 {
     Harness h;
-    std::vector<Tick> arrivals(2, 0);
-    h.mesh.send(0, 1, 10, [&] { arrivals[0] = h.eq.now(); });
-    h.mesh.send(4, 5, 10, [&] { arrivals[1] = h.eq.now(); });
-    h.eq.run();
+    std::vector<Tick> arrivals{h.mesh.send(0, 0, 1, 10),
+                               h.mesh.send(0, 4, 5, 10)};
     EXPECT_EQ(arrivals[0], 13u);
     EXPECT_EQ(arrivals[1], 13u);
 }
@@ -84,22 +74,18 @@ TEST(Mesh, DisjointPathsDoNotInterfere)
 TEST(Mesh, FifoPerPath)
 {
     Harness h;
-    std::vector<int> order;
-    h.mesh.send(0, 15, 10, [&] { order.push_back(1); });
-    h.mesh.send(0, 15, 2, [&] { order.push_back(2); });
-    h.eq.run();
-    // The short message must not overtake the long one on the same path.
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0], 1);
-    EXPECT_EQ(order[1], 2);
+    Tick long_arrives = h.mesh.send(0, 0, 15, 10);
+    Tick short_arrives = h.mesh.send(0, 0, 15, 2);
+    // The short message must not overtake the long one on the same
+    // path (a tie would fire in send order).
+    EXPECT_GE(short_arrives, long_arrives);
 }
 
 TEST(Mesh, CountsTraffic)
 {
     Harness h;
-    h.mesh.send(0, 1, 10, [] {});
-    h.mesh.send(1, 2, 2, [] {});
-    h.eq.run();
+    h.mesh.send(0, 0, 1, 10);
+    h.mesh.send(0, 1, 2, 2);
     EXPECT_DOUBLE_EQ(h.mesh.messages.value(), 2.0);
     EXPECT_DOUBLE_EQ(h.mesh.flitsInjected.value(), 12.0);
     EXPECT_EQ(h.mesh.msgLatency.count(), 2u);
@@ -110,10 +96,8 @@ TEST(Mesh, XyRoutingTakesXFirst)
     // Send 0 -> 5 (one east, one south) and a competing message over
     // the 0->1 east link; the 0->5 route must contend on that link.
     Harness h;
-    Tick t05 = 0;
-    h.mesh.send(0, 1, 10, [] {});
-    h.mesh.send(0, 5, 2, [&] { t05 = h.eq.now(); });
-    h.eq.run();
+    h.mesh.send(0, 0, 1, 10);
+    Tick t05 = h.mesh.send(0, 0, 5, 2);
     // Without contention: 2 hops * 3 + 2 = 8. The east link is busy
     // for 10 cycles, so the header leaves at 10 instead of 0.
     EXPECT_EQ(t05, 10u + 8u);
@@ -122,5 +106,5 @@ TEST(Mesh, XyRoutingTakesXFirst)
 TEST(MeshDeath, SelfSendPanics)
 {
     Harness h;
-    EXPECT_DEATH(h.mesh.send(3, 3, 2, [] {}), "send to self");
+    EXPECT_DEATH(h.mesh.send(0, 3, 3, 2), "send to self");
 }

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <vector>
 
 #include "harness.hh"
@@ -355,18 +354,19 @@ TEST(Protocol, BusyEntryReplaysQueuedWritersInOrderWhileDirectoryGrows)
         sys.run(n, thread(sys.ctx(n), x, bar, sweep));
 
     // Record every change of the block's owner, as the directory sees
-    // it. The poll only reads state, so it cannot perturb the run.
+    // it, stepping the machine one tick at a time and polling between
+    // steps. The poll only reads state, so it cannot perturb the run.
     const MemCtrl &dir = sys.m.node(home).mem();
     std::vector<NodeId> owners;
-    std::function<void()> poll = [&] {
+    for (Tick t = 1;; ++t) {
         auto s = dir.snapshot(x);
         if (s.st == MemCtrl::DirSnapshot::St::Dirty &&
             (owners.empty() || owners.back() != s.owner))
             owners.push_back(s.owner);
-        if (!sys.m.allFinished())
-            sys.m.eq().scheduleIn(1, [&poll] { poll(); });
-    };
-    sys.m.eq().schedule(0, [&poll] { poll(); });
+        if (sys.m.allFinished() || t > 10000000)
+            break;
+        sys.m.run(t);
+    }
     ASSERT_TRUE(sys.finish());
 
     std::vector<NodeId> expected(nodes);

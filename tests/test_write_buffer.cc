@@ -20,20 +20,26 @@ struct Harness
 {
     EventQueue eq;
     MachineConfig cfg;
-    Flwb flwb{eq, cfg};
+    Flwb flwb{eq, cfg, 0};
     std::vector<FlwbEntry> consumed;
     bool accept = true;
     int space_calls = 0;
 
-    Harness()
+    /** Fire this buffer's FlwbPump events up to @p limit. */
+    Tick
+    run(Tick limit = kTickNever)
     {
-        flwb.setConsumer([this](const FlwbEntry &e) {
-            if (!accept)
-                return false;
-            consumed.push_back(e);
-            return true;
+        return eq.run(limit, [this](EventKind kind, const Message &) {
+            EXPECT_EQ(kind, EventKind::FlwbPump);
+            flwb.pump(
+                    [this](const FlwbEntry &e) {
+                        if (!accept)
+                            return false;
+                        consumed.push_back(e);
+                        return true;
+                    },
+                    [this] { ++space_calls; });
         });
-        flwb.setSpaceCallback([this] { ++space_calls; });
     }
 
     FlwbEntry
@@ -54,7 +60,7 @@ TEST(Flwb, DrainsInFifoOrder)
     h.flwb.push(h.entry(1));
     h.flwb.push(h.entry(2, FlwbEntry::Kind::ReadMiss));
     h.flwb.push(h.entry(3));
-    h.eq.run();
+    h.run();
     ASSERT_EQ(h.consumed.size(), 3u);
     EXPECT_EQ(h.consumed[0].addr, 1u);
     EXPECT_EQ(h.consumed[1].addr, 2u);
@@ -67,7 +73,7 @@ TEST(Flwb, EachDrainTakesOneFlwbLatency)
 {
     Harness h;
     h.flwb.push(h.entry(1));
-    h.eq.run();
+    h.run();
     EXPECT_EQ(h.eq.now(), h.cfg.flwbLat);
 }
 
@@ -88,11 +94,11 @@ TEST(Flwb, RetriesWhileConsumerRefuses)
     h.accept = false;
     h.flwb.push(h.entry(7));
     // Let it retry a few times, then open the consumer.
-    h.eq.run(20);
+    h.run(20);
     EXPECT_TRUE(h.consumed.empty());
     EXPECT_GT(h.flwb.retries.value(), 0.0);
     h.accept = true;
-    h.eq.run();
+    h.run();
     ASSERT_EQ(h.consumed.size(), 1u);
     EXPECT_EQ(h.consumed[0].addr, 7u);
 }
@@ -102,7 +108,7 @@ TEST(Flwb, SpaceCallbackFiresPerDrain)
     Harness h;
     h.flwb.push(h.entry(1));
     h.flwb.push(h.entry(2));
-    h.eq.run();
+    h.run();
     EXPECT_EQ(h.space_calls, 2);
 }
 
@@ -112,9 +118,9 @@ TEST(Flwb, OrderPreservedAcrossRefusal)
     h.accept = false;
     h.flwb.push(h.entry(1));
     h.flwb.push(h.entry(2));
-    h.eq.run(10);
+    h.run(10);
     h.accept = true;
-    h.eq.run();
+    h.run();
     ASSERT_EQ(h.consumed.size(), 2u);
     EXPECT_EQ(h.consumed[0].addr, 1u);
     EXPECT_EQ(h.consumed[1].addr, 2u);
