@@ -4,15 +4,15 @@
  *
  * The machine can stream every *committed* shared-memory access --
  * every functional store the moment it lands in the backing store and
- * every load value the moment the processor consumes it -- into a
- * CommitSink. The order of onAccess() calls is exactly the order in
+ * every load value the moment the processor consumes it -- into an
+ * AccessLog. The order of onAccess() calls is exactly the order in
  * which the backing store was touched, so a sequentially-consistent
  * reference model (check::Oracle) can replay the stream and re-derive
  * every load value independently.
  *
- * Recording is observability-grade: attaching a sink never changes
- * simulated behaviour, timing, or any aggregate statistic. The sink
- * also observes prefetch issues (trigger plus prefetched block), which
+ * Recording is observability-grade: attaching a log never changes
+ * simulated behaviour, timing, or any aggregate statistic. The log
+ * also records prefetch issues (trigger plus prefetched block), which
  * lets the oracle enforce the paper's no-prefetch-across-page-boundary
  * rule end to end for every scheme.
  */
@@ -55,32 +55,14 @@ struct PrefetchIssueRecord
     Addr block = 0;   ///< block address the prefetch was issued for
 };
 
-/** Receives committed accesses and prefetch issues during a run. */
-class CommitSink
+/** Committed accesses and prefetch issues of one run, in order. */
+class AccessLog
 {
   public:
-    virtual ~CommitSink() = default;
-
-    virtual void onAccess(const AccessRecord &rec) = 0;
-
-    virtual void onPrefetchIssue(const PrefetchIssueRecord &rec)
-    {
-        (void)rec;
-    }
-};
-
-/** The default sink: append everything to in-memory vectors. */
-class AccessLog : public CommitSink
-{
-  public:
-    void
-    onAccess(const AccessRecord &rec) override
-    {
-        _accesses.push_back(rec);
-    }
+    void onAccess(const AccessRecord &rec) { _accesses.push_back(rec); }
 
     void
-    onPrefetchIssue(const PrefetchIssueRecord &rec) override
+    onPrefetchIssue(const PrefetchIssueRecord &rec)
     {
         _prefetches.push_back(rec);
     }

@@ -15,7 +15,7 @@
  *     schemes (the program is data-race-free and commutative by
  *     construction, so every scheme must compute the same result).
  *
- * Seeds fan out over a thread pool (runGrid) -- each seed's machines
+ * Seeds fan out over runGrid's worker threads -- each seed's machines
  * are self-contained and single-threaded -- and results print in seed
  * order, so output is byte-identical at any --jobs count. On
  * divergence the driver prints the seed, the first divergences, and a

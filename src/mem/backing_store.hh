@@ -8,20 +8,20 @@
  * models. Typed accessors require naturally aligned accesses, which is
  * what the workloads (and SPARC, the paper's ISA) generate.
  *
- * The page table is a fixed-size bucket array of singly linked chains;
- * a miss pushes a zeroed page onto the front of its chain. Pages are
+ * The page table is a BlockTable keyed by page base address; a write
+ * to an absent page inserts a zeroed one. Pages are heap-allocated and
  * never removed, so a page pointer, once obtained, stays valid for the
- * store's lifetime.
+ * store's lifetime even when the table grows and moves its entries.
  */
 
 #ifndef PSIM_MEM_BACKING_STORE_HH
 #define PSIM_MEM_BACKING_STORE_HH
 
-#include <array>
 #include <cstring>
 #include <memory>
 #include <type_traits>
 
+#include "sim/block_table.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -97,21 +97,14 @@ class BackingStore
     void
     forEachPage(Fn &&fn) const
     {
-        for (const auto &head : _buckets) {
-            for (const PageNode *n = head.get(); n; n = n->next.get())
-                fn(n->base, n->data.get(), _pageSize);
-        }
+        _pages.forEach([&](Addr base, const Page &page) {
+            const std::uint8_t *bytes = page.get();
+            fn(base, bytes, _pageSize);
+        });
     }
 
   private:
-    struct PageNode
-    {
-        Addr base;
-        std::unique_ptr<PageNode> next;
-        std::unique_ptr<std::uint8_t[]> data;
-    };
-
-    static constexpr std::size_t kBuckets = 1024;
+    using Page = std::unique_ptr<std::uint8_t[]>;
 
     void
     checkSamePage(Addr addr, unsigned len) const
@@ -123,47 +116,24 @@ class BackingStore
 
     std::size_t offset(Addr addr) const { return addr & (_pageSize - 1); }
 
-    std::size_t
-    bucketOf(Addr base) const
-    {
-        std::uint64_t x = base / _pageSize;
-        x ^= x >> 33;
-        x *= 0xff51afd7ed558ccdULL;
-        x ^= x >> 33;
-        return static_cast<std::size_t>(x) & (kBuckets - 1);
-    }
-
     const std::uint8_t *
     findPage(Addr addr) const
     {
-        Addr base = alignDown(addr, _pageSize);
-        for (const PageNode *n = _buckets[bucketOf(base)].get(); n;
-             n = n->next.get()) {
-            if (n->base == base)
-                return n->data.get();
-        }
-        return nullptr;
+        const Page *page = _pages.find(alignDown(addr, _pageSize));
+        return page ? page->get() : nullptr;
     }
 
     std::uint8_t *
     ensurePage(Addr addr)
     {
-        Addr base = alignDown(addr, _pageSize);
-        std::unique_ptr<PageNode> &head = _buckets[bucketOf(base)];
-        for (PageNode *n = head.get(); n; n = n->next.get()) {
-            if (n->base == base)
-                return n->data.get();
-        }
-        auto fresh = std::make_unique<PageNode>();
-        fresh->base = base;
-        fresh->next = std::move(head);
-        fresh->data = std::make_unique<std::uint8_t[]>(_pageSize);
-        head = std::move(fresh);
-        return head->data.get();
+        Page &page = _pages[alignDown(addr, _pageSize)];
+        if (!page)
+            page = std::make_unique<std::uint8_t[]>(_pageSize);
+        return page.get();
     }
 
     unsigned _pageSize;
-    std::array<std::unique_ptr<PageNode>, kBuckets> _buckets;
+    BlockTable<Page> _pages;
 };
 
 } // namespace psim

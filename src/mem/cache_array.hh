@@ -17,12 +17,12 @@
  *    only on a hit. Invalid ways hold kAddrInvalid in the tag lane, so
  *    the scan needs no separate valid check.
  *
- *  - Infinite mode is an open-addressed, power-of-two hash table with
- *    linear probing instead of a node-based hash map: no pointer
- *    chasing, no per-entry allocation. Entries are never removed --
- *    invalidation clears the coherence state but keeps the key, so
- *    probe chains stay intact and a block's slot is stable until the
- *    table grows.
+ *  - Infinite mode stores the blocks in a BlockTable keyed by block
+ *    address, whose dense key lane plays the tag lane's part.
+ *    Invalidation erases the entry, so the table holds the resident
+ *    blocks only. Erasing may move other entries (BlockTable's
+ *    reference rule): no CacheBlk pointer may be held across an
+ *    invalidate() or a findVictim() of another block.
  */
 
 #ifndef PSIM_MEM_CACHE_ARRAY_HH
@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/block_table.hh"
 #include "sim/types.hh"
 
 namespace psim
@@ -91,8 +92,8 @@ class CacheArray
 
     /**
      * Pick the frame a new block for @p blk_addr would occupy. In
-     * infinite mode this never evicts (the table grows instead; growth
-     * invalidates previously returned CacheBlk pointers). Otherwise
+     * infinite mode this never evicts: it inserts an invalid entry for
+     * @p blk_addr, which may move other entries. Otherwise
      * returns the invalid or LRU way of the set; the caller must handle
      * the victim (the returned block still holds the victim's metadata).
      */
@@ -116,23 +117,39 @@ class CacheArray
                     blk_addr;
     }
 
-    /** Invalidate a resident block. */
+    /**
+     * Invalidate a resident block. In infinite mode this erases it,
+     * which may move other entries (see the file comment).
+     */
     void
     invalidate(CacheBlk *blk)
     {
+        if (_infinite) {
+            _table.erase(blk->addr);
+            return;
+        }
         blk->state = CohState::Invalid;
         blk->prefetched = false;
-        if (!_infinite)
-            _tags[static_cast<std::size_t>(blk - _frames.data())] =
-                    kAddrInvalid;
+        _tags[static_cast<std::size_t>(blk - _frames.data())] =
+                kAddrInvalid;
     }
 
-    /** Apply @p fn to every valid block (for invariant checks/stats). */
+    /**
+     * Apply @p fn to every valid block (for invariant checks/stats), in
+     * no specified order.
+     */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        for (const CacheBlk &blk : _infinite ? _table : _frames) {
+        if (_infinite) {
+            _table.forEach([&fn](Addr, const CacheBlk &blk) {
+                if (blk.valid())
+                    fn(blk);
+            });
+            return;
+        }
+        for (const CacheBlk &blk : _frames) {
             if (blk.valid())
                 fn(blk);
         }
@@ -149,24 +166,6 @@ class CacheArray
                 (blk_addr >> _blockShift) & (_numSets - 1));
     }
 
-    /**
-     * Fibonacci hash: a single multiply whose high bits index the
-     * table. The footprints the paper's workloads build are small
-     * enough that the table stays cache-resident, so hash latency sits
-     * directly on the probe's critical path -- a multi-round finalizer
-     * (murmur3) measurably slows whole-application runs. The odd
-     * multiplier is bijective, so power-of-two-strided block addresses
-     * (column walks) still spread over the whole table.
-     */
-    std::uint64_t
-    hashOf(Addr blk_addr) const
-    {
-        return (blk_addr * 0x9e3779b97f4a7c15ULL) >> _tableShift;
-    }
-
-    /** Double the infinite-mode table and rehash every occupied slot. */
-    void grow();
-
     bool _infinite;
     unsigned _assoc;
     unsigned _blockShift;
@@ -181,19 +180,8 @@ class CacheArray
     std::vector<Addr> _tags;
     std::vector<CacheBlk> _frames;
 
-    /**
-     * Infinite storage: open-addressed table, capacity a power of two,
-     * with kAddrInvalid marking an empty slot. The key lane is probed
-     * separately from the metadata (the same structure-of-arrays split
-     * as the finite tag lane): a probe touches only the dense 8-byte
-     * keys, not the 24-byte frames. _tableTags[i] == _table[i].addr for
-     * every occupied slot, including invalidated ones (keys are never
-     * removed so probe chains stay intact).
-     */
-    std::vector<Addr> _tableTags;
-    std::vector<CacheBlk> _table;
-    std::size_t _tableUsed = 0;
-    unsigned _tableShift = 0; ///< 64 - log2(_table.size())
+    /** Infinite storage: the resident blocks, keyed by address. */
+    BlockTable<CacheBlk> _table;
 };
 
 // The probe paths are defined inline: they are leaves of the
@@ -205,15 +193,9 @@ inline CacheBlk *
 CacheArray::find(Addr blk_addr)
 {
     if (_infinite) {
-        const std::size_t mask = _table.size() - 1;
-        const Addr *keys = _tableTags.data();
-        std::size_t i = hashOf(blk_addr) & mask;
-        while (keys[i] != kAddrInvalid) {
-            if (keys[i] == blk_addr)
-                return _table[i].valid() ? &_table[i] : nullptr;
-            i = (i + 1) & mask;
-        }
-        return nullptr;
+        // An entry is invalid only between findVictim and fill.
+        CacheBlk *blk = _table.find(blk_addr);
+        return blk && blk->valid() ? blk : nullptr;
     }
     const std::size_t base = setIndex(blk_addr) * _assoc;
     const Addr *tags = _tags.data() + base;
@@ -228,22 +210,9 @@ inline CacheBlk *
 CacheArray::findVictim(Addr blk_addr)
 {
     if (_infinite) {
-        // Grow before probing so the pointer we hand out survives the
-        // insertion (keep the load factor at or below ~0.7).
-        if ((_tableUsed + 1) * 10 > _table.size() * 7)
-            grow();
-        const std::size_t mask = _table.size() - 1;
-        const Addr *keys = _tableTags.data();
-        std::size_t i = hashOf(blk_addr) & mask;
-        while (keys[i] != kAddrInvalid) {
-            if (keys[i] == blk_addr)
-                return &_table[i];
-            i = (i + 1) & mask;
-        }
-        _tableTags[i] = blk_addr;
-        _table[i].addr = blk_addr;
-        ++_tableUsed;
-        return &_table[i];
+        CacheBlk &blk = _table[blk_addr];
+        blk.addr = blk_addr;
+        return &blk;
     }
     // The victim scan reads the frames anyway (LRU timestamps), so the
     // tag lane would only add a second stream here; scan frames alone.

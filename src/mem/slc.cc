@@ -180,7 +180,7 @@ Slc::processRead(Addr addr, Pc pc)
     bool hit = blk != nullptr;
     bool tagged = false;
 
-    if (_traceSink) {
+    if (_trace) {
         TraceRecord rec;
         rec.tick = now;
         rec.pc = pc;
@@ -188,7 +188,7 @@ Slc::processRead(Addr addr, Pc pc)
         rec.node = _id;
         rec.kind = TraceRecord::Kind::Read;
         rec.hit = hit;
-        _traceSink(rec);
+        _trace->append(rec);
     }
 
     if (hit) {
@@ -199,14 +199,8 @@ Slc::processRead(Addr addr, Pc pc)
             tagged = true;
             ++pfUsefulTagged;
             reportOutcome(blk, true);
-            if (_audit) {
-                _audit->onFate(blk_addr, audit::Fate::UsefulTagged,
-                        audit::Event::TaggedReadHit, now);
-            }
-            if (_chrome) {
-                _chrome->prefetchFate(_id, blk_addr,
-                        audit::Fate::UsefulTagged, now);
-            }
+            noteFate(blk_addr, audit::Fate::UsefulTagged,
+                    audit::Event::TaggedReadHit, now);
         }
         _array.touch(blk, now);
         _eq.schedule(now + cfg.slcToCpuLat, EventKind::CpuReadDone, _id,
@@ -223,14 +217,8 @@ Slc::processRead(Addr addr, Pc pc)
                 _prefetcher->notePrefetchOutcome(true, true, blk_addr);
                 e->demandWaiting = true;
                 e->demandAddr = addr;
-                if (_audit) {
-                    _audit->onFate(blk_addr, audit::Fate::UsefulLate,
-                            audit::Event::DemandMerge, now);
-                }
-                if (_chrome) {
-                    _chrome->prefetchFate(_id, blk_addr,
-                            audit::Fate::UsefulLate, now);
-                }
+                noteFate(blk_addr, audit::Fate::UsefulLate,
+                        audit::Event::DemandMerge, now);
                 break;
               case Mshr::Kind::Write:
                 e->demandWaiting = true;
@@ -293,7 +281,7 @@ Slc::processWrite(Addr addr, Pc pc)
     ++writeRequests;
 
     CacheBlk *blk = _array.find(blk_addr);
-    if (_traceSink) {
+    if (_trace) {
         TraceRecord rec;
         rec.tick = now;
         rec.pc = pc;
@@ -301,21 +289,15 @@ Slc::processWrite(Addr addr, Pc pc)
         rec.node = _id;
         rec.kind = TraceRecord::Kind::Write;
         rec.hit = blk != nullptr;
-        _traceSink(rec);
+        _trace->append(rec);
     }
     if (blk) {
         if (blk->prefetched) {
             blk->prefetched = false;
             ++pfWriteHitTagged;
             reportOutcome(blk, true);
-            if (_audit) {
-                _audit->onFate(blk_addr, audit::Fate::WriteHit,
-                        audit::Event::TaggedWriteHit, now);
-            }
-            if (_chrome) {
-                _chrome->prefetchFate(_id, blk_addr,
-                        audit::Fate::WriteHit, now);
-            }
+            noteFate(blk_addr, audit::Fate::WriteHit,
+                    audit::Event::TaggedWriteHit, now);
         }
         _array.touch(blk, now);
         if (blk->state == CohState::Modified) {
@@ -448,6 +430,15 @@ Slc::reportOutcome(CacheBlk *blk, bool useful)
 }
 
 void
+Slc::noteFate(Addr blk_addr, audit::Fate fate, audit::Event ev, Tick now)
+{
+    if (_audit)
+        _audit->onFate(blk_addr, fate, ev, now);
+    if (_chrome)
+        _chrome->prefetchFate(_id, blk_addr, fate, now);
+}
+
+void
 Slc::agePrefetches()
 {
     // Bounded-delay negative feedback: once a prefetched block is 64
@@ -464,14 +455,8 @@ Slc::agePrefetches()
             blk->prefetched = false;
             ++pfAgedUnused;
             reportOutcome(blk, false);
-            if (_audit) {
-                _audit->onFate(a, audit::Fate::AgedUnused,
-                        audit::Event::AgedOut, _eq.now());
-            }
-            if (_chrome) {
-                _chrome->prefetchFate(_id, a, audit::Fate::AgedUnused,
-                        _eq.now());
-            }
+            noteFate(a, audit::Fate::AgedUnused,
+                    audit::Event::AgedOut, _eq.now());
         }
     }
 }
@@ -499,19 +484,12 @@ Slc::invalidateBlock(CacheBlk *blk, bool replacement)
         else
             ++pfUselessInvalidated;
         reportOutcome(blk, false);
-        if (_audit) {
-            _audit->onFate(blk->addr,
-                    replacement ? audit::Fate::Replaced
-                                : audit::Fate::Invalidated,
-                    replacement ? audit::Event::Replaced
-                                : audit::Event::Invalidated,
-                    _eq.now());
-        }
-        if (_chrome) {
-            _chrome->prefetchFate(_id, blk->addr,
-                    replacement ? audit::Fate::Replaced
-                                : audit::Fate::Invalidated,
-                    _eq.now());
+        if (replacement) {
+            noteFate(blk->addr, audit::Fate::Replaced,
+                    audit::Event::Replaced, _eq.now());
+        } else {
+            noteFate(blk->addr, audit::Fate::Invalidated,
+                    audit::Event::Invalidated, _eq.now());
         }
     }
     _history[blk->addr] = replacement ? Gone::Replaced : Gone::Invalidated;
@@ -626,14 +604,8 @@ Slc::handleFill(const Message &m, bool exclusive)
                 // leaving the block tagged but its fate unrecorded.
                 ++pfWriteHitTagged;
                 reportOutcome(frame, true);
-                if (_audit) {
-                    _audit->onFate(blk_addr, audit::Fate::WriteHit,
-                            audit::Event::DeferredStoreHit, now);
-                }
-                if (_chrome) {
-                    _chrome->prefetchFate(_id, blk_addr,
-                            audit::Fate::WriteHit, now);
-                }
+                noteFate(blk_addr, audit::Fate::WriteHit,
+                        audit::Event::DeferredStoreHit, now);
                 frame->prefetched = false;
             }
             frame->state = CohState::Modified;
@@ -649,14 +621,8 @@ Slc::handleFill(const Message &m, bool exclusive)
             // it like a store hit on a tagged block.
             ++pfWriteHitTagged;
             reportOutcome(frame, true);
-            if (_audit) {
-                _audit->onFate(blk_addr, audit::Fate::WriteHit,
-                        audit::Event::DeferredStoreHit, now);
-            }
-            if (_chrome) {
-                _chrome->prefetchFate(_id, blk_addr,
-                        audit::Fate::WriteHit, now);
-            }
+            noteFate(blk_addr, audit::Fate::WriteHit,
+                    audit::Event::DeferredStoreHit, now);
         }
         frame->prefetched = false;
         ++upgrades;
@@ -812,14 +778,8 @@ Slc::finalizeStats()
     _array.forEach([this, now](const CacheBlk &blk) {
         if (blk.prefetched) {
             ++pfUselessUnused;
-            if (_audit) {
-                _audit->onFate(blk.addr, audit::Fate::ResidentAtEnd,
-                        audit::Event::EndOfRun, now);
-            }
-            if (_chrome) {
-                _chrome->prefetchFate(_id, blk.addr,
-                        audit::Fate::ResidentAtEnd, now);
-            }
+            noteFate(blk.addr, audit::Fate::ResidentAtEnd,
+                    audit::Event::EndOfRun, now);
         }
     });
     if (_audit)

@@ -20,7 +20,6 @@
 #define PSIM_MEM_SLC_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -68,12 +67,8 @@ class Slc
         _characterizer = c;
     }
 
-    /** Optional sink receiving every request presented to this SLC. */
-    void
-    setTraceSink(std::function<void(const TraceRecord &)> sink)
-    {
-        _traceSink = std::move(sink);
-    }
+    /** Optional writer receiving every request presented to this SLC. */
+    void setTraceWriter(TraceWriter *w) { _trace = w; }
 
     /** Attach the chrome://tracing exporter (read-only observation). */
     void setChromeTracer(ChromeTracer *t) { _chrome = t; }
@@ -189,7 +184,7 @@ class Slc
     NodeId _id;
     Flc &_flc;
     Cpu &_cpu;
-    std::function<void(const TraceRecord &)> _traceSink;
+    TraceWriter *_trace = nullptr; ///< null when tracing is off
     ChromeTracer *_chrome = nullptr; ///< null when chrome tracing is off
     CacheArray _array;
     std::unique_ptr<Prefetcher> _prefetcher;
@@ -203,6 +198,14 @@ class Slc
      * still untouched (bounded-delay feedback for adaptive schemes).
      */
     void reportOutcome(CacheBlk *blk, bool useful);
+
+    /**
+     * Hand a prefetched block's terminal fate to the audit ledger and
+     * the chrome trace (whichever are attached). The caller keeps its
+     * own pf* counter, which the audit cross-checks independently.
+     */
+    void noteFate(Addr blk_addr, audit::Fate fate, audit::Event ev,
+                  Tick now);
 
     /** Age the oldest tracked prefetches (called on each new issue). */
     void agePrefetches();

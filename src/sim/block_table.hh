@@ -2,9 +2,10 @@
  * @file
  * Open-addressed hash table keyed by block address.
  *
- * The per-block coherence records on the simulator's message path live
- * in these: the home directory and its wait queues, and the SLC's
- * MSHRs, writeback set and miss-classification history. A node-based
+ * Every address-keyed map in the simulator is one of these: the home
+ * directory and its wait queues; the SLC's MSHRs, writeback set and
+ * miss-classification history; the infinite SLC's block array
+ * (CacheArray); and the backing store's page table. A node-based
  * std::unordered_map pays a prime-modulo bucket hash, a pointer chase
  * per probe and an allocation per entry; this table is two flat lanes
  * instead:
@@ -29,7 +30,8 @@
  * Callers must not hold a V* or V& across an insert into, or an erase
  * from, the same table.
  *
- * There is no iteration: no caller may depend on the slot layout.
+ * forEach() visits the live entries in slot order, which depends on the
+ * hash and the capacity: callers must treat it as unordered.
  */
 
 #ifndef PSIM_SIM_BLOCK_TABLE_HH
@@ -71,6 +73,20 @@ class BlockTable
     }
 
     bool contains(Addr key) const { return slotOf(key) != kNoSlot; }
+
+    /**
+     * Apply @p fn(key, value) to every entry, in no specified order.
+     * @p fn must not insert into or erase from this table.
+     */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i < _keys.size(); ++i) {
+            if (_keys[i] != kAddrInvalid)
+                fn(_keys[i], _vals[i]);
+        }
+    }
 
     /**
      * The value stored for @p key, value-initialized and inserted if

@@ -1,81 +1,17 @@
 #include "sim/parallel.hh"
 
+#include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "sim/logging.hh"
 
 namespace psim
 {
-
-ThreadPool::ThreadPool(unsigned workers)
-{
-    if (workers == 0)
-        workers = 1;
-    _threads.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-        _threads.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lk(_mx);
-        _stop = true;
-    }
-    _wake.notify_all();
-    for (auto &t : _threads)
-        t.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> job)
-{
-    {
-        std::lock_guard<std::mutex> lk(_mx);
-        psim_assert(!_stop, "submit to a stopped thread pool");
-        _queue.push_back(std::move(job));
-        ++_inflight;
-    }
-    _wake.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lk(_mx);
-    _drained.wait(lk, [this] { return _inflight == 0; });
-    if (_error) {
-        std::exception_ptr e = _error;
-        _error = nullptr;
-        std::rethrow_exception(e);
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::unique_lock<std::mutex> lk(_mx);
-    for (;;) {
-        _wake.wait(lk, [this] { return _stop || !_queue.empty(); });
-        if (_queue.empty())
-            return; // stopping and drained
-        std::function<void()> job = std::move(_queue.front());
-        _queue.pop_front();
-        lk.unlock();
-        std::exception_ptr err;
-        try {
-            job();
-        } catch (...) {
-            err = std::current_exception();
-        }
-        lk.lock();
-        if (err && !_error)
-            _error = err;
-        if (--_inflight == 0)
-            _drained.notify_all();
-    }
-}
 
 unsigned
 resolveJobs(unsigned requested)
@@ -104,10 +40,29 @@ runGrid(std::size_t n, unsigned jobs,
             fn(i);
         return;
     }
-    ThreadPool pool(jobs);
-    for (std::size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(i); });
-    pool.wait();
+    std::atomic<std::size_t> next{0};
+    std::mutex mx;
+    std::exception_ptr error;
+    auto worker = [&] {
+        for (std::size_t i = next++; i < n; i = next++) {
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lk(mx);
+                if (!error)
+                    error = std::current_exception();
+            }
+        }
+    };
+    // A jthread joins when destroyed, so the workers are joined before
+    // the state they share goes away, even if starting one throws.
+    std::vector<std::jthread> threads;
+    threads.reserve(jobs);
+    for (unsigned t = 0; t < jobs; ++t)
+        threads.emplace_back(worker);
+    threads.clear();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace psim

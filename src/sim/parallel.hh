@@ -5,8 +5,8 @@
  * Each simulation (one Machine) is strictly single-threaded and
  * deterministic, but the paper's evaluation re-runs the same machine
  * over an application × scheme grid whose cells are completely
- * independent. ThreadPool/runGrid() run those cells concurrently:
- * workers pull cell indices from a shared queue, every cell writes its
+ * independent. runGrid() runs those cells concurrently: worker threads
+ * take cell indices from a shared atomic counter, every cell writes its
  * result into a caller-owned slot keyed by index, and the caller
  * formats output only after the grid completes — so printed tables are
  * byte-identical to a serial run no matter the job count.
@@ -19,56 +19,11 @@
 #ifndef PSIM_SIM_PARALLEL_HH
 #define PSIM_SIM_PARALLEL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace psim
 {
-
-/**
- * A minimal fixed-size thread pool (single shared queue, no work
- * stealing — grid cells are seconds long, so queue contention is
- * irrelevant). Exceptions thrown by jobs are captured; the first one is
- * rethrown from wait().
- */
-class ThreadPool
-{
-  public:
-    explicit ThreadPool(unsigned workers);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    unsigned workers() const { return static_cast<unsigned>(_threads.size()); }
-
-    /** Enqueue @p job; it may start immediately on any worker. */
-    void submit(std::function<void()> job);
-
-    /**
-     * Block until every submitted job has finished, then rethrow the
-     * first captured job exception (if any).
-     */
-    void wait();
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> _threads;
-    std::deque<std::function<void()>> _queue;
-    std::mutex _mx;
-    std::condition_variable _wake;
-    std::condition_variable _drained;
-    std::size_t _inflight = 0;
-    std::exception_ptr _error;
-    bool _stop = false;
-};
 
 /**
  * Resolve the job count for a grid run: @p requested if nonzero, else
@@ -80,7 +35,8 @@ unsigned resolveJobs(unsigned requested = 0);
  * Run @p fn(i) for every i in [0, n) on @p jobs threads (clamped to n;
  * jobs <= 1 runs serially on the calling thread). fn must only touch
  * state owned by its own index. Returns after all cells finished;
- * rethrows the first cell exception.
+ * rethrows the first cell exception. With more than one thread, a
+ * throwing cell does not stop the others.
  */
 void runGrid(std::size_t n, unsigned jobs,
              const std::function<void(std::size_t)> &fn);

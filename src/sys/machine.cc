@@ -135,10 +135,8 @@ void
 Machine::enableTracing(TraceWriter &writer)
 {
     psim_assert(!_ran, "tracing must attach before run()");
-    for (auto &node : _nodes) {
-        node->slc().setTraceSink(
-                [&writer](const TraceRecord &rec) { writer.append(rec); });
-    }
+    for (auto &node : _nodes)
+        node->slc().setTraceWriter(&writer);
 }
 
 void
@@ -172,11 +170,11 @@ Machine::enableSampling(Tick interval)
 }
 
 void
-Machine::enableCommitRecording(check::CommitSink &sink)
+Machine::enableCommitRecording(check::AccessLog &log)
 {
     psim_assert(!_ran, "commit recording must attach before run()");
-    psim_assert(!_commitSink, "commit recording already enabled");
-    _commitSink = &sink;
+    psim_assert(!_commitLog, "commit recording already enabled");
+    _commitLog = &log;
 }
 
 void

@@ -146,17 +146,17 @@ class Machine
 
     /**
      * Stream every committed shared-memory access (and every issued
-     * prefetch) of the coming run into @p sink, in execution order, for
+     * prefetch) of the coming run into @p log, in execution order, for
      * differential checking (check/oracle.hh). The producers are the
      * ctx.hh value-commit points and the Slc's prefetch-issue site.
      * Observability-grade, read-only: recording never changes simulated
      * behaviour, timing, or any aggregate statistic. Call before run();
-     * @p sink must outlive it.
+     * @p log must outlive it.
      */
-    void enableCommitRecording(check::CommitSink &sink);
+    void enableCommitRecording(check::AccessLog &log);
 
-    /** The commit sink, or nullptr when recording is off. */
-    check::CommitSink *commitSink() const { return _commitSink; }
+    /** The commit log, or nullptr when recording is off. */
+    check::AccessLog *commitSink() const { return _commitLog; }
 
     /**
      * Run the machine until all threads finish and the queue drains, or
@@ -207,7 +207,7 @@ class Machine
     stats::Registry _registry;
     std::unique_ptr<stats::Sampler> _sampler;
     std::unique_ptr<ChromeTracer> _chrome;
-    check::CommitSink *_commitSink = nullptr;
+    check::AccessLog *_commitLog = nullptr;
     bool _ran = false;
 };
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+
 #include "mem/backing_store.hh"
 
 using namespace psim;
@@ -62,6 +65,37 @@ TEST(BackingStore, SparsePagesDoNotInterfere)
     bs.store<double>(0x90000000, 2.5);
     EXPECT_DOUBLE_EQ(bs.load<double>(0x10000000), 1.5);
     EXPECT_DOUBLE_EQ(bs.load<double>(0x90000000), 2.5);
+}
+
+TEST(BackingStore, ManyPagesRoundTripAndAreEachVisitedOnce)
+{
+    // Enough pages to grow the page table past its initial capacity,
+    // strided so neighbouring pages share no low address bits.
+    constexpr unsigned kPages = 300;
+    constexpr Addr kStride = 0x11000;
+    BackingStore bs(4096);
+    for (Addr p = 0; p < kPages; ++p) {
+        bs.store<std::uint64_t>(p * kStride, p);
+        bs.store<std::uint64_t>(p * kStride + 4088, ~p);
+    }
+    for (Addr p = 0; p < kPages; ++p) {
+        EXPECT_EQ(bs.load<std::uint64_t>(p * kStride), p);
+        EXPECT_EQ(bs.load<std::uint64_t>(p * kStride + 4088), ~p);
+    }
+
+    std::map<Addr, int> visits;
+    bs.forEachPage([&](Addr base, const std::uint8_t *bytes, unsigned len) {
+        ++visits[base];
+        EXPECT_EQ(len, 4096u);
+        std::uint64_t first;
+        std::memcpy(&first, bytes, sizeof(first));
+        EXPECT_EQ(first * kStride, base);
+    });
+    EXPECT_EQ(visits.size(), kPages);
+    for (const auto &[base, n] : visits) {
+        EXPECT_EQ(base % kStride, 0u);
+        EXPECT_EQ(n, 1) << "page " << base;
+    }
 }
 
 TEST(BackingStoreDeath, MisalignedAccessPanics)

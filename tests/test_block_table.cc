@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the open-addressed block table: a differential run
  * against std::unordered_map, probe chains that wrap the end of the
- * table, growth from the initial capacity, and the reserved key.
+ * table, growth from the initial capacity, iteration, and the reserved
+ * key.
  */
 
 #include <gtest/gtest.h>
@@ -159,6 +160,42 @@ TEST(BlockTable, ErasingEveryKeyLeavesItEmpty)
         EXPECT_FALSE(table.contains(k));
     // A re-inserted key starts from a fresh (value-initialized) value.
     EXPECT_TRUE(table[keys.front()].empty());
+}
+
+TEST(BlockTable, ForEachVisitsEveryLiveKeyOnce)
+{
+    BlockTable<Addr> table;
+    std::unordered_map<Addr, Addr> ref;
+    auto check = [&](const char *when) {
+        std::unordered_map<Addr, int> seen;
+        table.forEach([&](Addr k, const Addr &v) {
+            ++seen[k];
+            auto it = ref.find(k);
+            ASSERT_NE(it, ref.end()) << when << ": dead key " << k;
+            EXPECT_EQ(v, it->second) << when;
+        });
+        EXPECT_EQ(seen.size(), ref.size()) << when;
+        for (const auto &[k, n] : seen)
+            EXPECT_EQ(n, 1) << when << ": key " << k;
+    };
+    check("empty");
+    for (Addr i = 0; i < 40; ++i) {
+        table[i * 32] = ~i;
+        ref[i * 32] = ~i;
+    }
+    ASSERT_EQ(table.capacity(), BlockTable<Addr>::kInitialSlots);
+    check("after inserts");
+    for (Addr i = 0; i < 40; i += 3) {
+        table.erase(i * 32);
+        ref.erase(i * 32);
+    }
+    check("after erases");
+    for (Addr i = 40; i < 500; ++i) {
+        table[i * 32] = ~i;
+        ref[i * 32] = ~i;
+    }
+    ASSERT_GT(table.capacity(), BlockTable<Addr>::kInitialSlots);
+    check("after growth");
 }
 
 TEST(BlockTableDeath, InsertingTheEmptyKeyIsFatal)

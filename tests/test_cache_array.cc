@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache_array.hh"
 
 using namespace psim;
@@ -12,7 +14,24 @@ using namespace psim;
 namespace
 {
 constexpr unsigned kBlk = 32;
+
+/** The first @p n block addresses sharing one home slot of an
+ *  initial-capacity BlockTable (its Fibonacci hash). */
+std::vector<Addr>
+collidingBlocks(std::size_t n)
+{
+    constexpr std::size_t kSlots = BlockTable<CacheBlk>::kInitialSlots;
+    auto home = [](Addr a) {
+        return (a * 0x9e3779b97f4a7c15ULL) >> (64 - log2Exact(kSlots));
+    };
+    std::vector<Addr> blocks;
+    for (Addr a = kBlk; blocks.size() < n; a += kBlk) {
+        if (home(a) == home(0))
+            blocks.push_back(a);
+    }
+    return blocks;
 }
+} // namespace
 
 TEST(CacheArray, InfiniteModeNeverEvicts)
 {
@@ -26,6 +45,48 @@ TEST(CacheArray, InfiniteModeNeverEvicts)
     EXPECT_EQ(c.numValid(), 10000u);
     EXPECT_NE(c.find(0), nullptr);
     EXPECT_NE(c.find(9999 * kBlk), nullptr);
+}
+
+TEST(CacheArray, InfiniteInvalidateKeepsCollidingBlocks)
+{
+    CacheArray c(0, 1, kBlk);
+    // Five blocks on one probe chain; the states tell them apart.
+    std::vector<Addr> chain = collidingBlocks(5);
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+        c.fill(c.findVictim(chain[i]), chain[i],
+               i % 2 ? CohState::Modified : CohState::Shared, i);
+        c.find(chain[i])->prefetched = i == 2;
+    }
+
+    // Invalidate the head and the middle of the chain: each erase
+    // shifts the later members back, and they must keep their state.
+    for (std::size_t gone : {0u, 2u}) {
+        CacheBlk *blk = c.find(chain[gone]);
+        ASSERT_NE(blk, nullptr);
+        c.invalidate(blk);
+        EXPECT_EQ(c.find(chain[gone]), nullptr);
+    }
+    EXPECT_EQ(c.numValid(), 3u);
+    for (std::size_t i : {1u, 3u, 4u}) {
+        const CacheBlk *blk = c.find(chain[i]);
+        ASSERT_NE(blk, nullptr) << "block " << i;
+        EXPECT_EQ(blk->addr, chain[i]);
+        EXPECT_EQ(blk->state,
+                  i % 2 ? CohState::Modified : CohState::Shared);
+        EXPECT_FALSE(blk->prefetched);
+        EXPECT_EQ(blk->lastUse, i);
+    }
+
+    // The erased middle block refills as a fresh copy.
+    CacheBlk *frame = c.findVictim(chain[2]);
+    EXPECT_FALSE(frame->valid());
+    EXPECT_FALSE(frame->prefetched);
+    c.fill(frame, chain[2], CohState::Shared, 9);
+    const CacheBlk *back = c.find(chain[2]);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->state, CohState::Shared);
+    EXPECT_EQ(back->lastUse, 9u);
+    EXPECT_EQ(c.numValid(), 4u);
 }
 
 TEST(CacheArray, FindMissesAbsentBlock)

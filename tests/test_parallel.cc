@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the parallel experiment runner: thread-pool semantics,
- * grid coverage, and — the contract every bench harness relies on —
+ * Tests for the parallel experiment runner: grid coverage, exception
+ * propagation, and — the contract every bench harness relies on —
  * that a grid run with jobs=1 and jobs=8 produces identical Stats
  * snapshots and identical table text.
  */
@@ -18,41 +18,6 @@
 #include "sim/parallel.hh"
 
 using namespace psim;
-
-TEST(ThreadPool, RunsEverySubmittedJob)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&] { ++count; });
-    pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, RethrowsFirstJobException)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("cell failed"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The pool must still be usable afterwards.
-    std::atomic<int> count{0};
-    pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-}
 
 TEST(RunGrid, CoversEveryIndexExactlyOnce)
 {
@@ -73,6 +38,29 @@ TEST(RunGrid, ZeroAndOneCellGrids)
     EXPECT_EQ(count.load(), 0);
     runGrid(1, 8, [&](std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 1);
+}
+
+TEST(RunGrid, RethrowsFirstCellException)
+{
+    constexpr std::size_t kN = 32;
+    for (unsigned jobs : {1u, 4u}) {
+        std::vector<std::atomic<int>> hits(kN);
+        EXPECT_THROW(runGrid(kN, jobs,
+                             [&](std::size_t i) {
+                                 ++hits[i];
+                                 if (i % 8 == 3)
+                                     throw std::runtime_error("cell failed");
+                             }),
+                     std::runtime_error)
+                << "jobs " << jobs;
+        // The serial path stops at the first throw; the threaded path
+        // still runs every other cell before rethrowing.
+        for (std::size_t i = 0; i < kN; ++i) {
+            int want = jobs == 1 ? (i <= 3 ? 1 : 0) : 1;
+            EXPECT_EQ(hits[i].load(), want) << "index " << i << " jobs "
+                                            << jobs;
+        }
+    }
 }
 
 TEST(ResolveJobs, ExplicitRequestWins)
