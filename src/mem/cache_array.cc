@@ -38,13 +38,15 @@ CacheArray::CacheArray(unsigned size_bytes, unsigned assoc,
     std::size_t frames = static_cast<std::size_t>(_numSets) * _assoc;
     _frames.resize(frames);
     _tags.assign(frames, kAddrInvalid);
+    if (_assoc > 1)
+        _stamps.assign(frames, 0);
 }
 
 std::size_t
 CacheArray::numValid() const
 {
     std::size_t n = 0;
-    forEach([&n](const CacheBlk &) { ++n; });
+    forEach([&n](Addr, const CacheBlk &) { ++n; });
     return n;
 }
 

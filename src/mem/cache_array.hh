@@ -7,22 +7,31 @@
  * for the paper's default infinitely-large SLC, in which no replacements
  * ever occur.
  *
- * Lookups dominate the simulator's profile (every demand access and
- * every prefetch candidate probes the array), so the storage is laid
- * out for the probe path:
+ * A CacheBlk is the four bytes of per-block state the protocol reads
+ * and writes. The block's address and its LRU stamp live in lanes of
+ * their own, because every resident block costs host memory (an
+ * infinite SLC on a 64-node machine holds half a million of them) and
+ * every probe scans addresses, not state:
  *
- *  - Finite mode keeps a separate tag lane (one Addr per way) alongside
- *    the block-metadata frames. A set lookup scans only the densely
- *    packed tags -- one cache line covers 8 ways -- and touches a frame
- *    only on a hit. Invalid ways hold kAddrInvalid in the tag lane, so
- *    the scan needs no separate valid check.
+ *  - Finite mode keeps three lanes indexed by way: the tag lane (one
+ *    Addr per way), the frame lane (one CacheBlk per way) and, only
+ *    when assoc > 1, the stamp lane (one Tick per way: the last fill or
+ *    touch). A set lookup scans only the densely packed tags -- one
+ *    cache line covers 8 ways -- and touches a frame only on a hit.
+ *    Invalid ways hold kAddrInvalid in the tag lane, so the scan needs
+ *    no separate valid check. A direct-mapped array never chooses a
+ *    victim by age, so it has no stamp lane and touch() is a no-op.
  *
  *  - Infinite mode stores the blocks in a BlockTable keyed by block
- *    address, whose dense key lane plays the tag lane's part.
- *    Invalidation erases the entry, so the table holds the resident
- *    blocks only. Erasing may move other entries (BlockTable's
- *    reference rule): no CacheBlk pointer may be held across an
- *    invalidate() or a findVictim() of another block.
+ *    address: its key lane plays the tag lane's part, and a slot costs
+ *    12 bytes (the key and a CacheBlk). No victim is ever chosen, so
+ *    there are no stamps. Invalidation erases the entry, so the table
+ *    holds the resident blocks only. Erasing may move other entries
+ *    (BlockTable's reference rule): no CacheBlk pointer may be held
+ *    across an invalidate() or a findVictim() of another block.
+ *
+ * A caller that holds a CacheBlk pointer holds the address it looked
+ * the block up by; addrOf() recovers it for a victim from findVictim().
  */
 
 #ifndef PSIM_MEM_CACHE_ARRAY_HH
@@ -47,9 +56,9 @@ enum class CohState : std::uint8_t
 
 const char *toString(CohState s);
 
+/** One block's state; its address and LRU stamp live in CacheArray. */
 struct CacheBlk
 {
-    Addr addr = kAddrInvalid; ///< block-aligned address
     CohState state = CohState::Invalid;
     bool prefetched = false;  ///< the 1-bit prefetch tag of Section 3.3
     bool written = false;     ///< the local processor stored to this copy
@@ -59,10 +68,13 @@ struct CacheBlk
      * (adaptive-scheme feedback aging; see Slc::agePrefetches).
      */
     bool outcomeReported = false;
-    Tick lastUse = 0;         ///< LRU timestamp
 
     bool valid() const { return state != CohState::Invalid; }
 };
+
+static_assert(sizeof(CacheBlk) == 4,
+        "CacheBlk holds only per-block state: addresses and LRU stamps "
+        "live in CacheArray's lanes");
 
 class CacheArray
 {
@@ -87,17 +99,37 @@ class CacheArray
         return const_cast<CacheArray *>(this)->find(blk_addr);
     }
 
-    /** Update the LRU timestamp of a resident block. */
-    void touch(CacheBlk *blk, Tick now) { blk->lastUse = now; }
+    /**
+     * Update the LRU stamp of a resident block. Only a set-associative
+     * array keeps stamps; elsewhere this does nothing.
+     */
+    void
+    touch(const CacheBlk *blk, Tick now)
+    {
+        if (!_stamps.empty())
+            _stamps[wayOf(blk)] = now;
+    }
 
     /**
-     * Pick the frame a new block for @p blk_addr would occupy. In
-     * infinite mode this never evicts: it inserts an invalid entry for
-     * @p blk_addr, which may move other entries. Otherwise
-     * returns the invalid or LRU way of the set; the caller must handle
-     * the victim (the returned block still holds the victim's metadata).
+     * Pick the frame a new block for @p blk_addr would occupy: the
+     * block's own frame if it is resident. In infinite mode this never
+     * evicts: it inserts an invalid entry for an absent @p blk_addr,
+     * which may move other entries. Otherwise returns the invalid or
+     * LRU way of the set; the caller must handle the victim (the
+     * returned frame still holds the victim's state, and addrOf() gives
+     * its address).
      */
     CacheBlk *findVictim(Addr blk_addr);
+
+    /**
+     * The address of the block in @p frame, which must be valid or come
+     * from findVictim.
+     */
+    Addr
+    addrOf(const CacheBlk *frame) const
+    {
+        return _infinite ? _table.keyOf(frame) : _tags[wayOf(frame)];
+    }
 
     /**
      * Install @p blk_addr in @p frame (obtained from findVictim) with
@@ -106,52 +138,51 @@ class CacheArray
     void
     fill(CacheBlk *frame, Addr blk_addr, CohState state, Tick now)
     {
-        frame->addr = blk_addr;
+        *frame = CacheBlk{};
         frame->state = state;
-        frame->prefetched = false;
-        frame->outcomeReported = false;
-        frame->written = false;
-        frame->lastUse = now;
-        if (!_infinite)
-            _tags[static_cast<std::size_t>(frame - _frames.data())] =
-                    blk_addr;
+        if (_infinite)
+            return;
+        const std::size_t way = wayOf(frame);
+        _tags[way] = blk_addr;
+        if (!_stamps.empty())
+            _stamps[way] = now;
     }
 
     /**
-     * Invalidate a resident block. In infinite mode this erases it,
-     * which may move other entries (see the file comment).
+     * Invalidate the resident block @p blk, whose address is
+     * @p blk_addr. In infinite mode this erases it, which may move
+     * other entries (see the file comment).
      */
     void
-    invalidate(CacheBlk *blk)
+    invalidate(CacheBlk *blk, Addr blk_addr)
     {
         if (_infinite) {
-            _table.erase(blk->addr);
+            _table.erase(blk_addr);
             return;
         }
         blk->state = CohState::Invalid;
         blk->prefetched = false;
-        _tags[static_cast<std::size_t>(blk - _frames.data())] =
-                kAddrInvalid;
+        _tags[wayOf(blk)] = kAddrInvalid;
     }
 
     /**
-     * Apply @p fn to every valid block (for invariant checks/stats), in
-     * no specified order.
+     * Apply @p fn(address, block) to every valid block (for invariant
+     * checks/stats), in no specified order.
      */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
         if (_infinite) {
-            _table.forEach([&fn](Addr, const CacheBlk &blk) {
+            _table.forEach([&fn](Addr addr, const CacheBlk &blk) {
                 if (blk.valid())
-                    fn(blk);
+                    fn(addr, blk);
             });
             return;
         }
-        for (const CacheBlk &blk : _frames) {
-            if (blk.valid())
-                fn(blk);
+        for (std::size_t i = 0; i < _frames.size(); ++i) {
+            if (_frames[i].valid())
+                fn(_tags[i], _frames[i]);
         }
     }
 
@@ -166,19 +197,28 @@ class CacheArray
                 (blk_addr >> _blockShift) & (_numSets - 1));
     }
 
+    /** Index of finite frame @p frame in every lane. */
+    std::size_t
+    wayOf(const CacheBlk *frame) const
+    {
+        return static_cast<std::size_t>(frame - _frames.data());
+    }
+
     bool _infinite;
     unsigned _assoc;
     unsigned _blockShift;
     unsigned _numSets;
 
     /**
-     * Finite storage (structure-of-arrays): the tag lane is scanned on
-     * every probe; the frames hold the metadata touched only on a hit.
-     * _tags[i] == _frames[i].addr when way i is valid, kAddrInvalid
-     * otherwise.
+     * Finite storage (structure-of-arrays, one entry per way): the tag
+     * lane is scanned on every probe; the frames hold the state touched
+     * only on a hit. _tags[i] is way i's block address when it is
+     * valid, kAddrInvalid otherwise. _stamps[i] is way i's last fill or
+     * touch; the lane is empty unless assoc > 1.
      */
     std::vector<Addr> _tags;
     std::vector<CacheBlk> _frames;
+    std::vector<Tick> _stamps;
 
     /** Infinite storage: the resident blocks, keyed by address. */
     BlockTable<CacheBlk> _table;
@@ -209,22 +249,21 @@ CacheArray::find(Addr blk_addr)
 inline CacheBlk *
 CacheArray::findVictim(Addr blk_addr)
 {
-    if (_infinite) {
-        CacheBlk &blk = _table[blk_addr];
-        blk.addr = blk_addr;
-        return &blk;
+    if (_infinite)
+        return &_table[blk_addr];
+    const std::size_t base = setIndex(blk_addr) * _assoc;
+    if (_stamps.empty()) // direct-mapped: the set's one way
+        return &_frames[base];
+    if (CacheBlk *own = find(blk_addr))
+        return own;
+    std::size_t victim = base;
+    for (std::size_t i = base; i < base + _assoc; ++i) {
+        if (!_frames[i].valid())
+            return &_frames[i];
+        if (_stamps[i] < _stamps[victim])
+            victim = i;
     }
-    // The victim scan reads the frames anyway (LRU timestamps), so the
-    // tag lane would only add a second stream here; scan frames alone.
-    CacheBlk *set = &_frames[setIndex(blk_addr) * _assoc];
-    CacheBlk *victim = &set[0];
-    for (unsigned w = 0; w < _assoc; ++w) {
-        if (!set[w].valid())
-            return &set[w];
-        if (set[w].lastUse < victim->lastUse)
-            victim = &set[w];
-    }
-    return victim;
+    return &_frames[victim];
 }
 
 } // namespace psim

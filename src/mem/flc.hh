@@ -70,7 +70,7 @@ class Flc
     invalidate(Addr blk_addr)
     {
         if (CacheBlk *blk = _array.find(blk_addr)) {
-            _array.invalidate(blk);
+            _array.invalidate(blk, blk_addr);
             ++invalidations;
         }
     }

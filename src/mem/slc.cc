@@ -198,7 +198,7 @@ Slc::processRead(Addr addr, Pc pc)
             blk->prefetched = false;
             tagged = true;
             ++pfUsefulTagged;
-            reportOutcome(blk, true);
+            reportOutcome(blk, blk_addr, true);
             noteFate(blk_addr, audit::Fate::UsefulTagged,
                     audit::Event::TaggedReadHit, now);
         }
@@ -295,7 +295,7 @@ Slc::processWrite(Addr addr, Pc pc)
         if (blk->prefetched) {
             blk->prefetched = false;
             ++pfWriteHitTagged;
-            reportOutcome(blk, true);
+            reportOutcome(blk, blk_addr, true);
             noteFate(blk_addr, audit::Fate::WriteHit,
                     audit::Event::TaggedWriteHit, now);
         }
@@ -421,12 +421,12 @@ Slc::maybePrefetch(Addr trigger_addr, Pc pc,
 }
 
 void
-Slc::reportOutcome(CacheBlk *blk, bool useful)
+Slc::reportOutcome(CacheBlk *blk, Addr blk_addr, bool useful)
 {
     if (blk->outcomeReported)
         return;
     blk->outcomeReported = true;
-    _prefetcher->notePrefetchOutcome(useful, false, blk->addr);
+    _prefetcher->notePrefetchOutcome(useful, false, blk_addr);
 }
 
 void
@@ -454,7 +454,7 @@ Slc::agePrefetches()
         if (blk && blk->prefetched) {
             blk->prefetched = false;
             ++pfAgedUnused;
-            reportOutcome(blk, false);
+            reportOutcome(blk, a, false);
             noteFate(a, audit::Fate::AgedUnused,
                     audit::Event::AgedOut, _eq.now());
         }
@@ -476,39 +476,45 @@ Slc::sendToHome(MsgType t, Addr blk_addr, Pc pc, bool prefetch)
 }
 
 void
-Slc::invalidateBlock(CacheBlk *blk, bool replacement)
+Slc::invalidateBlock(CacheBlk *blk, Addr blk_addr, bool replacement)
 {
     if (blk->prefetched) {
         if (replacement)
             ++pfUselessReplaced;
         else
             ++pfUselessInvalidated;
-        reportOutcome(blk, false);
+        reportOutcome(blk, blk_addr, false);
         if (replacement) {
-            noteFate(blk->addr, audit::Fate::Replaced,
+            noteFate(blk_addr, audit::Fate::Replaced,
                     audit::Event::Replaced, _eq.now());
         } else {
-            noteFate(blk->addr, audit::Fate::Invalidated,
+            noteFate(blk_addr, audit::Fate::Invalidated,
                     audit::Event::Invalidated, _eq.now());
         }
     }
-    _history[blk->addr] = replacement ? Gone::Replaced : Gone::Invalidated;
-    _flc.invalidate(blk->addr);
-    _array.invalidate(blk);
+    _history[blk_addr] = replacement ? Gone::Replaced : Gone::Invalidated;
+    _flc.invalidate(blk_addr);
+    _array.invalidate(blk, blk_addr);
 }
 
-void
+CacheBlk *
 Slc::makeRoom(Addr blk_addr)
 {
     CacheBlk *frame = _array.findVictim(blk_addr);
-    if (frame->valid() && frame->addr != blk_addr) {
-        if (frame->state == CohState::Modified) {
-            ++writebacks;
-            _wbPending[frame->addr] = 1;
-            sendToHome(MsgType::WritebackReq, frame->addr, 0, false);
-        }
-        invalidateBlock(frame, true);
+    if (!frame->valid())
+        return frame;
+    const Addr victim = _array.addrOf(frame);
+    if (victim == blk_addr)
+        return frame;
+    // Only a finite array evicts, and its frames never move, so the
+    // frame stays valid across the invalidation.
+    if (frame->state == CohState::Modified) {
+        ++writebacks;
+        _wbPending[victim] = 1;
+        sendToHome(MsgType::WritebackReq, victim, 0, false);
     }
+    invalidateBlock(frame, victim, true);
+    return frame;
 }
 
 void
@@ -533,15 +539,13 @@ Slc::handleFill(const Message &m, bool exclusive)
         psim_panic("node %u: unsolicited fill for %llx", _id,
                 (unsigned long long)blk_addr);
     }
-    if (_array.find(blk_addr)) {
+    CacheBlk *frame = makeRoom(blk_addr);
+    if (frame->valid()) {
         if (_audit)
             _audit->fail(blk_addr, "fill for a resident block");
         psim_panic("node %u: fill for resident block %llx", _id,
                 (unsigned long long)blk_addr);
     }
-
-    makeRoom(blk_addr);
-    CacheBlk *frame = _array.findVictim(blk_addr);
     _array.fill(frame, blk_addr, exclusive ? CohState::Modified
                                            : CohState::Shared, now);
     _history.erase(blk_addr);
@@ -603,7 +607,7 @@ Slc::handleFill(const Message &m, bool exclusive)
                 // shared-fill path below, which used to be skipped,
                 // leaving the block tagged but its fate unrecorded.
                 ++pfWriteHitTagged;
-                reportOutcome(frame, true);
+                reportOutcome(frame, blk_addr, true);
                 noteFate(blk_addr, audit::Fate::WriteHit,
                         audit::Event::DeferredStoreHit, now);
                 frame->prefetched = false;
@@ -620,7 +624,7 @@ Slc::handleFill(const Message &m, bool exclusive)
             // data arrived, only ownership is still missing. Account
             // it like a store hit on a tagged block.
             ++pfWriteHitTagged;
-            reportOutcome(frame, true);
+            reportOutcome(frame, blk_addr, true);
             noteFate(blk_addr, audit::Fate::WriteHit,
                     audit::Event::DeferredStoreHit, now);
         }
@@ -688,8 +692,7 @@ Slc::receive(const Message &m)
             // upgrade was in flight. Upgrades are only granted from
             // the Clean directory state, so the home's memory copy is
             // valid and the block is reinstalled directly in Modified.
-            makeRoom(m.addr);
-            CacheBlk *frame = _array.findVictim(m.addr);
+            CacheBlk *frame = makeRoom(m.addr);
             _array.fill(frame, m.addr, CohState::Modified,
                         _eq.now());
             frame->written = true;
@@ -733,7 +736,7 @@ Slc::receive(const Message &m)
             blk->state = CohState::Shared;
             blk->written = false;
         } else {
-            invalidateBlock(blk, false);
+            invalidateBlock(blk, m.addr, false);
         }
         Message reply;
         reply.type = MsgType::FetchReply;
@@ -752,7 +755,7 @@ Slc::receive(const Message &m)
         if (Mshr *e = findMshr(m.addr))
             e->invFlight = true;
         if (CacheBlk *blk = _array.find(m.addr))
-            invalidateBlock(blk, false);
+            invalidateBlock(blk, m.addr, false);
         Message ack;
         ack.type = MsgType::InvAck;
         ack.src = _id;
@@ -775,10 +778,10 @@ void
 Slc::finalizeStats()
 {
     const Tick now = _eq.now();
-    _array.forEach([this, now](const CacheBlk &blk) {
+    _array.forEach([this, now](Addr blk_addr, const CacheBlk &blk) {
         if (blk.prefetched) {
             ++pfUselessUnused;
-            noteFate(blk.addr, audit::Fate::ResidentAtEnd,
+            noteFate(blk_addr, audit::Fate::ResidentAtEnd,
                     audit::Event::EndOfRun, now);
         }
     });

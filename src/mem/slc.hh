@@ -174,9 +174,13 @@ class Slc
     void sendToHome(MsgType t, Addr blk_addr, Pc pc, bool prefetch);
     void handleFill(const Message &m, bool exclusive);
     void completeStores(Mshr &e);
-    /** Make room for a fill; handles writeback of a Modified victim. */
-    void makeRoom(Addr blk_addr);
-    void invalidateBlock(CacheBlk *blk, bool replacement);
+    /**
+     * Make room for a fill of @p blk_addr; handles writeback of a
+     * Modified victim. @return the frame findVictim chose, cleared of
+     * any other block (still valid only if @p blk_addr is resident).
+     */
+    CacheBlk *makeRoom(Addr blk_addr);
+    void invalidateBlock(CacheBlk *blk, Addr blk_addr, bool replacement);
 
     Machine &_m;
     /** The machine's event queue. */
@@ -197,7 +201,7 @@ class Slc
      * is invalidated, replaced, or ages out of the recent-prefetch ring
      * still untouched (bounded-delay feedback for adaptive schemes).
      */
-    void reportOutcome(CacheBlk *blk, bool useful);
+    void reportOutcome(CacheBlk *blk, Addr blk_addr, bool useful);
 
     /**
      * Hand a prefetched block's terminal fate to the audit ledger and

@@ -74,6 +74,13 @@ class BlockTable
 
     bool contains(Addr key) const { return slotOf(key) != kNoSlot; }
 
+    /** The key of the entry whose value @p v points at. */
+    Addr
+    keyOf(const V *v) const
+    {
+        return _keys[static_cast<std::size_t>(v - _vals.data())];
+    }
+
     /**
      * Apply @p fn(key, value) to every entry, in no specified order.
      * @p fn must not insert into or erase from this table.

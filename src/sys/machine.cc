@@ -1,9 +1,9 @@
 #include "sys/machine.hh"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
+#include "sim/block_table.hh"
 #include "sim/logging.hh"
 #include "sim/sampler.hh"
 #include "trace/chrome_trace.hh"
@@ -273,14 +273,14 @@ Machine::checkCoherenceInvariants() const
         std::uint64_t sharers = 0;
         NodeId owner = kNodeNone;
     };
-    std::map<Addr, BlockView> view;
+    BlockTable<BlockView> view;
 
     for (const auto &node : _nodes) {
         psim_assert(node->slc().pendingTransactions() == 0,
                 "invariant check while node %u has pending transactions",
                 node->id());
-        node->slc().array().forEach([&](const CacheBlk &blk) {
-            BlockView &v = view[blk.addr];
+        node->slc().array().forEach([&](Addr addr, const CacheBlk &blk) {
+            BlockView &v = view[addr];
             if (blk.state == CohState::Modified) {
                 ++v.modified;
                 v.owner = node->id();
@@ -290,7 +290,7 @@ Machine::checkCoherenceInvariants() const
         });
     }
 
-    for (const auto &[addr, v] : view) {
+    view.forEach([&](Addr addr, const BlockView &v) {
         psim_assert(v.modified <= 1,
                 "block %llx has %u modified copies",
                 (unsigned long long)addr, v.modified);
@@ -317,15 +317,15 @@ Machine::checkCoherenceInvariants() const
                     "cache holds %llx without a presence bit",
                     (unsigned long long)addr);
         }
-    }
+    });
 
     // FLC/SLC inclusion: every FLC-resident block is SLC-resident.
     for (const auto &node : _nodes) {
         const Slc &slc = node->slc();
-        node->flc().array().forEach([&](const CacheBlk &blk) {
-            psim_assert(slc.stateOf(blk.addr) != CohState::Invalid,
+        node->flc().array().forEach([&](Addr addr, const CacheBlk &) {
+            psim_assert(slc.stateOf(addr) != CohState::Invalid,
                     "node %u FLC holds %llx not in its SLC", node->id(),
-                    (unsigned long long)blk.addr);
+                    (unsigned long long)addr);
         });
     }
 }

@@ -172,3 +172,57 @@ TEST(Machine, CharacterizersOnlyWhenEnabled)
     ASSERT_NE(with.machine->characterizer(0), nullptr);
     EXPECT_GT(with.machine->characterizer(0)->totalMisses(), 0u);
 }
+
+TEST(Machine, SetAssociativeSlcIsPinned)
+{
+    // No spec runs an SLC with more than one way, so this pins the LRU
+    // victim choice of a 16 KB 4-way SLC end to end under Seq: both
+    // workloads replace blocks and write dirty victims back, and every
+    // aggregate metric matches the recorded run exactly.
+    struct Pin
+    {
+        const char *workload;
+        RunMetrics mx;
+    };
+    // {execTicks, reads, writes, slcReads, readMisses, readStall,
+    //  missesCold, missesCoherence, missesReplacement, pfIssued,
+    //  pfUseful, flits, busTransactions}
+    const Pin pins[] = {
+        {"lu", {186325, 174784, 87360, 45954, 1060, 807549, 874, 29, 157,
+                9284, 8496, 148740, 61364}},
+        {"mp3d", {955611, 317470, 163850, 209002, 94212, 13292387, 28858,
+                  563, 64791, 196198, 113401, 5317674, 2466587}},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.workload);
+        MachineConfig cfg;
+        cfg.prefetch.scheme = PrefetchScheme::Sequential;
+        cfg.slcSize = 16384;
+        cfg.slcAssoc = 4;
+        apps::Run run = apps::runWorkload(pin.workload, cfg);
+        ASSERT_TRUE(run.finished);
+        EXPECT_TRUE(run.verified);
+
+        const RunMetrics &mx = run.metrics;
+        const RunMetrics &want = pin.mx;
+        EXPECT_EQ(mx.execTicks, want.execTicks);
+        EXPECT_EQ(mx.reads, want.reads);
+        EXPECT_EQ(mx.writes, want.writes);
+        EXPECT_EQ(mx.slcReads, want.slcReads);
+        EXPECT_EQ(mx.readMisses, want.readMisses);
+        EXPECT_EQ(mx.readStall, want.readStall);
+        EXPECT_EQ(mx.missesCold, want.missesCold);
+        EXPECT_EQ(mx.missesCoherence, want.missesCoherence);
+        EXPECT_EQ(mx.missesReplacement, want.missesReplacement);
+        EXPECT_EQ(mx.pfIssued, want.pfIssued);
+        EXPECT_EQ(mx.pfUseful, want.pfUseful);
+        EXPECT_EQ(mx.flits, want.flits);
+        EXPECT_EQ(mx.busTransactions, want.busTransactions);
+
+        double writebacks = 0;
+        for (NodeId n = 0; n < cfg.numProcs; ++n)
+            writebacks += run.machine->node(n).slc().writebacks.value();
+        EXPECT_GT(mx.missesReplacement, 0.0);
+        EXPECT_GT(writebacks, 0.0);
+    }
+}
