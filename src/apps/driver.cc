@@ -39,7 +39,7 @@ runWorkload(const std::string &workload_name, const MachineConfig &cfg,
     if (opts.trace)
         run.machine->enableTracing(*opts.trace);
     if (opts.characterize)
-        run.machine->enableCharacterizers();
+        run.machine->enableCharacterizer();
     if (opts.sampleInterval > 0)
         run.machine->enableSampling(opts.sampleInterval);
     if (!opts.chromeTrace.empty())

@@ -49,7 +49,7 @@ struct Run
 struct RunOptions
 {
     unsigned scale = 1;
-    bool characterize = false;    ///< attach Table-2/3 characterizers
+    bool characterize = false;    ///< attach node 0's Table-2/3 characterizer
     TraceWriter *trace = nullptr; ///< record the SLC reference stream
 
     std::string cell; ///< grid cell id; empty: paths used verbatim

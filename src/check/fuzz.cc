@@ -114,13 +114,16 @@ runOneScheme(const ProgramSpec &spec, PrefetchScheme scheme,
 
 bool
 specDiverges(const ProgramSpec &spec, const TestHooks &hooks,
-             Tick tick_limit, std::string *why)
+             Tick tick_limit, std::string *why,
+             std::uint64_t *loads_checked)
 {
     const auto &schemes = fuzzSchemes();
     std::vector<SchemeRun> runs;
     runs.reserve(schemes.size());
     for (PrefetchScheme s : schemes)
         runs.push_back(runOneScheme(spec, s, hooks, tick_limit));
+    if (loads_checked)
+        *loads_checked = runs[0].oracle.loadsChecked;
 
     for (std::size_t i = 0; i < schemes.size(); ++i) {
         const char *name = toString(schemes[i]);
@@ -175,13 +178,9 @@ checkSeed(std::uint64_t seed, const FuzzOptions &opts)
     ProgramSpec spec = ProgramSpec::generate(seed);
     out.spec = spec.describe();
 
-    // Count checked loads from one representative run (baseline).
-    SchemeRun base = runOneScheme(spec, PrefetchScheme::None,
-            opts.hooks, opts.tickLimit);
-    out.loadsChecked = base.oracle.loadsChecked;
-
     std::string why;
-    if (!specDiverges(spec, opts.hooks, opts.tickLimit, &why)) {
+    if (!specDiverges(spec, opts.hooks, opts.tickLimit, &why,
+                      &out.loadsChecked)) {
         out.ok = true;
         return out;
     }

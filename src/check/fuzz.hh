@@ -102,10 +102,13 @@ SchemeRun runOneScheme(const ProgramSpec &spec, PrefetchScheme scheme,
 
 /**
  * Differential check of one program over all schemes. Returns true
- * when some check failed; @p why (may be null) receives a description.
+ * when some check failed; @p why (may be null) receives a description,
+ * and @p loads_checked (may be null) the loads the oracle checked in
+ * the baseline run, fuzzSchemes()[0].
  */
 bool specDiverges(const ProgramSpec &spec, const TestHooks &hooks,
-                  Tick tick_limit, std::string *why);
+                  Tick tick_limit, std::string *why,
+                  std::uint64_t *loads_checked = nullptr);
 
 /** The full driver: fan seeds out, check, shrink failures, report. */
 FuzzReport runFuzz(const FuzzOptions &opts, std::ostream &out);

@@ -470,21 +470,4 @@ FuzzWorkload::verify(Machine &m)
     return true;
 }
 
-std::uint64_t
-FuzzWorkload::expectedDigest() const
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](std::uint64_t v) {
-        for (unsigned b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    };
-    for (const auto &[addr, val] : _expected) {
-        mix(addr);
-        mix(val);
-    }
-    return h;
-}
-
 } // namespace psim::check

@@ -102,12 +102,6 @@ class FuzzWorkload : public apps::Workload
     Task thread(apps::ThreadCtx &ctx) override;
     bool verify(Machine &m) override;
 
-    /**
-     * FNV-1a digest over the natively expected final values, usable as
-     * a scheme-independent fingerprint of the program's result.
-     */
-    std::uint64_t expectedDigest() const;
-
   private:
     /** Per-phase shared-memory layout (all addresses 4-byte words). */
     struct PhaseLayout

@@ -10,22 +10,6 @@
 namespace psim::check
 {
 
-const char *
-toString(Divergence::Kind k)
-{
-    switch (k) {
-    case Divergence::Kind::LoadValue:
-        return "load-value";
-    case Divergence::Kind::FinalImage:
-        return "final-image";
-    case Divergence::Kind::PageCross:
-        return "page-cross";
-    case Divergence::Kind::Ledger:
-        return "fate-ledger";
-    }
-    return "?";
-}
-
 namespace
 {
 

@@ -67,8 +67,6 @@ struct Divergence
     std::string describe() const;
 };
 
-const char *toString(Divergence::Kind k);
-
 /** Outcome of one oracle check. */
 struct OracleReport
 {

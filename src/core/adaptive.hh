@@ -116,8 +116,6 @@ class AdaptiveSequentialPrefetcher : public Prefetcher
 
     bool wantsOutcomeFeedback() const override { return true; }
 
-    const char *name() const override { return "adaptive"; }
-
     void
     registerStats(stats::Group &g) override
     {

@@ -90,8 +90,6 @@ class ChasePrefetcher : public Prefetcher
 
     bool wantsBlockContent() const override { return true; }
 
-    const char *name() const override { return "chase"; }
-
     void registerStats(stats::Group &g) override;
 
     /** Peek at the pattern a consumer PC maps to (tests). */

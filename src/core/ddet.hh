@@ -51,8 +51,6 @@ class DDetPrefetcher : public Prefetcher
     void observeRead(const ReadObservation &obs,
                      std::vector<Addr> &out) override;
 
-    const char *name() const override { return "d-det"; }
-
     void
     registerStats(stats::Group &g) override
     {

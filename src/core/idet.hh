@@ -61,7 +61,7 @@ class IDetPrefetcher : public Prefetcher
         // Prefetching works on blocks: a stride shorter than one block
         // still advances the prefetcher by whole blocks (the paper's
         // Table 2 likewise reports sub-block strides as stride 1).
-        std::int64_t sblk = blockStride(oc.stride);
+        std::int64_t sblk = blockStride(oc.stride, _blockSize);
         if (_lookahead) {
             // The lookahead PC is `lookahead` executions of this load
             // ahead, so it accesses addr + lookahead * stride right now.
@@ -79,12 +79,6 @@ class IDetPrefetcher : public Prefetcher
         }
     }
 
-    const char *
-    name() const override
-    {
-        return _lookahead ? "i-det-la" : "i-det";
-    }
-
     void
     registerStats(stats::Group &g) override
     {
@@ -92,22 +86,7 @@ class IDetPrefetcher : public Prefetcher
         _rpt.registerStats(g);
     }
 
-    /** Expose the table for tests and statistics. */
-    Rpt &rpt() { return _rpt; }
-    const Rpt &rpt() const { return _rpt; }
-
   private:
-    /** Round a byte stride to a whole (signed, nonzero) block stride. */
-    std::int64_t
-    blockStride(std::int64_t stride_bytes) const
-    {
-        std::int64_t bs = static_cast<std::int64_t>(_blockSize);
-        std::int64_t blocks = stride_bytes / bs;
-        if (blocks == 0)
-            blocks = stride_bytes > 0 ? 1 : -1;
-        return blocks * bs;
-    }
-
     Rpt _rpt;
     unsigned _degree;
     unsigned _blockSize;

@@ -191,20 +191,20 @@ class MultiStridePrefetcher : public Prefetcher
         // confident stride runs its own Figure 5 sequence.
         if (!obs.hit) {
             for (unsigned w = 0; w < oc.count; ++w) {
-                std::int64_t sblk = blockStride(oc.strides[w]);
+                std::int64_t sblk = blockStride(oc.strides[w],
+                                                _blockSize);
                 for (unsigned k = 1; k <= _degree; ++k)
                     pushCandidate(obs.addr, sblk * k, out);
             }
         } else if (obs.taggedHit) {
             for (unsigned w = 0; w < oc.count; ++w) {
-                std::int64_t sblk = blockStride(oc.strides[w]);
+                std::int64_t sblk = blockStride(oc.strides[w],
+                                                _blockSize);
                 pushCandidate(obs.addr,
                               sblk * static_cast<int>(_degree), out);
             }
         }
     }
-
-    const char *name() const override { return "m-stride"; }
 
     void
     registerStats(stats::Group &g) override
@@ -213,19 +213,7 @@ class MultiStridePrefetcher : public Prefetcher
         _table.registerStats(g);
     }
 
-    MultiStrideTable &table() { return _table; }
-
   private:
-    std::int64_t
-    blockStride(std::int64_t stride_bytes) const
-    {
-        std::int64_t bs = static_cast<std::int64_t>(_blockSize);
-        std::int64_t blocks = stride_bytes / bs;
-        if (blocks == 0)
-            blocks = stride_bytes > 0 ? 1 : -1;
-        return blocks * bs;
-    }
-
     MultiStrideTable _table;
     unsigned _degree;
     unsigned _blockSize;

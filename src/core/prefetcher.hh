@@ -101,9 +101,6 @@ class Prefetcher
      */
     virtual bool wantsBlockContent() const { return false; }
 
-    /** Scheme name as used in the paper's figures. */
-    virtual const char *name() const = 0;
-
     /**
      * Register the scheme's statistics into @p g (one group per node,
      * owned by the machine's stats::Registry). Subclasses extend.
@@ -148,6 +145,20 @@ class Prefetcher
             out.push_back(base - mag);
         }
     }
+
+    /**
+     * Round a byte stride to a whole (signed, nonzero) block stride:
+     * a stride shorter than one block still advances by one block.
+     */
+    static std::int64_t
+    blockStride(std::int64_t stride_bytes, unsigned block_size)
+    {
+        std::int64_t bs = static_cast<std::int64_t>(block_size);
+        std::int64_t blocks = stride_bytes / bs;
+        if (blocks == 0)
+            blocks = stride_bytes > 0 ? 1 : -1;
+        return blocks * bs;
+    }
 };
 
 /** The baseline architecture: no prefetching. */
@@ -158,8 +169,6 @@ class NullPrefetcher : public Prefetcher
     observeRead(const ReadObservation &, std::vector<Addr> &) override
     {
     }
-
-    const char *name() const override { return "baseline"; }
 };
 
 } // namespace psim

@@ -95,8 +95,6 @@ class PerceptronFilter : public Prefetcher
         return _base->wantsBlockContent();
     }
 
-    const char *name() const override { return "ptron"; }
-
     void
     registerStats(stats::Group &g) override
     {
@@ -117,8 +115,6 @@ class PerceptronFilter : public Prefetcher
     {
         return score(featuresOf(obs, cand));
     }
-
-    Prefetcher &base() { return *_base; }
 
     stats::Scalar suppressed;
     stats::Scalar probes;

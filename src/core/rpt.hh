@@ -82,8 +82,6 @@ class Rpt
     /** Peek at the entry a PC maps to; nullptr if absent/mismatched. */
     const RptEntry *lookup(Pc pc) const;
 
-    unsigned entries() const { return static_cast<unsigned>(_table.size()); }
-
     /** Register the table's statistics into @p g. */
     void
     registerStats(stats::Group &g)

@@ -43,8 +43,6 @@ class SequentialPrefetcher : public Prefetcher
         }
     }
 
-    const char *name() const override { return "seq"; }
-
   private:
     unsigned _blockSize;
     unsigned _degree;

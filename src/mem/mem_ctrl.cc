@@ -13,10 +13,10 @@ MemCtrl::MemCtrl(Machine &m, NodeId id)
       _eq(m.eq()),
       _id(id),
       _locks([this](NodeId dst, Addr addr) {
-          reply(MsgType::LockGrant, dst, addr, 0);
+          reply(MsgType::LockGrant, dst, addr);
       }),
       _barrier([this](NodeId dst, Addr addr) {
-          reply(MsgType::BarrierGo, dst, addr, 0);
+          reply(MsgType::BarrierGo, dst, addr);
       })
 {
     _audit = m.auditor();
@@ -98,13 +98,12 @@ MemCtrl::snapshot(Addr blk_addr) const
 }
 
 void
-MemCtrl::reply(MsgType t, NodeId dst, Addr addr, Tick extra)
+MemCtrl::reply(MsgType t, NodeId dst, Addr addr)
 {
-    // All latency is charged on the processing path (receive()), so
-    // sends happen in processing order and the network's per-path FIFO
-    // guarantees that an invalidation can never overtake an earlier
-    // data reply to the same node.
-    psim_assert(extra == 0, "replies must not be delayed");
+    // Replies are never delayed: all latency is charged on the
+    // processing path (receive()), so sends happen in processing order
+    // and the network's per-path FIFO guarantees that an invalidation
+    // can never overtake an earlier data reply to the same node.
     Message r;
     r.type = t;
     r.src = _id;
@@ -197,7 +196,7 @@ MemCtrl::handleCoherent(const Message &m)
         if (ent.busy && ent.fetchFrom == m.src) {
             // The owner's writeback crossed our fetch request; use it
             // as the fetch reply. The owner gave up its copy entirely.
-            reply(MsgType::WritebackAck, m.src, m.addr, 0);
+            reply(MsgType::WritebackAck, m.src, m.addr);
             ownerDataArrived(ent, m.addr, false, true);
             return;
         }
@@ -207,7 +206,7 @@ MemCtrl::handleCoherent(const Message &m)
         ent.st = DirEntry::St::Uncached;
         ent.owner = kNodeNone;
         ent.presence = 0;
-        reply(MsgType::WritebackAck, m.src, m.addr, 0);
+        reply(MsgType::WritebackAck, m.src, m.addr);
         return;
 
       case MsgType::FetchReply:
@@ -240,7 +239,7 @@ MemCtrl::startReadEx(DirEntry &ent, const Message &m, bool as_upgrade)
         ent.owner = req;
         ent.presence = 0;
         grantedExclusive(ent, req);
-        reply(MsgType::DataExReply, req, m.addr, 0);
+        reply(MsgType::DataExReply, req, m.addr);
         return;
       case DirEntry::St::Clean: {
         std::uint64_t others = ent.presence & ~bit(req);
@@ -251,9 +250,9 @@ MemCtrl::startReadEx(DirEntry &ent, const Message &m, bool as_upgrade)
             ent.presence = 0;
             grantedExclusive(ent, req);
             if (as_upgrade && had_copy) {
-                reply(MsgType::UpgradeAck, req, m.addr, 0);
+                reply(MsgType::UpgradeAck, req, m.addr);
             } else {
-                reply(MsgType::DataExReply, req, m.addr, 0);
+                reply(MsgType::DataExReply, req, m.addr);
             }
             return;
         }
@@ -304,7 +303,7 @@ MemCtrl::startOp(DirEntry &ent, const Message &m)
           case DirEntry::St::Clean:
             ent.st = DirEntry::St::Clean;
             ent.presence |= bit(req);
-            reply(MsgType::DataReply, req, m.addr, 0);
+            reply(MsgType::DataReply, req, m.addr);
             return;
           case DirEntry::St::Dirty:
             psim_assert(ent.owner != req,
@@ -376,13 +375,13 @@ MemCtrl::ownerDataArrived(DirEntry &ent, Addr addr, bool owner_kept_copy,
         if (owner_kept_copy)
             ent.presence |= bit(old_owner);
         ent.owner = kNodeNone;
-        reply(MsgType::DataReply, req, addr, 0);
+        reply(MsgType::DataReply, req, addr);
     } else {
         ent.st = DirEntry::St::Dirty;
         ent.owner = req;
         ent.presence = 0;
         grantedExclusive(ent, req);
-        reply(MsgType::DataExReply, req, addr, 0);
+        reply(MsgType::DataExReply, req, addr);
     }
     ent.busy = false;
     unblock(ent, addr);
@@ -398,9 +397,9 @@ MemCtrl::acksComplete(DirEntry &ent, Addr addr)
     ent.presence = 0;
     grantedExclusive(ent, req);
     if (as_upgrade)
-        reply(MsgType::UpgradeAck, req, addr, 0);
+        reply(MsgType::UpgradeAck, req, addr);
     else
-        reply(MsgType::DataExReply, req, addr, 0);
+        reply(MsgType::DataExReply, req, addr);
     ent.busy = false;
     unblock(ent, addr);
 }

@@ -163,8 +163,8 @@ class MemCtrl
     /** Replay the next queued request, if any. */
     void unblock(DirEntry &ent, Addr addr);
 
-    /** Send @p t to @p dst after @p extra ticks (DRAM latency etc.). */
-    void reply(MsgType t, NodeId dst, Addr addr, Tick extra);
+    /** Send @p t to @p dst at once: replies are never delayed. */
+    void reply(MsgType t, NodeId dst, Addr addr);
 
     void sendFetch(MsgType t, NodeId owner, Addr addr, NodeId requester);
 

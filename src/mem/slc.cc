@@ -1,7 +1,5 @@
 #include "mem/slc.hh"
 
-#include <limits>
-
 #include "check/access_log.hh"
 #include "mem/flc.hh"
 #include "sim/logging.hh"
@@ -40,12 +38,6 @@ Slc::slwbHasRoom(bool demand) const
 {
     std::size_t occ = slwbOccupancy();
     return demand ? occ < _slwbCap : occ + 1 < _slwbCap;
-}
-
-bool
-Slc::hasPendingTransaction(Addr blk_addr) const
-{
-    return _mshrs.contains(blk_addr);
 }
 
 void
@@ -98,16 +90,6 @@ Slc::usefulPrefetches() const
     return pfUsefulTagged.value() + pfUsefulLate.value();
 }
 
-double
-Slc::prefetchEfficiency() const
-{
-    // No prefetches means no efficiency to report, not a perfect one;
-    // renderers print "--" for the NaN.
-    if (pfIssued.value() == 0)
-        return std::numeric_limits<double>::quiet_NaN();
-    return usefulPrefetches() / pfIssued.value();
-}
-
 bool
 Slc::tryAccept(const FlwbEntry &e)
 {
@@ -142,9 +124,13 @@ Slc::tryAccept(const FlwbEntry &e)
       case FlwbEntry::Kind::Write: {
         // Admission: the access needs a free SLWB slot unless it hits in
         // the cache or merges with a pending transaction for its block.
-        Addr blk = cfg.blockAddr(e.addr);
-        if (!_array.find(blk) && !findMshr(blk) && !slwbHasRoom(true))
-            return false;
+        // The cheap slot test goes first: the two probes matter only
+        // when the SLWB is full.
+        if (!slwbHasRoom(true)) {
+            Addr blk = cfg.blockAddr(e.addr);
+            if (!_array.find(blk) && !findMshr(blk))
+                return false;
+        }
         Tick start = _tagPort.claim(now, cfg.slcAccessLat);
         _eq.schedule(start + cfg.slcAccessLat,
                 e.kind == FlwbEntry::Kind::ReadMiss ? EventKind::SlcRead
@@ -236,7 +222,6 @@ Slc::processRead(Addr addr, Pc pc)
             classifyMiss(blk_addr);
             Mshr fresh;
             fresh.kind = Mshr::Kind::Read;
-            fresh.blkAddr = blk_addr;
             fresh.pc = pc;
             fresh.demandAddr = addr;
             fresh.demandWaiting = true;
@@ -316,7 +301,6 @@ Slc::processWrite(Addr addr, Pc pc)
         ++upgrades;
         Mshr e;
         e.kind = Mshr::Kind::Write;
-        e.blkAddr = blk_addr;
         e.pc = pc;
         e.upgrade = true;
         e.pendingStores = 1;
@@ -339,7 +323,6 @@ Slc::processWrite(Addr addr, Pc pc)
     ++writeMisses;
     Mshr e;
     e.kind = Mshr::Kind::Write;
-    e.blkAddr = blk_addr;
     e.pc = pc;
     e.upgrade = false;
     e.pendingStores = 1;
@@ -390,7 +373,6 @@ Slc::maybePrefetch(Addr trigger_addr, Pc pc,
         }
         Mshr e;
         e.kind = Mshr::Kind::Prefetch;
-        e.blkAddr = blk;
         e.pc = pc;
         _mshrs[blk] = e;
         ++_slwbOcc;

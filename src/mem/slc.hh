@@ -89,7 +89,6 @@ class Slc
         return b ? b->state : CohState::Invalid;
     }
 
-    bool hasPendingTransaction(Addr blk_addr) const;
     std::size_t pendingTransactions() const { return _mshrs.size(); }
 
     /**
@@ -133,8 +132,6 @@ class Slc
 
     /** Useful prefetches (paper's prefetch-efficiency numerator). */
     double usefulPrefetches() const;
-    /** Prefetch efficiency: useful / issued (NaN when none issued). */
-    double prefetchEfficiency() const;
 
   private:
     struct Mshr
@@ -142,7 +139,6 @@ class Slc
         enum class Kind : std::uint8_t { Read, Prefetch, Write };
 
         Kind kind = Kind::Read;
-        Addr blkAddr = 0;
         Pc pc = 0;
         Addr demandAddr = 0;     ///< byte address the processor wanted
         bool demandWaiting = false;

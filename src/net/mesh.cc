@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "sim/logging.hh"
-#include "trace/chrome_trace.hh"
 
 namespace psim
 {
@@ -41,8 +40,6 @@ Mesh::send(Tick now, NodeId src, NodeId dst, unsigned flits)
     psim_assert(src != dst, "mesh send to self");
     psim_assert(src < _cfg.numProcs && dst < _cfg.numProcs,
             "mesh send %u -> %u out of range", src, dst);
-    if (_audit)
-        _audit->onMeshInject(src, dst, flits);
 
     const Tick worm = static_cast<Tick>(flits) * _cfg.netCycle;
     const Tick fall = _cfg.fallThrough * _cfg.netCycle;
@@ -78,8 +75,6 @@ Mesh::send(Tick now, NodeId src, NodeId dst, unsigned flits)
     ++messages;
     flitsInjected += static_cast<double>(flits);
     msgLatency.sample(static_cast<double>(arrival - now));
-    if (_chrome)
-        _chrome->meshMessage(src, dst, flits, now, arrival);
     return arrival;
 }
 

@@ -16,7 +16,6 @@
 
 #include <vector>
 
-#include "sim/audit.hh"
 #include "sim/config.hh"
 #include "sim/resource.hh"
 #include "sim/stats.hh"
@@ -24,8 +23,6 @@
 
 namespace psim
 {
-
-class ChromeTracer;
 
 class Mesh
 {
@@ -39,12 +36,6 @@ class Mesh
      * @pre src != dst (local traffic stays on the node bus).
      */
     Tick send(Tick now, NodeId src, NodeId dst, unsigned flits);
-
-    /** Attach the audit layer (mesh message conservation). */
-    void setAudit(audit::MachineAudit *a) { _audit = a; }
-
-    /** Attach the chrome://tracing exporter (read-only observation). */
-    void setChromeTracer(ChromeTracer *t) { _chrome = t; }
 
     /** Register the mesh's statistics into @p g. */
     void
@@ -84,8 +75,6 @@ class Mesh
     NodeId nodeOf(int x, int y) const;
 
     const MachineConfig &_cfg;
-    audit::MachineAudit *_audit = nullptr; ///< null when auditing is off
-    ChromeTracer *_chrome = nullptr;       ///< null when tracing is off
     /** One Resource per (node, direction): N/E/S/W. */
     std::vector<Resource> _links;
 };

@@ -198,7 +198,7 @@ class MachineAudit
 
     NodeAudit &node(NodeId n) { return *_nodes.at(n); }
 
-    /** A message entered the mesh (called by Mesh::send). */
+    /** A message entered the mesh (called as Machine::fire sends it). */
     void onMeshInject(NodeId src, NodeId dst, unsigned flits);
 
     /** A message reached its destination component. */

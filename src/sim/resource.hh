@@ -36,7 +36,6 @@ class Resource
     }
 
     Tick freeAt() const { return _freeAt; }
-    void reset() { _freeAt = 0; }
 
     /** Total ticks the resource was occupied. */
     stats::Scalar busyTicks;

@@ -478,7 +478,7 @@ runSpec(const Spec &spec, const ExecOptions &exec)
         r.node0ReplacementMisses = slc0.missesReplacement.value();
         if (ropts.characterize) {
             r.characterized = true;
-            r.characterizer = run.machine->characterizer(0)->finalize();
+            r.characterizer = run.machine->characterizer()->finalize();
         }
         out.cells[i] = std::move(r);
     });

@@ -129,16 +129,6 @@ Registry::addGroup(const std::string &name)
     return *_groups.back();
 }
 
-const Group *
-Registry::find(const std::string &name) const
-{
-    for (const auto &g : _groups) {
-        if (g->name() == name)
-            return g.get();
-    }
-    return nullptr;
-}
-
 void
 Registry::dump(std::ostream &os) const
 {

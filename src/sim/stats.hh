@@ -64,15 +64,6 @@ class Average
     double min() const { return _min; }
     double max() const { return _max; }
 
-    void
-    reset()
-    {
-        _sum = 0;
-        _count = 0;
-        _min = 0;
-        _max = 0;
-    }
-
   private:
     double _sum = 0;
     std::uint64_t _count = 0;
@@ -183,9 +174,6 @@ class Registry
 
     /** Create (and own) a new group. The reference stays valid. */
     Group &addGroup(const std::string &name);
-
-    /** Look up a group by name; nullptr when absent. */
-    const Group *find(const std::string &name) const;
 
     const std::vector<std::unique_ptr<Group>> &groups() const
     {

@@ -42,28 +42,6 @@ Cpu::resume()
     }
 }
 
-const char *
-Cpu::pendingState() const
-{
-    switch (_pending) {
-      case Pending::None:
-        return "none";
-      case Pending::Read:
-        return "read";
-      case Pending::Lock:
-        return "lock";
-      case Pending::Barrier:
-        return "barrier";
-      case Pending::Push:
-        return "push";
-      case Pending::Drain:
-        return "drain";
-      case Pending::Store:
-        return "store";
-    }
-    return "?";
-}
-
 void
 Cpu::resumeAt(Tick when)
 {

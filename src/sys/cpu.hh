@@ -85,12 +85,6 @@ class Cpu
     /** Stores issued but not yet globally performed. */
     unsigned outstandingStores() const { return _outstandingStores; }
 
-    /** What the processor is currently blocked on (debugging). */
-    const char *pendingState() const;
-
-    /** Address of the blocking operation (debugging). */
-    Addr pendingAddr() const { return _pendingEntry ? _pendingEntry->addr : 0; }
-
     // ---- statistics (paper metrics) ----
 
     stats::Scalar loads;

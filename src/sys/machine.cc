@@ -17,10 +17,8 @@ Machine::Machine(MachineConfig cfg)
       _mesh(_cfg)
 {
     _cfg.validate();
-    if (_cfg.audit && audit::compiledIn()) {
+    if (_cfg.audit && audit::compiledIn())
         _audit = std::make_unique<audit::MachineAudit>(_cfg.numProcs);
-        _mesh.setAudit(_audit.get());
-    }
     _nodes.reserve(_cfg.numProcs);
     for (NodeId n = 0; n < _cfg.numProcs; ++n)
         _nodes.push_back(std::make_unique<Node>(*this, n));
@@ -84,8 +82,12 @@ Machine::fire(EventKind kind, const Message &m)
         if (m.dst != m.src) {
             bool data = carriesData(m.type);
             unsigned flits = _cfg.flitsFor(data ? _cfg.blockSize : 0);
-            _eq.schedule(_mesh.send(now, m.src, m.dst, flits),
-                    EventKind::MsgMeshArrive, m);
+            if (_audit)
+                _audit->onMeshInject(m.src, m.dst, flits);
+            Tick arrival = _mesh.send(now, m.src, m.dst, flits);
+            if (_chrome)
+                _chrome->meshMessage(m.src, m.dst, flits, now, arrival);
+            _eq.schedule(arrival, EventKind::MsgMeshArrive, m);
             return;
         }
         // Local traffic is delivered straight off the source bus.
@@ -120,15 +122,11 @@ Machine::bindProgram(NodeId id, Task t)
 }
 
 void
-Machine::enableCharacterizers()
+Machine::enableCharacterizer()
 {
-    psim_assert(!_ran, "characterizers must attach before run()");
-    _chars.clear();
-    for (NodeId n = 0; n < _cfg.numProcs; ++n) {
-        _chars.push_back(
-                std::make_unique<StrideCharacterizer>(_cfg.blockSize));
-        _nodes[n]->slc().setCharacterizer(_chars.back().get());
-    }
+    psim_assert(!_ran, "the characterizer must attach before run()");
+    _char = std::make_unique<StrideCharacterizer>(_cfg.blockSize);
+    _nodes[0]->slc().setCharacterizer(_char.get());
 }
 
 void
@@ -185,7 +183,6 @@ Machine::enableChromeTrace(Tick start, Tick end)
     _chrome = std::make_unique<ChromeTracer>(start, end);
     for (auto &node : _nodes)
         node->slc().setChromeTracer(_chrome.get());
-    _mesh.setChromeTracer(_chrome.get());
 }
 
 Tick

@@ -102,16 +102,14 @@ class Machine
     void bindProgram(NodeId id, Task t);
 
     /**
-     * Attach a Table-2/3 stride characterizer to every node's demand
-     * read-miss stream. Call before run().
+     * Attach a Table-2/3 stride characterizer to node 0's demand
+     * read-miss stream, the node the paper's Section 5.1 tables
+     * report. Call before run().
      */
-    void enableCharacterizers();
+    void enableCharacterizer();
 
-    StrideCharacterizer *
-    characterizer(NodeId id)
-    {
-        return _chars.empty() ? nullptr : _chars.at(id).get();
-    }
+    /** Node 0's characterizer; null unless enableCharacterizer() ran. */
+    StrideCharacterizer *characterizer() { return _char.get(); }
 
     /**
      * Stream every SLC-presented request of every node into @p writer
@@ -198,11 +196,11 @@ class Machine
     MachineConfig _cfg;
     EventQueue _eq;
     BackingStore _store;
-    /** Created before the mesh and nodes so they can wire into it. */
+    /** Created before the nodes so they can wire into it. */
     std::unique_ptr<audit::MachineAudit> _audit;
     Mesh _mesh;
     std::vector<std::unique_ptr<Node>> _nodes;
-    std::vector<std::unique_ptr<StrideCharacterizer>> _chars;
+    std::unique_ptr<StrideCharacterizer> _char;
     /** Built in the constructor, after the nodes exist. */
     stats::Registry _registry;
     std::unique_ptr<stats::Sampler> _sampler;

@@ -359,6 +359,23 @@ TEST(Fuzz, SmokeRunIsCleanAndDeterministicAcrossJobs)
     EXPECT_EQ(rep1.loadsChecked, rep4.loadsChecked);
 }
 
+TEST(Fuzz, CheckedLoadsComeFromTheBaselineRun)
+{
+    // A seed's checked-load count is its baseline run's, the first of
+    // the differential runs specDiverges makes.
+    const std::uint64_t seed = 3;
+    FuzzOptions opts;
+    opts.seeds = {seed};
+    std::ostringstream out;
+    FuzzReport rep = runFuzz(opts, out);
+    ASSERT_TRUE(rep.ok()) << out.str();
+
+    SchemeRun base = runOneScheme(ProgramSpec::generate(seed),
+            PrefetchScheme::None, {}, FuzzOptions{}.tickLimit);
+    EXPECT_GT(base.oracle.loadsChecked, 0u);
+    EXPECT_EQ(rep.loadsChecked, base.oracle.loadsChecked);
+}
+
 TEST(FuzzDeath, EmptySeedSetIsFatal)
 {
     // "0 seeds, 0 divergent" would read as a pass; it checked nothing.

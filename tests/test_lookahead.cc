@@ -93,5 +93,10 @@ TEST(IDetLookahead, SchemeParsesAndBuilds)
     MachineConfig cfg;
     cfg.prefetch.scheme = parseScheme("lookahead");
     EXPECT_EQ(cfg.prefetch.scheme, PrefetchScheme::IDetLookahead);
-    EXPECT_STREQ(Prefetcher::create(cfg)->name(), "i-det-la");
+    std::unique_ptr<Prefetcher> p = Prefetcher::create(cfg);
+    ASSERT_NE(dynamic_cast<IDetPrefetcher *>(p.get()), nullptr);
+    // Only the lookahead variant prefetches on a plain (untagged) hit.
+    observe(*p, 0x100, 0x1000, false);
+    observe(*p, 0x100, 0x1020, false);
+    EXPECT_FALSE(observe(*p, 0x100, 0x1040, true).empty());
 }

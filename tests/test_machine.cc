@@ -164,13 +164,13 @@ TEST(Machine, CharacterizersOnlyWhenEnabled)
     MachineConfig cfg;
     cfg.numProcs = 4;
     apps::Run plain = apps::runWorkload("matmul", cfg);
-    EXPECT_EQ(plain.machine->characterizer(0), nullptr);
+    EXPECT_EQ(plain.machine->characterizer(), nullptr);
 
     apps::RunOptions opts;
     opts.characterize = true;
     apps::Run with = apps::runWorkload("matmul", cfg, opts);
-    ASSERT_NE(with.machine->characterizer(0), nullptr);
-    EXPECT_GT(with.machine->characterizer(0)->totalMisses(), 0u);
+    ASSERT_NE(with.machine->characterizer(), nullptr);
+    EXPECT_GT(with.machine->characterizer()->totalMisses(), 0u);
 }
 
 TEST(Machine, SetAssociativeSlcIsPinned)

@@ -145,7 +145,7 @@ TEST(PaperResults, Table2CharacteristicsShape)
         opts.characterize = true;
         psim::apps::Run run = runWorkload(app, cfg, opts);
         ASSERT_TRUE(run.finished && run.verified) << app;
-        reports[app] = run.machine->characterizer(0)->finalize();
+        reports[app] = run.machine->characterizer()->finalize();
     }
     EXPECT_GT(reports["lu"].strideFraction, 0.8);
     EXPECT_GT(reports["water"].strideFraction, 0.8);

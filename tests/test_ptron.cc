@@ -32,8 +32,6 @@ class FixedBase : public Prefetcher
         out.push_back(_cand);
     }
 
-    const char *name() const override { return "fixed"; }
-
   private:
     Addr _cand;
 };

@@ -259,7 +259,7 @@ main(int argc, char **argv)
                     trace_path.c_str());
 
     if (opts.characterize) {
-        auto report = run.machine->characterizer(0)->finalize();
+        auto report = run.machine->characterizer()->finalize();
         std::printf("\nnode-0 characteristics (Table-2 methodology):\n");
         std::printf("  stride misses   %.1f%%\n",
                     100.0 * report.strideFraction);

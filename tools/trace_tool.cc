@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -34,6 +35,7 @@
 #include "core/ddet.hh"
 #include "core/idet.hh"
 #include "core/sequential.hh"
+#include "sim/parse.hh"
 #include "sim/stats.hh"
 #include "trace/trace.hh"
 
@@ -168,7 +170,8 @@ main(int argc, char **argv)
     bool salvage = false;
     for (int i = first_arg + 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--node") == 0 && i + 1 < argc)
-            node = static_cast<NodeId>(atoi(argv[++i]));
+            node = static_cast<NodeId>(parseUnsignedStrict("--node",
+                    argv[++i], std::numeric_limits<NodeId>::max()));
         else if (std::strcmp(argv[i], "--salvage") == 0)
             salvage = true;
         else
@@ -225,7 +228,7 @@ main(int argc, char **argv)
 
     // Replay each scheme over the node's SLC-read stream and measure
     // how often its candidates cover a later miss.
-    auto evaluate = [&](Prefetcher &p) {
+    auto evaluate = [&](const char *label, Prefetcher &p) {
         std::vector<Addr> out;
         std::uint64_t issued = 0, covering = 0;
         std::vector<Addr> future;
@@ -257,17 +260,17 @@ main(int argc, char **argv)
             ++pos;
         }
         std::printf("  %-12s issued %8llu, covering %8llu (%.0f%%)\n",
-                    p.name(), static_cast<unsigned long long>(issued),
+                    label, static_cast<unsigned long long>(issued),
                     static_cast<unsigned long long>(covering),
                     issued ? 100.0 * covering / issued : 0.0);
     };
 
     std::printf("\nprefetcher replay over node %u's reads:\n", node);
     SequentialPrefetcher seq(32, 1);
-    evaluate(seq);
+    evaluate("seq", seq);
     IDetPrefetcher idet(256, 1, 32);
-    evaluate(idet);
+    evaluate("i-det", idet);
     DDetPrefetcher ddet(32, 1, 16, 3, 4096);
-    evaluate(ddet);
+    evaluate("d-det", ddet);
     return 0;
 }
