@@ -6,13 +6,12 @@
  * Without --out nothing is written, so a reduced run (--apps, --procs)
  * can never overwrite a pinned BENCH_*.json golden.
  *
- * A bare spec name resolves to $PSIM_SPEC_DIR/NAME.json when that is
- * set, else to the repository's specs/ directory baked in at configure
- * time (PSIM_SPEC_DIR compile definition).
+ * A bare spec name resolves to NAME.json in the repository's specs/
+ * directory, baked in at configure time (the PSIM_SPEC_DIR compile
+ * definition); any other spec path passes through verbatim.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -102,15 +101,7 @@ resolveSpecPath(const std::string &name_or_path)
     if (name_or_path.size() > 5 &&
         name_or_path.compare(name_or_path.size() - 5, 5, ".json") == 0)
         return name_or_path;
-    const char *dir = std::getenv("PSIM_SPEC_DIR");
-#ifdef PSIM_SPEC_DIR
-    if (!dir || !*dir)
-        dir = PSIM_SPEC_DIR;
-#endif
-    if (!dir || !*dir)
-        psim_fatal("cannot resolve spec '%s': set PSIM_SPEC_DIR or pass "
-                   "a path", name_or_path.c_str());
-    return std::string(dir) + "/" + name_or_path + ".json";
+    return std::string(PSIM_SPEC_DIR) + "/" + name_or_path + ".json";
 }
 
 } // namespace

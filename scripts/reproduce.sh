@@ -5,7 +5,7 @@
 #
 # Grids run their cells in parallel; output is byte-identical to a
 # serial run. The job count defaults to all hardware threads; override
-# it with PSIM_JOBS=n or per-spec with --jobs n.
+# it per spec with --jobs n.
 set -e
 cd "$(dirname "$0")/.."
 cmake -B build -G Ninja

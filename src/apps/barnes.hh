@@ -32,7 +32,6 @@ class BarnesWorkload : public Workload
   public:
     explicit BarnesWorkload(unsigned scale);
 
-    const char *name() const override { return "barnes"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

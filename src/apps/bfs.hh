@@ -35,7 +35,6 @@ class BfsWorkload : public Workload
   public:
     explicit BfsWorkload(unsigned scale);
 
-    const char *name() const override { return "bfs"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

@@ -26,7 +26,6 @@ class CholeskyWorkload : public Workload
   public:
     explicit CholeskyWorkload(unsigned scale);
 
-    const char *name() const override { return "cholesky"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

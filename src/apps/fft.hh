@@ -31,7 +31,6 @@ class FftWorkload : public Workload
   public:
     explicit FftWorkload(unsigned scale);
 
-    const char *name() const override { return "fft"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

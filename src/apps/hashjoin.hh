@@ -36,7 +36,6 @@ class HashJoinWorkload : public Workload
   public:
     explicit HashJoinWorkload(unsigned scale);
 
-    const char *name() const override { return "hashjoin"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

@@ -22,7 +22,9 @@ constexpr std::uint64_t kEmpty = 0;
 constexpr std::uint64_t kTomb = ~0ull;
 
 /** Headers are one per thread, spaced so no two share a cache block
- *  at any block size the harnesses run. */
+ *  at any block size the harnesses run. A header holds head, tail,
+ *  entries and tombs (u32), then hits, misses, evicts, a reserved
+ *  zero word, scanSum and dirAcc (u64). */
 constexpr unsigned kHdrBytes = 128;
 
 /** Shared read-only routing directory, read once per request. */
@@ -178,38 +180,6 @@ KvStoreWorkload::modelPut(State &s, std::uint64_t key,
     s.val[j] = val;
     ++s.entries;
     modelLruPushFront(s, j);
-    if (s.entries + s.tombs >= 3u * _cap / 4)
-        modelCompact(s);
-}
-
-void
-KvStoreWorkload::modelCompact(State &s) const
-{
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> live;
-    live.reserve(s.entries);
-    for (std::uint32_t j = s.head; j != kNil; j = s.next[j])
-        live.emplace_back(s.key[j], s.val[j]);
-    psim_assert(live.size() == s.entries,
-                "kvstore LRU list length disagrees with entry count");
-    for (unsigned i = 0; i < _cap; ++i) {
-        if (s.key[i] != kEmpty)
-            s.key[i] = kEmpty;
-    }
-    s.head = s.tail = kNil;
-    s.entries = 0;
-    s.tombs = 0;
-    const std::uint32_t mask = _cap - 1;
-    for (auto it = live.rbegin(); it != live.rend(); ++it) {
-        std::uint32_t j =
-                static_cast<std::uint32_t>(mix64(it->first - 1)) & mask;
-        while (s.key[j] != kEmpty)
-            j = (j + 1) & mask;
-        s.key[j] = it->first;
-        s.val[j] = it->second;
-        ++s.entries;
-        modelLruPushFront(s, j);
-    }
-    ++s.compactions;
 }
 
 // ---- simulated ops ---------------------------------------------------
@@ -316,61 +286,6 @@ KvStoreWorkload::doPut(ThreadCtx &ctx, Addr base, std::uint64_t key,
     co_await ctx.write<std::uint64_t>(slotAddr(base, j) + kValOff, val);
     ++c->entries;
     co_await lruPushFront(ctx, base, j, c);
-    if (c->entries + c->tombs >= 3u * _cap / 4)
-        co_await doCompact(ctx, base, c);
-}
-
-Task
-KvStoreWorkload::doCompact(ThreadCtx &ctx, Addr base, Cursor *c)
-{
-    // Walk the LRU list MRU-first, collecting live pairs: pointer
-    // chasing over the whole partition.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> live;
-    live.reserve(c->entries);
-    std::uint32_t j = c->head;
-    while (j != kNil) {
-        auto k = co_await ctx.read<std::uint64_t>(
-                slotAddr(base, j) + kKeyOff);
-        auto v = co_await ctx.read<std::uint64_t>(
-                slotAddr(base, j) + kValOff);
-        auto n = co_await ctx.read<std::uint32_t>(
-                slotAddr(base, j) + kNextOff);
-        live.emplace_back(k, v);
-        j = n;
-    }
-    psim_assert(live.size() == c->entries,
-                "kvstore LRU list length disagrees with entry count");
-    // Sequential sweep clearing live keys and tombstones alike.
-    for (unsigned s = 0; s < _cap; ++s) {
-        auto k = co_await ctx.read<std::uint64_t>(
-                slotAddr(base, s) + kKeyOff);
-        if (k != kEmpty)
-            co_await ctx.write<std::uint64_t>(slotAddr(base, s) + kKeyOff,
-                                              kEmpty);
-    }
-    c->head = c->tail = kNil;
-    c->entries = 0;
-    c->tombs = 0;
-    // Reinsert LRU-first so pushFront rebuilds the exact LRU order.
-    const std::uint32_t mask = _cap - 1;
-    for (auto it = live.rbegin(); it != live.rend(); ++it) {
-        std::uint32_t s =
-                static_cast<std::uint32_t>(mix64(it->first - 1)) & mask;
-        for (;;) {
-            auto k = co_await ctx.read<std::uint64_t>(
-                    slotAddr(base, s) + kKeyOff);
-            if (k == kEmpty)
-                break;
-            s = (s + 1) & mask;
-        }
-        co_await ctx.write<std::uint64_t>(slotAddr(base, s) + kKeyOff,
-                                          it->first);
-        co_await ctx.write<std::uint64_t>(slotAddr(base, s) + kValOff,
-                                          it->second);
-        ++c->entries;
-        co_await lruPushFront(ctx, base, s, c);
-    }
-    ++c->compactions;
 }
 
 // ---- workload glue ---------------------------------------------------
@@ -541,7 +456,7 @@ KvStoreWorkload::thread(ThreadCtx &ctx)
     co_await ctx.write<std::uint64_t>(h + 16, c.hits);
     co_await ctx.write<std::uint64_t>(h + 24, c.misses);
     co_await ctx.write<std::uint64_t>(h + 32, c.evicts);
-    co_await ctx.write<std::uint64_t>(h + 40, c.compactions);
+    co_await ctx.write<std::uint64_t>(h + 40, 0);
     co_await ctx.write<std::uint64_t>(h + 48, c.scanSum);
     co_await ctx.write<std::uint64_t>(h + 56, c.dirAcc);
 }
@@ -573,7 +488,7 @@ KvStoreWorkload::verify(Machine &m)
             m.store().load<std::uint64_t>(h + 16) != s.hits ||
             m.store().load<std::uint64_t>(h + 24) != s.misses ||
             m.store().load<std::uint64_t>(h + 32) != s.evicts ||
-            m.store().load<std::uint64_t>(h + 40) != s.compactions ||
+            m.store().load<std::uint64_t>(h + 40) != 0 ||
             m.store().load<std::uint64_t>(h + 48) != s.scanSum ||
             m.store().load<std::uint64_t>(h + 56) != s.dirAcc) {
             return false;

@@ -7,13 +7,12 @@
  * live slots are threaded on an intrusive doubly-linked LRU list. A
  * seeded Zipfian request stream (src/apps/reqgen.hh) drives GETs and
  * PUTs against the partition; PUT beyond the occupancy bound evicts
- * the LRU tail, and tombstone build-up triggers a compaction that
- * rebuilds the table in LRU order. Between request epochs every
+ * the LRU tail, leaving a tombstone. Between request epochs every
  * thread scans its neighbour's partition read-only (the "replication
  * pull"), which is what creates cross-node coherence traffic.
  *
  * Access-pattern mix: scattered probes (hash order), pointer chasing
- * (LRU links), sequential sweeps (neighbour scan, compaction), and a
+ * (LRU links), a sequential sweep (the neighbour scan), and a
  * shared read-only routing directory -- the server-side patterns the
  * PAPERS.md prefetching survey says SPLASH-style kernels lack.
  *
@@ -41,7 +40,6 @@ class KvStoreWorkload : public Workload
   public:
     explicit KvStoreWorkload(unsigned scale);
 
-    const char *name() const override { return "kvstore"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;
@@ -57,7 +55,6 @@ class KvStoreWorkload : public Workload
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t evicts = 0;
-        std::uint64_t compactions = 0;
         std::uint64_t scanSum = 0;
         std::uint64_t dirAcc = 0;
     };
@@ -76,7 +73,6 @@ class KvStoreWorkload : public Workload
     void modelLruPushFront(State &s, std::uint32_t i) const;
     void modelGet(State &s, std::uint64_t key) const;
     void modelPut(State &s, std::uint64_t key, std::uint64_t val) const;
-    void modelCompact(State &s) const;
 
     // ---- simulated ops (sub-coroutines awaited by thread()) ----
     Task lruUnlink(ThreadCtx &ctx, Addr base, std::uint32_t i,
@@ -86,7 +82,6 @@ class KvStoreWorkload : public Workload
     Task doGet(ThreadCtx &ctx, Addr base, std::uint64_t key, Cursor *c);
     Task doPut(ThreadCtx &ctx, Addr base, std::uint64_t key,
                std::uint64_t val, Cursor *c);
-    Task doCompact(ThreadCtx &ctx, Addr base, Cursor *c);
 
     Addr slotAddr(Addr base, std::uint32_t i) const;
     Addr partitionBase(unsigned t) const;

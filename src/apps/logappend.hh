@@ -38,7 +38,6 @@ class LogAppendWorkload : public Workload
   public:
     explicit LogAppendWorkload(unsigned scale);
 
-    const char *name() const override { return "logappend"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

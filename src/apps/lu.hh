@@ -25,7 +25,6 @@ class LuWorkload : public Workload
   public:
     explicit LuWorkload(unsigned scale);
 
-    const char *name() const override { return "lu"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

@@ -24,7 +24,6 @@ class MatmulWorkload : public Workload
   public:
     explicit MatmulWorkload(unsigned scale);
 
-    const char *name() const override { return "matmul"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

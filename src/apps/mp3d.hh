@@ -30,7 +30,6 @@ class Mp3dWorkload : public Workload
   public:
     explicit Mp3dWorkload(unsigned scale);
 
-    const char *name() const override { return "mp3d"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

@@ -28,7 +28,6 @@ class OceanWorkload : public Workload
   public:
     explicit OceanWorkload(unsigned scale);
 
-    const char *name() const override { return "ocean"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

@@ -27,7 +27,6 @@ class PthorWorkload : public Workload
   public:
     explicit PthorWorkload(unsigned scale);
 
-    const char *name() const override { return "pthor"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

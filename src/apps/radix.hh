@@ -28,7 +28,6 @@ class RadixWorkload : public Workload
   public:
     explicit RadixWorkload(unsigned scale);
 
-    const char *name() const override { return "radix"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

@@ -27,7 +27,6 @@ class WaterWorkload : public Workload
   public:
     explicit WaterWorkload(unsigned scale);
 
-    const char *name() const override { return "water"; }
     void setup(Machine &m) override;
     Task thread(ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

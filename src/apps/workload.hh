@@ -37,8 +37,6 @@ class Workload
 
     virtual ~Workload() = default;
 
-    virtual const char *name() const = 0;
-
     /** Sequential initialization (functional, untimed). */
     virtual void setup(Machine &m) = 0;
 

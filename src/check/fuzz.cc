@@ -1,7 +1,7 @@
 #include "check/fuzz.hh"
 
+#include <algorithm>
 #include <fstream>
-#include <map>
 
 #include "check/shrink.hh"
 #include "sim/audit.hh"
@@ -31,37 +31,28 @@ namespace
 std::uint64_t
 imageDigest(const BackingStore &store)
 {
-    std::map<Addr, std::vector<std::uint8_t>> pages;
-    store.forEachPage(
-            [&](Addr base, const std::uint8_t *bytes, unsigned len) {
-                pages.emplace(base,
-                        std::vector<std::uint8_t>(bytes, bytes + len));
-            });
+    std::vector<std::pair<Addr, const std::uint8_t *>> pages;
+    store.forEachPage([&](Addr base, const std::uint8_t *bytes, unsigned) {
+        pages.emplace_back(base, bytes);
+    });
+    std::sort(pages.begin(), pages.end());
+    const unsigned len = store.pageSize();
     std::uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](std::uint64_t v) {
-        for (unsigned b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xff;
-            h *= 1099511628211ULL;
-        }
+    auto mix = [&h](std::uint8_t b) {
+        h ^= b;
+        h *= 1099511628211ULL;
     };
     for (const auto &[base, bytes] : pages) {
         // All-zero pages are semantically absent (unmapped reads as
         // zero), so skip them: a scheme that merely materialized an
         // extra untouched page has not computed a different result.
-        bool all_zero = true;
-        for (std::uint8_t b : bytes) {
-            if (b) {
-                all_zero = false;
-                break;
-            }
-        }
-        if (all_zero)
+        if (std::all_of(bytes, bytes + len,
+                        [](std::uint8_t b) { return b == 0; }))
             continue;
-        mix(base);
-        for (std::uint8_t b : bytes) {
-            h ^= b;
-            h *= 1099511628211ULL;
-        }
+        for (unsigned b = 0; b < 8; ++b)
+            mix(static_cast<std::uint8_t>(base >> (8 * b)));
+        for (unsigned i = 0; i < len; ++i)
+            mix(bytes[i]);
     }
     return h;
 }

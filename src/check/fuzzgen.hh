@@ -97,7 +97,6 @@ class FuzzWorkload : public apps::Workload
   public:
     explicit FuzzWorkload(ProgramSpec spec);
 
-    const char *name() const override { return "fuzz"; }
     void setup(Machine &m) override;
     Task thread(apps::ThreadCtx &ctx) override;
     bool verify(Machine &m) override;

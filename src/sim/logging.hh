@@ -5,7 +5,6 @@
  * panic()  -- an internal invariant was violated (simulator bug); aborts.
  * fatal()  -- the user asked for something impossible (bad config); exits.
  * warn()   -- something looks dubious but simulation continues.
- * inform() -- plain status output.
  */
 
 #ifndef PSIM_SIM_LOGGING_HH
@@ -24,7 +23,6 @@ std::string strfmt(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace psim
 
@@ -35,8 +33,6 @@ void informImpl(const std::string &msg);
     ::psim::fatalImpl(__FILE__, __LINE__, ::psim::strfmt(__VA_ARGS__))
 
 #define psim_warn(...) ::psim::warnImpl(::psim::strfmt(__VA_ARGS__))
-
-#define psim_inform(...) ::psim::informImpl(::psim::strfmt(__VA_ARGS__))
 
 /** panic() unless the invariant holds. */
 #define psim_assert(cond, ...)                                               \

@@ -1,14 +1,10 @@
 #include "sim/parallel.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
-
-#include "sim/logging.hh"
 
 namespace psim
 {
@@ -18,13 +14,6 @@ resolveJobs(unsigned requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("PSIM_JOBS")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end && *end == '\0' && v > 0)
-            return static_cast<unsigned>(v);
-        psim_warn("ignoring invalid PSIM_JOBS='%s'", env);
-    }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

@@ -11,8 +11,7 @@
  * formats output only after the grid completes — so printed tables are
  * byte-identical to a serial run no matter the job count.
  *
- * The job count comes from (highest priority first) an explicit
- * `--jobs N` flag, the `PSIM_JOBS` environment variable, and the
+ * The job count comes from an explicit `--jobs N` flag, else the
  * hardware concurrency.
  */
 
@@ -27,7 +26,7 @@ namespace psim
 
 /**
  * Resolve the job count for a grid run: @p requested if nonzero, else
- * `PSIM_JOBS` if set and valid, else std::thread::hardware_concurrency.
+ * std::thread::hardware_concurrency (at least 1).
  */
 unsigned resolveJobs(unsigned requested = 0);
 

@@ -204,7 +204,7 @@ struct CellResult
 /** Execution parameters that are *not* part of the experiment spec. */
 struct ExecOptions
 {
-    unsigned jobs = 0;  ///< grid threads; 0: PSIM_JOBS / hardware
+    unsigned jobs = 0;  ///< grid threads; 0: hardware concurrency
     unsigned procs = 0; ///< machine-size override (0: spec/paper value)
     /** Observability flags; runSpec() fills in each cell's own fields. */
     apps::RunOptions obs;
