@@ -2,7 +2,7 @@
  * @file
  * Spec runner: `run_spec --spec NAME|PATH [flags]` executes any
  * psim-spec-v1 experiment spec, prints its report on stdout, and, with
- * --out/--json PATH, writes the canonical psim-results-v1 document.
+ * --out PATH, writes the canonical psim-results-v1 document.
  * Without --out nothing is written, so a reduced run (--apps, --procs)
  * can never overwrite a pinned BENCH_*.json golden.
  *
@@ -36,7 +36,7 @@ struct Options
 };
 
 /**
- * Parse `--spec`, `--jobs N` (or `-jN`), `--json/--out PATH`,
+ * Parse `--spec`, `--jobs N` (or `-jN`), `--out PATH`,
  * `--apps a,b,c`, `--procs N` and the shared
  * observability flags (--stats-json PREFIX, --sample-interval N,
  * --sample-csv PREFIX, --chrome-trace PREFIX, --chrome-window A:B).
@@ -59,8 +59,8 @@ parseArgs(int argc, char **argv)
             opt.exec.jobs = parseUnsignedFlag("--jobs", value("--jobs"));
         } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
             opt.exec.jobs = parseUnsignedFlag("-jN", arg.substr(2));
-        } else if (arg == "--json" || arg == "--out") {
-            opt.out = value("--json");
+        } else if (arg == "--out") {
+            opt.out = value("--out");
         } else if (arg == "--spec") {
             opt.spec = value("--spec");
         } else if (arg == "--procs") {
@@ -81,7 +81,7 @@ parseArgs(int argc, char **argv)
         } else {
             psim_fatal("unknown argument '%s' "
                        "(supported: --spec NAME|PATH, --jobs N, "
-                       "--json/--out PATH, --apps a,b, "
+                       "--out PATH, --apps a,b, "
                        "--procs N, "
                        "--stats-json PREFIX, --sample-interval N, "
                        "--sample-csv PREFIX, --chrome-trace PREFIX, "

@@ -95,7 +95,7 @@ Oracle::check(const AccessLog &log, const BackingStore &final_store,
     //    that point. The shadow is never "resynchronized" from a bad
     //    load: it tracks what memory must contain given the recorded
     //    stores, which is the canonical image.
-    BackingStore shadow(_pageSize);
+    BackingStore shadow;
     for (const auto &[base, bytes] : _initial)
         shadow.write(base, bytes.data(),
                 static_cast<unsigned>(bytes.size()));

@@ -2,21 +2,12 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
-
 namespace psim
 {
 
-DDetPrefetcher::DDetPrefetcher(unsigned block_size, unsigned degree,
-                               unsigned entries, unsigned stride_threshold,
-                               unsigned max_stride_bytes)
-    : _blockSize(block_size),
-      _degree(degree),
-      _entries(entries),
-      _strideThreshold(stride_threshold),
-      _maxStrideBytes(static_cast<std::int64_t>(max_stride_bytes))
+DDetPrefetcher::DDetPrefetcher(unsigned block_size, unsigned degree)
+    : _blockSize(block_size), _degree(degree)
 {
-    psim_assert(entries > 0, "D-det structures need at least one entry");
 }
 
 bool
@@ -32,16 +23,14 @@ DDetPrefetcher::noteStride(std::int64_t s)
     for (auto &e : _freq) {
         if (e.stride == s) {
             e.lastUse = ++_clock;
-            if (++e.count >= _strideThreshold)
+            if (++e.count >= PrefetchConfig::strideThreshold)
                 promote(s);
             return;
         }
     }
-    if (_freq.size() >= _entries)
+    if (_freq.size() >= kEntries)
         evictLru(_freq);
     _freq.push_back(FreqEntry{s, 1, ++_clock});
-    if (_strideThreshold <= 1)
-        promote(s);
 }
 
 void
@@ -53,7 +42,7 @@ DDetPrefetcher::promote(std::int64_t s)
             return;
         }
     }
-    if (_common.size() >= _entries)
+    if (_common.size() >= kEntries)
         evictLru(_common);
     _common.push_back(CommonEntry{s, ++_clock});
     ++stridesPromoted;
@@ -94,7 +83,7 @@ DDetPrefetcher::allocStream(Addr addr, std::int64_t stride)
             }
         }
     }
-    if (_streams.size() >= _entries)
+    if (_streams.size() >= kEntries)
         evictLru(_streams);
     _streams.push_back(Stream{addr, stride, ++_clock});
     ++streamsCreated;
@@ -146,7 +135,7 @@ DDetPrefetcher::observeRead(const ReadObservation &obs,
         s->lastUse = ++_clock;
         emitStart(obs.addr, s->stride, out);
         _missList.push_back(obs.addr);
-        if (_missList.size() > _entries)
+        if (_missList.size() > kEntries)
             _missList.pop_front();
         return;
     }
@@ -166,7 +155,7 @@ DDetPrefetcher::observeRead(const ReadObservation &obs,
     for (auto it = _missList.rbegin(); it != _missList.rend(); ++it) {
         std::int64_t s = static_cast<std::int64_t>(obs.addr) -
                          static_cast<std::int64_t>(*it);
-        if (s == 0 || s >= _maxStrideBytes || s <= -_maxStrideBytes)
+        if (s == 0 || s >= kMaxStrideBytes || s <= -kMaxStrideBytes)
             continue;
         if (std::find(_strideScratch.begin(), _strideScratch.end(), s) !=
             _strideScratch.end()) {
@@ -185,7 +174,7 @@ DDetPrefetcher::observeRead(const ReadObservation &obs,
     }
 
     _missList.push_back(obs.addr);
-    if (_missList.size() > _entries)
+    if (_missList.size() > kEntries)
         _missList.pop_front();
 }
 

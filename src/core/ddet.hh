@@ -36,17 +36,15 @@ class DDetPrefetcher : public Prefetcher
 {
   public:
     /**
+     * Each of the four structures holds PrefetchConfig::ddetEntries
+     * entries, a stride is common after PrefetchConfig::strideThreshold
+     * occurrences, and candidate strides of a page or more are ignored:
+     * prefetching cannot cross a page anyway.
+     *
      * @param block_size cache block size in bytes
      * @param degree degree of prefetching d
-     * @param entries size of each of the four structures (paper: 16)
-     * @param stride_threshold occurrences before a stride is common
-     *        (paper: 3)
-     * @param max_stride_bytes ignore candidate strides at least this
-     *        large; prefetching cannot cross a page anyway (paper: 4 KB
-     *        pages)
      */
-    DDetPrefetcher(unsigned block_size, unsigned degree, unsigned entries,
-                   unsigned stride_threshold, unsigned max_stride_bytes);
+    DDetPrefetcher(unsigned block_size, unsigned degree);
 
     void observeRead(const ReadObservation &obs,
                      std::vector<Addr> &out) override;
@@ -109,11 +107,11 @@ class DDetPrefetcher : public Prefetcher
         v.erase(v.begin() + static_cast<std::ptrdiff_t>(victim));
     }
 
+    static constexpr unsigned kEntries = PrefetchConfig::ddetEntries;
+    static constexpr std::int64_t kMaxStrideBytes = MachineConfig::pageSize;
+
     unsigned _blockSize;
     unsigned _degree;
-    unsigned _entries;
-    unsigned _strideThreshold;
-    std::int64_t _maxStrideBytes;
 
     std::uint64_t _clock = 0; ///< LRU timestamp source
 

@@ -34,8 +34,7 @@ makeScheme(const MachineConfig &cfg, PrefetchScheme scheme)
         return std::make_unique<IDetPrefetcher>(p.rptEntries, p.degree,
                                                 cfg.blockSize);
       case PrefetchScheme::DDet:
-        return std::make_unique<DDetPrefetcher>(cfg.blockSize, p.degree,
-                p.ddetEntries, p.strideThreshold, cfg.pageSize);
+        return std::make_unique<DDetPrefetcher>(cfg.blockSize, p.degree);
       case PrefetchScheme::Adaptive:
         return std::make_unique<AdaptiveSequentialPrefetcher>(
                 cfg.blockSize, p.degree, p.adaptiveMaxDegree,

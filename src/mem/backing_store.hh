@@ -22,6 +22,7 @@
 #include <type_traits>
 
 #include "sim/block_table.hh"
+#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -31,12 +32,7 @@ namespace psim
 class BackingStore
 {
   public:
-    explicit BackingStore(unsigned page_size = 4096)
-        : _pageSize(page_size)
-    {
-        psim_assert(isPowerOf2(page_size), "page size must be power of 2");
-    }
-
+    BackingStore() = default;
     BackingStore(const BackingStore &) = delete;
     BackingStore &operator=(const BackingStore &) = delete;
 
@@ -85,7 +81,7 @@ class BackingStore
         write(addr, &v, sizeof(T));
     }
 
-    unsigned pageSize() const { return _pageSize; }
+    static constexpr unsigned pageSize() { return MachineConfig::pageSize; }
 
     /**
      * Visit every materialized page as (base address, page bytes).
@@ -99,7 +95,7 @@ class BackingStore
     {
         _pages.forEach([&](Addr base, const Page &page) {
             const std::uint8_t *bytes = page.get();
-            fn(base, bytes, _pageSize);
+            fn(base, bytes, pageSize());
         });
     }
 
@@ -109,30 +105,29 @@ class BackingStore
     void
     checkSamePage(Addr addr, unsigned len) const
     {
-        psim_assert(alignDown(addr, _pageSize) ==
-                    alignDown(addr + len - 1, _pageSize),
+        psim_assert(alignDown(addr, pageSize()) ==
+                    alignDown(addr + len - 1, pageSize()),
                     "access crosses a page boundary");
     }
 
-    std::size_t offset(Addr addr) const { return addr & (_pageSize - 1); }
+    std::size_t offset(Addr addr) const { return addr & (pageSize() - 1); }
 
     const std::uint8_t *
     findPage(Addr addr) const
     {
-        const Page *page = _pages.find(alignDown(addr, _pageSize));
+        const Page *page = _pages.find(alignDown(addr, pageSize()));
         return page ? page->get() : nullptr;
     }
 
     std::uint8_t *
     ensurePage(Addr addr)
     {
-        Page &page = _pages[alignDown(addr, _pageSize)];
+        Page &page = _pages[alignDown(addr, pageSize())];
         if (!page)
-            page = std::make_unique<std::uint8_t[]>(_pageSize);
+            page = std::make_unique<std::uint8_t[]>(pageSize());
         return page.get();
     }
 
-    unsigned _pageSize;
     BlockTable<Page> _pages;
 };
 

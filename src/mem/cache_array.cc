@@ -22,24 +22,18 @@ toString(CohState s)
 CacheArray::CacheArray(unsigned size_bytes, unsigned assoc,
                        unsigned block_size)
     : _infinite(size_bytes == 0),
-      _assoc(assoc),
       _blockShift(log2Exact(block_size)),
       _numSets(0)
 {
     psim_assert(isPowerOf2(block_size), "block size must be a power of 2");
+    psim_assert(assoc == 1, "CacheArray is direct-mapped only");
     if (_infinite)
         return;
-    psim_assert(assoc >= 1, "associativity must be >= 1");
-    unsigned blocks = size_bytes / block_size;
-    psim_assert(blocks >= assoc, "cache smaller than one set");
-    _numSets = blocks / assoc;
-    psim_assert(isPowerOf2(_numSets),
+    _numSets = size_bytes / block_size;
+    psim_assert(_numSets >= 1 && isPowerOf2(_numSets),
             "number of sets (%u) must be a power of 2", _numSets);
-    std::size_t frames = static_cast<std::size_t>(_numSets) * _assoc;
-    _frames.resize(frames);
-    _tags.assign(frames, kAddrInvalid);
-    if (_assoc > 1)
-        _stamps.assign(frames, 0);
+    _frames.resize(_numSets);
+    _tags.assign(_numSets, kAddrInvalid);
 }
 
 std::size_t

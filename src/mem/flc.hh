@@ -28,14 +28,11 @@ class Flc
 
     /** Probe for a read. @return true on hit (updates stats). */
     bool
-    probeRead(Addr addr, Tick now)
+    probeRead(Addr addr)
     {
         ++reads;
-        CacheBlk *blk = _array.find(_cfg.blockAddr(addr));
-        if (blk) {
-            _array.touch(blk, now);
+        if (_array.find(_cfg.blockAddr(addr)))
             return true;
-        }
         ++readMisses;
         return false;
     }
@@ -46,23 +43,19 @@ class Flc
      * (data itself is functional).
      */
     void
-    probeWrite(Addr addr, Tick now)
+    probeWrite(Addr addr)
     {
         ++writes;
-        CacheBlk *blk = _array.find(_cfg.blockAddr(addr));
-        if (blk)
-            _array.touch(blk, now);
-        else
+        if (!_array.find(_cfg.blockAddr(addr)))
             ++writeMisses;
     }
 
     /** Fill after an SLC read response (direct-mapped victim evicted). */
     void
-    fill(Addr addr, Tick now)
+    fill(Addr addr)
     {
         Addr blk_addr = _cfg.blockAddr(addr);
-        CacheBlk *frame = _array.findVictim(blk_addr);
-        _array.fill(frame, blk_addr, CohState::Shared, now);
+        _array.fill(_array.findVictim(blk_addr), blk_addr, CohState::Shared);
     }
 
     /** The block-invalidation pin (inclusion with the SLC). */

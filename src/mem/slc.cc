@@ -188,7 +188,6 @@ Slc::processRead(Addr addr, Pc pc)
             noteFate(blk_addr, audit::Fate::UsefulTagged,
                     audit::Event::TaggedReadHit, now);
         }
-        _array.touch(blk, now);
         _eq.schedule(now + cfg.slcToCpuLat, EventKind::CpuReadDone, _id,
                 addr);
     } else {
@@ -284,7 +283,6 @@ Slc::processWrite(Addr addr, Pc pc)
             noteFate(blk_addr, audit::Fate::WriteHit,
                     audit::Event::TaggedWriteHit, now);
         }
-        _array.touch(blk, now);
         if (blk->state == CohState::Modified) {
             blk->written = true;
             _cpu.storePerformed();
@@ -529,7 +527,7 @@ Slc::handleFill(const Message &m, bool exclusive)
                 (unsigned long long)blk_addr);
     }
     _array.fill(frame, blk_addr, exclusive ? CohState::Modified
-                                           : CohState::Shared, now);
+                                           : CohState::Shared);
     _history.erase(blk_addr);
     if (_audit)
         _audit->onEvent(blk_addr, audit::Event::Fill, now);
@@ -675,8 +673,7 @@ Slc::receive(const Message &m)
             // the Clean directory state, so the home's memory copy is
             // valid and the block is reinstalled directly in Modified.
             CacheBlk *frame = makeRoom(m.addr);
-            _array.fill(frame, m.addr, CohState::Modified,
-                        _eq.now());
+            _array.fill(frame, m.addr, CohState::Modified);
             frame->written = true;
             _history.erase(m.addr);
         }

@@ -317,6 +317,22 @@ MachineAudit::finalize(const Machine &m)
                        "episodes at end of run",
                        n, pending);
         }
+        // Every operation costs one pclock plus the stall its counter
+        // records, and think time is all the rest: the counters must
+        // account for every tick up to the finish.
+        const Cpu &cpu = m.node(n).cpu();
+        const double accounted =
+                cpu.loads.value() + cpu.stores.value() +
+                cpu.locks.value() + cpu.barriers.value() +
+                static_cast<double>(cpu.unlocks()) +
+                cpu.readStall.value() + cpu.lockStall.value() +
+                cpu.barrierStall.value() + cpu.writeStall.value() +
+                cpu.thinkTicks.value();
+        if (cpu.finishTick.value() != accounted) {
+            psim_panic("audit: node %u time law violated: finished at "
+                       "tick %.0f, counters account for %.0f",
+                       n, cpu.finishTick.value(), accounted);
+        }
     }
 }
 

@@ -19,7 +19,9 @@
  * message receive (MSHR/directory-state agreement, SLWB occupancy
  * bounds, no tagged block without a recorded issue) and machine-level
  * quiesce checks (mesh message conservation, no held locks, no pending
- * barrier episodes).
+ * barrier episodes, and each processor's time law: its finish tick is
+ * one pclock per load, store, lock, unlock and barrier plus its stall
+ * and think ticks).
  *
  * Gating: compile-time via the PSIM_AUDIT CMake option (default ON)
  * and runtime via MachineConfig::audit, which defaults to the
@@ -189,7 +191,8 @@ struct LedgerSnapshot
 /**
  * Machine-wide audit: owns the per-node trackers and the global
  * checks that span nodes -- mesh message conservation, message-field
- * validation on every delivery, and lock/barrier quiescence.
+ * validation on every delivery, lock/barrier quiescence and the
+ * per-processor time law.
  */
 class MachineAudit
 {

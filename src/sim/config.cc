@@ -14,31 +14,27 @@ namespace
 
 /**
  * The one scheme registry: display name (toString / the paper figures)
- * plus every accepted spelling. parseScheme, toString and schemeNames
+ * plus the one accepted spelling. parseScheme, toString and schemeNames
  * all read this table, so a new scheme added here is parseable,
  * printable and listed in error messages at once.
  */
 struct SchemeName
 {
     PrefetchScheme scheme;
-    const char *display;            ///< toString() / figure label
-    const char *aliases[3];         ///< accepted parse spellings
+    const char *display; ///< toString() / figure label
+    const char *parse;   ///< the accepted parse spelling
 };
 
 constexpr SchemeName kSchemeNames[] = {
-    {PrefetchScheme::None, "baseline", {"none", "baseline", nullptr}},
-    {PrefetchScheme::Sequential, "seq", {"seq", "sequential", nullptr}},
-    {PrefetchScheme::IDet, "i-det", {"idet", "i-det", nullptr}},
-    {PrefetchScheme::DDet, "d-det", {"ddet", "d-det", nullptr}},
-    {PrefetchScheme::Adaptive, "adaptive",
-     {"adaptive", "adaptive-seq", nullptr}},
-    {PrefetchScheme::IDetLookahead, "i-det-la",
-     {"idet-la", "i-det-la", "lookahead"}},
-    {PrefetchScheme::MultiStride, "m-stride",
-     {"mstride", "m-stride", "multi-stride"}},
-    {PrefetchScheme::PtrChase, "chase",
-     {"chase", "ptr-chase", "pointer-chase"}},
-    {PrefetchScheme::Perceptron, "ptron", {"ptron", "perceptron", nullptr}},
+    {PrefetchScheme::None, "baseline", "none"},
+    {PrefetchScheme::Sequential, "seq", "seq"},
+    {PrefetchScheme::IDet, "i-det", "idet"},
+    {PrefetchScheme::DDet, "d-det", "ddet"},
+    {PrefetchScheme::Adaptive, "adaptive", "adaptive"},
+    {PrefetchScheme::IDetLookahead, "i-det-la", "idet-la"},
+    {PrefetchScheme::MultiStride, "m-stride", "mstride"},
+    {PrefetchScheme::PtrChase, "chase", "chase"},
+    {PrefetchScheme::Perceptron, "ptron", "ptron"},
 };
 
 } // namespace
@@ -60,7 +56,7 @@ schemeNames()
     for (const SchemeName &e : kSchemeNames) {
         if (!out.empty())
             out += ", ";
-        out += e.aliases[0];
+        out += e.parse;
     }
     return out;
 }
@@ -69,10 +65,8 @@ PrefetchScheme
 parseScheme(const std::string &name)
 {
     for (const SchemeName &e : kSchemeNames) {
-        for (const char *alias : e.aliases) {
-            if (alias && name == alias)
-                return e.scheme;
-        }
+        if (name == e.parse)
+            return e.scheme;
     }
     psim_fatal("unknown prefetch scheme '%s' (valid: %s)", name.c_str(),
                schemeNames().c_str());
@@ -95,8 +89,9 @@ MachineConfig::validate() const
 {
     if (!isPowerOf2(blockSize))
         psim_fatal("block size %u is not a power of two", blockSize);
-    if (!isPowerOf2(pageSize) || pageSize < blockSize)
-        psim_fatal("bad page size %u", pageSize);
+    if (blockSize > pageSize)
+        psim_fatal("block size %u exceeds the %u-byte page", blockSize,
+                   pageSize);
     if (!isPowerOf2(flcSize) || flcSize < blockSize)
         psim_fatal("bad FLC size %u", flcSize);
     if (slcSize != 0 && (!isPowerOf2(slcSize) || slcSize < blockSize))
@@ -107,8 +102,8 @@ MachineConfig::validate() const
     if (numProcs > 64)
         psim_fatal("%u nodes exceed the directory presence mask's limit "
                    "of 64 nodes", numProcs);
-    if (flwbEntries == 0 || slwbEntries == 0)
-        psim_fatal("write buffers need at least one entry");
+    if (slwbEntries == 0)
+        psim_fatal("the SLWB needs at least one entry");
     if (prefetch.degree == 0)
         psim_fatal("degree of prefetching must be >= 1");
     // Lookahead 0 would select IDetPrefetcher's tagged continuation.

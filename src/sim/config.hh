@@ -37,12 +37,9 @@ enum class PrefetchScheme
 const char *toString(PrefetchScheme s);
 
 /**
- * Parse a scheme name. Accepts every canonical name and alias from the
- * scheme registry (see kSchemeNames in config.cc); schemeNames() prints
- * the same set. Currently: "none"/"baseline", "seq"/"sequential",
- * "idet"/"i-det", "ddet"/"d-det", "adaptive"/"adaptive-seq",
- * "idet-la"/"i-det-la"/"lookahead", "mstride"/"m-stride"/"multi-stride",
- * "chase"/"ptr-chase"/"pointer-chase", "ptron"/"perceptron".
+ * Parse a scheme name: exactly one spelling per scheme, the names
+ * schemeNames() lists (see kSchemeNames in config.cc). Currently:
+ * none, seq, idet, ddet, adaptive, idet-la, mstride, chase, ptron.
  * Unknown names are fatal and list the valid set.
  */
 PrefetchScheme parseScheme(const std::string &name);
@@ -193,14 +190,19 @@ struct MachineConfig
      */
     unsigned slcSize = 0;
 
-    /** SLC associativity when finite; paper: direct-mapped. */
-    unsigned slcAssoc = 1;
+    /**
+     * SLC associativity when finite; paper: direct-mapped, the only
+     * kind CacheArray builds.
+     */
+    static constexpr unsigned slcAssoc = 1;
 
     /** Virtual-memory page size; paper: 4 Kbyte, round-robin homes. */
-    unsigned pageSize = 4096;
+    static constexpr unsigned pageSize = 4096;
+    static_assert(isPowerOf2(pageSize));
 
     /** First-level write buffer entries; paper: 8. */
-    unsigned flwbEntries = 8;
+    static constexpr unsigned flwbEntries = 8;
+    static_assert(flwbEntries > 0, "the FLWB needs at least one entry");
 
     /** Second-level write buffer (pending-transaction) entries; paper: 16. */
     unsigned slwbEntries = 16;

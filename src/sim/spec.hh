@@ -40,10 +40,10 @@
  *
  * Axis semantics, applied to each cell in axis order:
  *  - "app": the workload (values must be strings);
- *  - "scheme": cfg.prefetch.scheme via parseScheme();
  *  - "scale": the workload scale factor (run option);
- *  - any machine-config key ("blockSize", "slcSize", "prefetch.degree",
- *    "sequentialConsistency", ...): that field is set to the value.
+ *  - any machine-config key ("scheme", "blockSize", "slcSize",
+ *    "prefetch.degree", "sequentialConsistency", ...): that field is
+ *    set to the value; "scheme" goes through parseScheme().
  *
  * A value may also be an object {"value": ..., "id": "...", "label":
  * "...", "config": {...}, "run": {...}}: the optional scalar keeps the
@@ -80,8 +80,9 @@ using ConfigPatch = std::vector<std::pair<std::string, json::Value>>;
 
 /**
  * Set one machine-config field by key ("blockSize", "prefetch.degree",
- * "sequentialConsistency", ...). fatal() -- blaming @p what -- on an
- * unknown key or a value of the wrong type.
+ * "sequentialConsistency", ...; the table in spec.cc lists all twelve).
+ * fatal() -- blaming @p what -- on an unknown key or a value of the
+ * wrong type.
  */
 void applyConfigKey(MachineConfig &cfg, const std::string &key,
                     const json::Value &value, const std::string &what);

@@ -123,7 +123,7 @@ Cpu::issueLoad(Addr addr, Pc pc, std::coroutine_handle<> h)
     ++loads;
     _waiting = h;
     _opStart = _eq.now();
-    if (_flc.probeRead(addr, _opStart)) {
+    if (_flc.probeRead(addr)) {
         resumeAt(_opStart + _m.cfg().flcReadLat);
         return;
     }
@@ -149,7 +149,7 @@ Cpu::issueStore(Addr addr, Pc pc, std::coroutine_handle<> h)
     ++stores;
     _waiting = h;
     _opStart = _eq.now();
-    _flc.probeWrite(addr, _opStart);
+    _flc.probeWrite(addr);
     FlwbEntry e;
     e.kind = FlwbEntry::Kind::Write;
     e.addr = addr;
@@ -172,6 +172,7 @@ Cpu::issueLock(Addr addr, std::coroutine_handle<> h)
 void
 Cpu::issueUnlock(Addr addr, std::coroutine_handle<> h)
 {
+    ++_unlocks;
     _waiting = h;
     _opStart = _eq.now();
     FlwbEntry e;
@@ -214,7 +215,7 @@ Cpu::readComplete(Addr addr)
     // load still uses the returned data -- non-binding semantics).
     if (_m.node(_id).slc().stateOf(_m.cfg().blockAddr(addr)) !=
         CohState::Invalid) {
-        _flc.fill(addr, now);
+        _flc.fill(addr);
     }
     readStall += static_cast<double>(now - _opStart - _m.cfg().flcReadLat);
     resumeNow();

@@ -85,6 +85,12 @@ class Cpu
     /** Stores issued but not yet globally performed. */
     unsigned outstandingStores() const { return _outstandingStores; }
 
+    /**
+     * Unlocks issued. Kept out of the statistics registry, so stats
+     * documents do not change; the audit's time law reads it.
+     */
+    std::uint64_t unlocks() const { return _unlocks; }
+
     // ---- statistics (paper metrics) ----
 
     stats::Scalar loads;
@@ -165,6 +171,7 @@ class Cpu
     std::optional<FlwbEntry> _pendingEntry;
     Tick _opStart = 0;       ///< issue tick of the blocking op
     unsigned _outstandingStores = 0;
+    std::uint64_t _unlocks = 0;
 };
 
 } // namespace psim

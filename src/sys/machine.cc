@@ -13,7 +13,6 @@ namespace psim
 
 Machine::Machine(MachineConfig cfg)
     : _cfg(cfg),
-      _store(cfg.pageSize),
       _mesh(_cfg)
 {
     _cfg.validate();

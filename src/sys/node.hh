@@ -36,6 +36,7 @@ class Node
     void pumpFlwb();
 
     Cpu &cpu() { return *_cpu; }
+    const Cpu &cpu() const { return *_cpu; }
     Flc &flc() { return *_flc; }
     Flwb &flwb() { return *_flwb; }
     Slc &slc() { return *_slc; }

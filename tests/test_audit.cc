@@ -4,8 +4,8 @@
  * every prefetching scheme with the audit enabled. The audit itself is
  * the oracle -- a lifecycle or coherence violation panics the run --
  * and the test re-asserts the conservation law from the outside.
- * Also unit tests for the address-wraparound guard in candidate
- * generation.
+ * Also a processor mis-count that the time law must catch, and unit
+ * tests for the address-wraparound guard in candidate generation.
  */
 
 #include <gtest/gtest.h>
@@ -133,6 +133,29 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, AuditChaos,
                 AuditParams{PrefetchScheme::Adaptive, 0},
                 AuditParams{PrefetchScheme::Adaptive, 2048},
                 AuditParams{PrefetchScheme::IDetLookahead, 2048}));
+
+TEST(AuditDeath, CpuMiscountBreaksTheTimeLaw)
+{
+    if (!audit::compiledIn())
+        GTEST_SKIP() << "built with PSIM_AUDIT=OFF";
+    MachineConfig cfg;
+    cfg.numProcs = 4;
+    cfg.audit = true;
+    MiniSystem sys(cfg);
+    Addr lock = pageBase(cfg, 1);
+    auto t = [](apps::ThreadCtx &ctx, Addr l) -> Task {
+        co_await ctx.lock(l);
+        co_await ctx.write<std::uint64_t>(l + 32, 1);
+        co_await ctx.unlock(l);
+        co_await ctx.read<std::uint64_t>(l + 64);
+        co_await ctx.think(7);
+    };
+    sys.run(0, t(sys.ctx(0), lock));
+    // A processor that counts one load it never issued: its counters
+    // no longer add up to its finish tick.
+    ++sys.m.node(0).cpu().loads;
+    EXPECT_DEATH(sys.finish(), "node 0 time law violated");
+}
 
 TEST(WrapGuard, SequentialNearTopOfAddressSpace)
 {

@@ -41,7 +41,7 @@ TEST(BackingStore, NeighbouringWritesDoNotClobber)
 
 TEST(BackingStore, PagesAreIndependent)
 {
-    BackingStore bs(4096);
+    BackingStore bs;
     bs.store<std::uint64_t>(0x0FF8, 1); // last word of page 0
     bs.store<std::uint64_t>(0x1000, 2); // first word of page 1
     EXPECT_EQ(bs.load<std::uint64_t>(0x0FF8), 1u);
@@ -73,7 +73,7 @@ TEST(BackingStore, ManyPagesRoundTripAndAreEachVisitedOnce)
     // strided so neighbouring pages share no low address bits.
     constexpr unsigned kPages = 300;
     constexpr Addr kStride = 0x11000;
-    BackingStore bs(4096);
+    BackingStore bs;
     for (Addr p = 0; p < kPages; ++p) {
         bs.store<std::uint64_t>(p * kStride, p);
         bs.store<std::uint64_t>(p * kStride + 4088, ~p);

@@ -23,14 +23,13 @@ pageBase(const MachineConfig &cfg, unsigned page)
 
 } // namespace
 
-TEST(Backpressure, TinyFlwbStallsBurstyWriters)
+TEST(Backpressure, FullFlwbStallsBurstyWriters)
 {
-    // A burst of writes to distinct remote blocks with a 2-entry FLWB
-    // must stall the processor (writeStall > 0) but still complete and
-    // perform every write.
+    // A burst of writes to distinct remote blocks, far more than the
+    // FLWB's 8 entries, must stall the processor (writeStall > 0) but
+    // still complete and perform every write.
     MachineConfig cfg;
     cfg.numProcs = 4;
-    cfg.flwbEntries = 2;
     MiniSystem sys(cfg);
     Addr base = pageBase(cfg, 1); // remote page
 
@@ -120,11 +119,11 @@ TEST(Backpressure, PendingPrefetchAbsorbsDuplicateCandidates)
 
 TEST(Backpressure, LockHoldersBlockFlwbDrainsSafely)
 {
-    // Heavy lock contention with a tiny FLWB: the queue-based lock and
-    // the write buffers must not deadlock against each other.
+    // Heavy lock contention with a full FLWB and a tiny SLWB: the
+    // queue-based lock and the write buffers must not deadlock against
+    // each other.
     MachineConfig cfg;
     cfg.numProcs = 4;
-    cfg.flwbEntries = 2;
     cfg.slwbEntries = 2;
     MiniSystem sys(cfg);
     Addr counter = pageBase(cfg, 1);
@@ -134,9 +133,10 @@ TEST(Backpressure, LockHoldersBlockFlwbDrainsSafely)
         for (int i = 0; i < 10; ++i) {
             co_await ctx.lock(l);
             auto v = co_await ctx.read<std::uint64_t>(c);
-            // Extra writes to pressure the buffers inside the section.
-            co_await ctx.write<std::uint64_t>(c + 32, v);
-            co_await ctx.write<std::uint64_t>(c + 64, v + 1);
+            // Extra writes to distinct blocks, more than the FLWB's
+            // entries, so the buffers fill inside the section.
+            for (unsigned k = 1; k <= 12; ++k)
+                co_await ctx.write<std::uint64_t>(c + 32 * k, v + k);
             co_await ctx.write<std::uint64_t>(c, v + 1);
             co_await ctx.unlock(l);
         }

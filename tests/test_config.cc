@@ -61,21 +61,18 @@ TEST(Config, FlitsForMessageSizes)
 
 TEST(Config, SchemeNamesRoundTrip)
 {
+    // One parse spelling per scheme: the names schemeNames() lists.
     EXPECT_EQ(parseScheme("none"), PrefetchScheme::None);
-    EXPECT_EQ(parseScheme("baseline"), PrefetchScheme::None);
     EXPECT_EQ(parseScheme("seq"), PrefetchScheme::Sequential);
-    EXPECT_EQ(parseScheme("sequential"), PrefetchScheme::Sequential);
     EXPECT_EQ(parseScheme("idet"), PrefetchScheme::IDet);
-    EXPECT_EQ(parseScheme("i-det"), PrefetchScheme::IDet);
     EXPECT_EQ(parseScheme("ddet"), PrefetchScheme::DDet);
+    EXPECT_EQ(parseScheme("adaptive"), PrefetchScheme::Adaptive);
+    EXPECT_EQ(parseScheme("idet-la"), PrefetchScheme::IDetLookahead);
     EXPECT_EQ(parseScheme("mstride"), PrefetchScheme::MultiStride);
-    EXPECT_EQ(parseScheme("m-stride"), PrefetchScheme::MultiStride);
-    EXPECT_EQ(parseScheme("multi-stride"), PrefetchScheme::MultiStride);
     EXPECT_EQ(parseScheme("chase"), PrefetchScheme::PtrChase);
-    EXPECT_EQ(parseScheme("ptr-chase"), PrefetchScheme::PtrChase);
-    EXPECT_EQ(parseScheme("pointer-chase"), PrefetchScheme::PtrChase);
     EXPECT_EQ(parseScheme("ptron"), PrefetchScheme::Perceptron);
-    EXPECT_EQ(parseScheme("perceptron"), PrefetchScheme::Perceptron);
+    EXPECT_EQ(schemeNames(), "none, seq, idet, ddet, adaptive, idet-la, "
+                             "mstride, chase, ptron");
     EXPECT_STREQ(toString(PrefetchScheme::Sequential), "seq");
     EXPECT_STREQ(toString(PrefetchScheme::IDet), "i-det");
     EXPECT_STREQ(toString(PrefetchScheme::DDet), "d-det");
@@ -136,4 +133,12 @@ TEST(ConfigDeath, RejectsUnknownScheme)
     // parser, the printer and this message).
     EXPECT_EXIT(parseScheme("bogus"), ::testing::ExitedWithCode(1),
             "unknown prefetch scheme 'bogus' \\(valid: .*chase.*\\)");
+}
+
+TEST(ConfigDeath, RejectsFormerSchemeAlias)
+{
+    // A scheme has one spelling; the long forms do not parse.
+    EXPECT_EXIT(parseScheme("sequential"), ::testing::ExitedWithCode(1),
+            "unknown prefetch scheme 'sequential' \\(valid: none, seq, "
+            "idet, ddet, adaptive, idet-la, mstride, chase, ptron\\)");
 }

@@ -13,9 +13,8 @@ namespace
 {
 
 constexpr unsigned kBlk = 32;
-constexpr unsigned kEntries = 16;
-constexpr unsigned kThreshold = 3;
-constexpr unsigned kPage = 4096;
+constexpr unsigned kEntries = PrefetchConfig::ddetEntries;
+constexpr unsigned kPage = MachineConfig::pageSize;
 
 std::vector<Addr>
 miss(DDetPrefetcher &p, Addr addr)
@@ -43,7 +42,7 @@ taggedHit(DDetPrefetcher &p, Addr addr)
 DDetPrefetcher
 make(unsigned degree = 1)
 {
-    return DDetPrefetcher(kBlk, degree, kEntries, kThreshold, kPage);
+    return DDetPrefetcher(kBlk, degree);
 }
 
 } // namespace

@@ -27,9 +27,9 @@ TEST(Flc, ColdReadMissesThenHitsAfterFill)
 {
     MachineConfig cfg = smallCfg();
     Flc flc(cfg);
-    EXPECT_FALSE(flc.probeRead(0x100, 0));
-    flc.fill(0x100, 1);
-    EXPECT_TRUE(flc.probeRead(0x100, 2));
+    EXPECT_FALSE(flc.probeRead(0x100));
+    flc.fill(0x100);
+    EXPECT_TRUE(flc.probeRead(0x100));
     EXPECT_DOUBLE_EQ(flc.readMisses.value(), 1.0);
     EXPECT_DOUBLE_EQ(flc.reads.value(), 2.0);
 }
@@ -38,20 +38,20 @@ TEST(Flc, WholeBlockHitsAfterFill)
 {
     MachineConfig cfg = smallCfg();
     Flc flc(cfg);
-    flc.fill(0x100, 0);
+    flc.fill(0x100);
     // Any word of the 32-byte block hits.
-    EXPECT_TRUE(flc.probeRead(0x100, 1));
-    EXPECT_TRUE(flc.probeRead(0x108, 1));
-    EXPECT_TRUE(flc.probeRead(0x11F, 1));
-    EXPECT_FALSE(flc.probeRead(0x120, 1)); // next block
+    EXPECT_TRUE(flc.probeRead(0x100));
+    EXPECT_TRUE(flc.probeRead(0x108));
+    EXPECT_TRUE(flc.probeRead(0x11F));
+    EXPECT_FALSE(flc.probeRead(0x120)); // next block
 }
 
 TEST(Flc, WritesDoNotAllocate)
 {
     MachineConfig cfg = smallCfg();
     Flc flc(cfg);
-    flc.probeWrite(0x200, 0);
-    EXPECT_FALSE(flc.probeRead(0x200, 1));
+    flc.probeWrite(0x200);
+    EXPECT_FALSE(flc.probeRead(0x200));
     EXPECT_DOUBLE_EQ(flc.writeMisses.value(), 1.0);
 }
 
@@ -59,21 +59,21 @@ TEST(Flc, DirectMappedFillEvictsConflict)
 {
     MachineConfig cfg = smallCfg(); // 1 KB: addresses 1 KB apart conflict
     Flc flc(cfg);
-    flc.fill(0x000, 0);
-    flc.fill(0x400, 1); // same set
-    EXPECT_FALSE(flc.probeRead(0x000, 2));
-    EXPECT_TRUE(flc.probeRead(0x400, 2));
+    flc.fill(0x000);
+    flc.fill(0x400); // same set
+    EXPECT_FALSE(flc.probeRead(0x000));
+    EXPECT_TRUE(flc.probeRead(0x400));
 }
 
 TEST(Flc, InvalidationPinRemovesBlock)
 {
     MachineConfig cfg = smallCfg();
     Flc flc(cfg);
-    flc.fill(0x300, 0);
+    flc.fill(0x300);
     ASSERT_TRUE(flc.contains(0x300));
     flc.invalidate(0x300);
     EXPECT_FALSE(flc.contains(0x300));
-    EXPECT_FALSE(flc.probeRead(0x300, 1));
+    EXPECT_FALSE(flc.probeRead(0x300));
     EXPECT_DOUBLE_EQ(flc.invalidations.value(), 1.0);
 }
 

@@ -91,7 +91,7 @@ TEST(IDetLookahead, IntegrationCoversAStream)
 TEST(IDetLookahead, SchemeParsesAndBuilds)
 {
     MachineConfig cfg;
-    cfg.prefetch.scheme = parseScheme("lookahead");
+    cfg.prefetch.scheme = parseScheme("idet-la");
     EXPECT_EQ(cfg.prefetch.scheme, PrefetchScheme::IDetLookahead);
     std::unique_ptr<Prefetcher> p = Prefetcher::create(cfg);
     ASSERT_NE(dynamic_cast<IDetPrefetcher *>(p.get()), nullptr);

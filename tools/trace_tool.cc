@@ -270,7 +270,7 @@ main(int argc, char **argv)
     evaluate("seq", seq);
     IDetPrefetcher idet(256, 1, 32);
     evaluate("i-det", idet);
-    DDetPrefetcher ddet(32, 1, 16, 3, 4096);
+    DDetPrefetcher ddet(32, 1);
     evaluate("d-det", ddet);
     return 0;
 }
