@@ -36,7 +36,7 @@ struct Options
 };
 
 /**
- * Parse `--spec`, `--jobs N` (or `-jN`), `--out PATH`,
+ * Parse `--spec`, `--jobs N`, `--out PATH`,
  * `--apps a,b,c`, `--procs N` and the shared
  * observability flags (--stats-json PREFIX, --sample-interval N,
  * --sample-csv PREFIX, --chrome-trace PREFIX, --chrome-window A:B).
@@ -55,10 +55,8 @@ parseArgs(int argc, char **argv)
         };
         if (opt.exec.obs.parseArg(argc, argv, &i)) {
             // consumed an observability flag
-        } else if (arg == "--jobs" || arg == "-j") {
+        } else if (arg == "--jobs") {
             opt.exec.jobs = parseUnsignedFlag("--jobs", value("--jobs"));
-        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-            opt.exec.jobs = parseUnsignedFlag("-jN", arg.substr(2));
         } else if (arg == "--out") {
             opt.out = value("--out");
         } else if (arg == "--spec") {

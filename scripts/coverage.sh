@@ -10,6 +10,9 @@
 #     document;
 #   - README's extra-kernel commands: fig6 on fft, radix and barnes, and
 #     psim_cli on matmul with --characterize under i-det;
+#   - README's "drive everything from the CLI" commands: ocean under
+#     i-det with --stats, water with a 16 KB SLC and --characterize,
+#     and an fft capture analysed by trace_tool;
 #   - one 64-processor psim_cli run (a non-default mesh shape);
 #   - psim_cli fuzz over bench/fuzz_corpus.txt, plain and under
 #     PSIM_AUDIT=1, and each --mutant on 4 seeds (the shrinker runs);
@@ -49,6 +52,10 @@ done
 "$spec" --spec fig6 --apps fft,radix,barnes --jobs 4 > /dev/null
 "$cli" --workload matmul --characterize --scheme idet > /dev/null
 "$cli" --workload lu --scheme seq --procs 64 > /dev/null
+"$cli" --workload ocean --scheme idet --stats > /dev/null
+"$cli" --workload water --scheme seq --slc 16384 --characterize > /dev/null
+"$cli" --workload fft --trace "$work/fft.psimtrace" > /dev/null
+"$tool" "$work/fft.psimtrace" > /dev/null
 
 corpus=bench/fuzz_corpus.txt
 "$cli" fuzz --corpus $corpus --jobs 4 > /dev/null

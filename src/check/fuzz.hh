@@ -47,15 +47,16 @@ struct FuzzOptions
      * runFuzz() is fatal when this leaves no seed to check.
      */
     std::vector<std::uint64_t> seeds;
-    std::uint64_t seedStart = 1;
+    static constexpr std::uint64_t seedStart = 1;
     unsigned numSeeds = 20;
 
     unsigned jobs = 1;
     bool shrink = true;
-    unsigned shrinkBudget = 48;
+    /** Predicate evaluations the shrinker may spend per failing seed. */
+    static constexpr unsigned shrinkBudget = 48;
 
     /** Quiesce deadline per run; exceeding it is itself a failure. */
-    Tick tickLimit = 50'000'000;
+    static constexpr Tick tickLimit = 50'000'000;
 
     /** Fault injection for self-tests (inert by default). */
     TestHooks hooks{};

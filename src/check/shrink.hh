@@ -41,8 +41,7 @@ struct ShrinkResult
  * predicate evaluations. @p failing must itself fail the predicate.
  */
 ShrinkResult shrink(const ProgramSpec &failing,
-                    const FailPredicate &stillFails,
-                    unsigned budget = 64);
+                    const FailPredicate &stillFails, unsigned budget);
 
 } // namespace psim::check
 

@@ -16,6 +16,7 @@
 #define PSIM_CORE_ADAPTIVE_HH
 
 #include "core/prefetcher.hh"
+#include "sim/config.hh"
 #include "sim/stats.hh"
 
 namespace psim
@@ -24,23 +25,16 @@ namespace psim
 class AdaptiveSequentialPrefetcher : public Prefetcher
 {
   public:
+    /** Misses at degree 0 before probing again. */
+    static constexpr unsigned kProbeMisses = 64;
+
     /**
      * @param block_size cache block size in bytes
      * @param initial_degree starting degree (paper's fixed scheme: 1)
-     * @param max_degree upper bound for the degree
-     * @param window outcomes per adaptation decision
-     * @param probe_misses misses at degree 0 before probing again
      */
-    AdaptiveSequentialPrefetcher(unsigned block_size,
-                                 unsigned initial_degree = 1,
-                                 unsigned max_degree = 8,
-                                 unsigned window = 16,
-                                 unsigned probe_misses = 64)
-        : _blockSize(block_size),
-          _degree(initial_degree),
-          _maxDegree(max_degree),
-          _window(window),
-          _probeMisses(probe_misses)
+    explicit AdaptiveSequentialPrefetcher(unsigned block_size,
+                                          unsigned initial_degree = 1)
+        : _blockSize(block_size), _degree(initial_degree)
     {
     }
 
@@ -49,7 +43,7 @@ class AdaptiveSequentialPrefetcher : public Prefetcher
     {
         if (_degree == 0) {
             // Disabled: count misses and periodically probe again.
-            if (!obs.hit && ++_missesWhileOff >= _probeMisses) {
+            if (!obs.hit && ++_missesWhileOff >= kProbeMisses) {
                 _missesWhileOff = 0;
                 _degree = 1;
                 _ramp = 0;
@@ -87,7 +81,7 @@ class AdaptiveSequentialPrefetcher : public Prefetcher
             ++_usefulInWindow;
         if (useful && late)
             ++_lateInWindow;
-        if (++_outcomesInWindow < _window)
+        if (++_outcomesInWindow < PrefetchConfig::adaptiveWindow)
             return;
 
         // Decision point: lower the degree when no more than half of
@@ -95,15 +89,15 @@ class AdaptiveSequentialPrefetcher : public Prefetcher
         // raise it when prefetches are useful but mostly late -- the
         // lookahead-distance adjustment the paper attributes to
         // Hagersten's prefetching phase.
-        if (_usefulInWindow * 2 <= _window) {
+        if (_usefulInWindow * 2 <= PrefetchConfig::adaptiveWindow) {
             if (_degree > 0) {
                 --_degree;
                 ++decreases;
                 if (_ramp > 0)
                     --_ramp;
             }
-        } else if (_lateInWindow * 2 >= _window) {
-            if (_degree < _maxDegree) {
+        } else if (_lateInWindow * 2 >= PrefetchConfig::adaptiveWindow) {
+            if (_degree < PrefetchConfig::adaptiveMaxDegree) {
                 ++_degree;
                 ++increases;
                 ++_ramp;
@@ -135,9 +129,6 @@ class AdaptiveSequentialPrefetcher : public Prefetcher
   private:
     unsigned _blockSize;
     unsigned _degree;
-    unsigned _maxDegree;
-    unsigned _window;
-    unsigned _probeMisses;
 
     unsigned _outcomesInWindow = 0;
     unsigned _usefulInWindow = 0;

@@ -3,17 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "sim/logging.hh"
-
 namespace psim
 {
-
-StrideCharacterizer::StrideCharacterizer(unsigned block_size,
-                                         unsigned min_run)
-    : _blockSize(block_size), _minRun(min_run)
-{
-    psim_assert(min_run >= 2, "a stride needs at least two accesses");
-}
 
 std::int64_t
 StrideCharacterizer::strideBlocks(std::int64_t stride_bytes) const
@@ -29,7 +20,7 @@ StrideCharacterizer::strideBlocks(std::int64_t stride_bytes) const
 void
 StrideCharacterizer::closeRun(PcState &st)
 {
-    if (st.runLen >= _minRun) {
+    if (st.runLen >= kMinRun) {
         ++_numSequences;
         _sumSeqLen += st.runLen;
     }
@@ -55,13 +46,13 @@ StrideCharacterizer::observeMiss(Pc pc, Addr addr)
     if (st.hasStride && d == st.stride) {
         ++st.runLen;
         std::uint64_t fresh = 0;
-        if (st.runLen == _minRun) {
+        if (st.runLen == kMinRun) {
             // The run just became a sequence; count its members now.
             // Its first access may already belong to the previous
             // sequence (it is that sequence's last access), in which
             // case it must not be counted twice.
-            fresh = _minRun - (st.firstShared ? 1u : 0u);
-        } else if (st.runLen > _minRun) {
+            fresh = kMinRun - (st.firstShared ? 1u : 0u);
+        } else if (st.runLen > kMinRun) {
             fresh = 1;
         }
         if (fresh) {
@@ -74,7 +65,7 @@ StrideCharacterizer::observeMiss(Pc pc, Addr addr)
     // The equidistant run broke (or this is the second access from this
     // load): close it and start a new candidate run whose first element
     // is the previous access.
-    bool prev_was_sequence = st.runLen >= _minRun;
+    bool prev_was_sequence = st.runLen >= kMinRun;
     closeRun(st);
     st.firstShared = prev_was_sequence;
     if (d != 0) {

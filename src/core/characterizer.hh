@@ -43,12 +43,14 @@ class StrideCharacterizer
         std::vector<std::pair<std::int64_t, double>> topStrides;
     };
 
-    /**
-     * @param block_size cache block size (32 B in the paper)
-     * @param min_run at least this many equidistant accesses make a
-     *        sequence (paper: 3)
-     */
-    explicit StrideCharacterizer(unsigned block_size, unsigned min_run = 3);
+    /** Equidistant accesses that make a sequence (paper: 3). */
+    static constexpr unsigned kMinRun = 3;
+
+    /** @param block_size cache block size (32 B in the paper) */
+    explicit StrideCharacterizer(unsigned block_size)
+        : _blockSize(block_size)
+    {
+    }
 
     /** Feed one demand read miss (in program order for its processor). */
     void observeMiss(Pc pc, Addr addr);
@@ -77,7 +79,6 @@ class StrideCharacterizer
     void closeRun(PcState &st);
 
     unsigned _blockSize;
-    unsigned _minRun;
     std::uint64_t _totalMisses = 0;
     std::uint64_t _strideMisses = 0;
     std::uint64_t _numSequences = 0;

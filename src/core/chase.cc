@@ -39,13 +39,9 @@ load64(const std::uint8_t *p)
 
 } // namespace
 
-ChasePrefetcher::ChasePrefetcher(unsigned block_size, unsigned chase_depth,
-                                 unsigned table_entries,
+ChasePrefetcher::ChasePrefetcher(unsigned block_size,
                                  std::unique_ptr<Prefetcher> base)
-    : _blockSize(block_size),
-      _chaseDepth(chase_depth),
-      _base(std::move(base)),
-      _patterns(table_entries ? table_entries : 1)
+    : _blockSize(block_size), _base(std::move(base))
 {
     for (RingEntry &e : _ring)
         e.bytes.resize(block_size);
@@ -72,7 +68,7 @@ ChasePrefetcher::emit(Addr base, Addr offset, unsigned obs_depth,
 {
     if (_emitted >= kMaxPerObs)
         return false;
-    if (obs_depth >= _chaseDepth) {
+    if (obs_depth >= PrefetchConfig::chaseDepth) {
         ++depthClipped;
         return false;
     }

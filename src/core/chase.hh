@@ -21,7 +21,7 @@
  *
  * Chases are bounded: candidates derived from a prefetched (not yet
  * demanded) block's content carry a depth, and chains stop at
- * `chaseDepth`. A conventional base scheme (sequential by default) runs
+ * `PrefetchConfig::chaseDepth`. A sequential base scheme runs
  * underneath, exactly as content-directed prefetchers deploy in
  * hardware proposals -- the chase engine covers what the stream engine
  * cannot.
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/prefetcher.hh"
+#include "sim/config.hh"
 #include "sim/stats.hh"
 
 namespace psim
@@ -66,9 +67,7 @@ class ChasePrefetcher : public Prefetcher
         unsigned npending = 0;
     };
 
-    ChasePrefetcher(unsigned block_size, unsigned chase_depth,
-                    unsigned table_entries,
-                    std::unique_ptr<Prefetcher> base);
+    ChasePrefetcher(unsigned block_size, std::unique_ptr<Prefetcher> base);
     ~ChasePrefetcher() override;
 
     void observeRead(const ReadObservation &obs,
@@ -119,10 +118,9 @@ class ChasePrefetcher : public Prefetcher
               std::vector<Addr> &out);
 
     unsigned _blockSize;
-    unsigned _chaseDepth;
     std::unique_ptr<Prefetcher> _base;
 
-    std::vector<Pattern> _patterns;
+    std::array<Pattern, PrefetchConfig::chaseEntries> _patterns{};
     std::array<RingEntry, 4> _ring;
     unsigned _ringHead = 0;
 

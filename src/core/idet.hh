@@ -35,17 +35,15 @@ class IDetPrefetcher : public Prefetcher
 {
   public:
     /**
-     * @param rpt_entries RPT size (paper: 256, direct-mapped)
      * @param degree degree of prefetching d (tagged continuation only)
      * @param block_size cache block size in bytes
      * @param lookahead 0 for the paper's tagged continuation; otherwise
      *        how many dynamic strides the (virtual) lookahead PC runs
      *        ahead of the processor
      */
-    IDetPrefetcher(unsigned rpt_entries, unsigned degree,
-                   unsigned block_size, unsigned lookahead = 0)
-        : _rpt(rpt_entries), _degree(degree), _blockSize(block_size),
-          _lookahead(lookahead)
+    IDetPrefetcher(unsigned degree, unsigned block_size,
+                   unsigned lookahead = 0)
+        : _degree(degree), _blockSize(block_size), _lookahead(lookahead)
     {
     }
 

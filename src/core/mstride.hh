@@ -7,11 +7,12 @@
  * that alternates between a handful of strides (a column sweep with a
  * row fix-up, a frontier scan with irregular gaps) thrashes the RPT's
  * automaton and prefetches almost nothing. This table instead keeps up
- * to `ways` concurrent (stride, confidence) pairs per PC: every
- * observed delta either reinforces the way holding it or competes for a
- * zero-confidence slot, and all ways above a confidence threshold
- * prefetch on every trigger. Single-stride streams degenerate to the
- * classic behaviour with one hot way.
+ * to `PrefetchConfig::mstrideWays` concurrent (stride, confidence)
+ * pairs per PC: every observed delta either reinforces the way holding
+ * it or competes for a zero-confidence slot, and all ways at or above
+ * `PrefetchConfig::mstrideConf` prefetch on every trigger.
+ * Single-stride streams degenerate to the classic behaviour with one
+ * hot way.
  */
 
 #ifndef PSIM_CORE_MSTRIDE_HH
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "core/prefetcher.hh"
+#include "sim/config.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -32,7 +34,7 @@ namespace psim
 class MultiStrideTable
 {
   public:
-    static constexpr unsigned kMaxWays = 8;
+    static constexpr unsigned kWays = PrefetchConfig::mstrideWays;
     static constexpr unsigned kConfCap = 3;
 
     struct Way
@@ -46,7 +48,7 @@ class MultiStrideTable
         bool valid = false;
         Pc pc = 0;
         Addr prevAddr = 0;
-        std::array<Way, kMaxWays> ways{};
+        std::array<Way, kWays> ways{};
     };
 
     /** Strides confident enough to prefetch after one observation. */
@@ -54,15 +56,8 @@ class MultiStrideTable
     {
         bool entryHit = false;
         unsigned count = 0;
-        std::array<std::int64_t, kMaxWays> strides{};
+        std::array<std::int64_t, kWays> strides{};
     };
-
-    MultiStrideTable(unsigned entries, unsigned ways, unsigned conf)
-        : _ways(ways < kMaxWays ? ways : kMaxWays),
-          _conf(conf),
-          _table(entries ? entries : 1)
-    {
-    }
 
     /**
      * Present one (PC, address) reference. Entries are allocated only
@@ -97,13 +92,13 @@ class MultiStrideTable
         if (delta != 0) {
             Way *match = nullptr;
             Way *free_way = nullptr;
-            for (unsigned w = 0; w < _ways; ++w) {
-                if (e.ways[w].conf > 0 && e.ways[w].stride == delta) {
-                    match = &e.ways[w];
+            for (Way &w : e.ways) {
+                if (w.conf > 0 && w.stride == delta) {
+                    match = &w;
                     break;
                 }
-                if (!free_way && e.ways[w].conf == 0)
-                    free_way = &e.ways[w];
+                if (!free_way && w.conf == 0)
+                    free_way = &w;
             }
             if (match) {
                 if (match->conf < kConfCap)
@@ -116,14 +111,14 @@ class MultiStrideTable
                 // a recurring newcomer eventually claims a slot and a
                 // one-off burst cannot evict an established stride.
                 ++wayEvictions;
-                for (unsigned w = 0; w < _ways; ++w)
-                    --e.ways[w].conf;
+                for (Way &w : e.ways)
+                    --w.conf;
             }
         }
 
-        for (unsigned w = 0; w < _ways; ++w) {
-            if (e.ways[w].conf >= _conf)
-                oc.strides[oc.count++] = e.ways[w].stride;
+        for (const Way &w : e.ways) {
+            if (w.conf >= PrefetchConfig::mstrideConf)
+                oc.strides[oc.count++] = w.stride;
         }
         if (oc.count > 1)
             ++multiActive;
@@ -163,19 +158,15 @@ class MultiStrideTable
         return (static_cast<std::size_t>(pc) >> 2) % _table.size();
     }
 
-    unsigned _ways;
-    unsigned _conf;
-    std::vector<Entry> _table;
+    /** Indexed like the RPT: one entry per PC slot, direct-mapped. */
+    std::array<Entry, PrefetchConfig::rptEntries> _table{};
 };
 
 class MultiStridePrefetcher : public Prefetcher
 {
   public:
-    MultiStridePrefetcher(unsigned entries, unsigned ways, unsigned conf,
-                          unsigned degree, unsigned block_size)
-        : _table(entries, ways, conf),
-          _degree(degree),
-          _blockSize(block_size)
+    MultiStridePrefetcher(unsigned degree, unsigned block_size)
+        : _degree(degree), _blockSize(block_size)
     {
     }
 

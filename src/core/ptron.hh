@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/prefetcher.hh"
+#include "sim/config.hh"
 #include "sim/stats.hh"
 
 namespace psim
@@ -41,11 +42,11 @@ class PerceptronFilter : public Prefetcher
     static constexpr unsigned kProbePeriod = 16;
     /** Issued-candidate features awaiting a fate. */
     static constexpr std::size_t kPendingCap = 512;
+    /** Training margin: weights train while |sum| <= kTheta. */
+    static constexpr int kTheta = PrefetchConfig::ptronTheta;
 
-    PerceptronFilter(unsigned block_size, unsigned theta,
-                     std::unique_ptr<Prefetcher> base)
-        : _blockSize(block_size), _theta(static_cast<int>(theta)),
-          _base(std::move(base))
+    PerceptronFilter(unsigned block_size, std::unique_ptr<Prefetcher> base)
+        : _blockSize(block_size), _base(std::move(base))
     {
         _weights.fill(0);
     }
@@ -187,7 +188,7 @@ class PerceptronFilter : public Prefetcher
         // and a useful fate always retrains).
         int mag = p.sum < 0 ? -p.sum : p.sum;
         bool predicted_useful = p.sum >= 0;
-        if (predicted_useful != useful || mag <= _theta) {
+        if (predicted_useful != useful || mag <= kTheta) {
             int t = useful ? 1 : -1;
             for (std::uint16_t i : p.f.idx) {
                 int w = _weights[i] + t;
@@ -205,7 +206,6 @@ class PerceptronFilter : public Prefetcher
     }
 
     unsigned _blockSize;
-    int _theta;
     std::unique_ptr<Prefetcher> _base;
 
     /** bias (1) + PC (64) + block delta (64) + target block (64). */

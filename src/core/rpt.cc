@@ -23,12 +23,6 @@ toString(RptState s)
     return "?";
 }
 
-Rpt::Rpt(unsigned entries) : _table(entries)
-{
-    psim_assert(entries > 0 && isPowerOf2(entries),
-            "RPT entries must be a power of two");
-}
-
 std::size_t
 Rpt::indexOf(Pc pc) const
 {

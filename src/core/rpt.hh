@@ -25,9 +25,10 @@
 #ifndef PSIM_CORE_RPT_HH
 #define PSIM_CORE_RPT_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
+#include "sim/config.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -66,9 +67,6 @@ class Rpt
         RptState state = RptState::New; ///< post-update state
     };
 
-    /** @param entries table size; paper: 256, direct-mapped. */
-    explicit Rpt(unsigned entries);
-
     /**
      * Present a read request (PC, data address) to the table.
      *
@@ -106,7 +104,8 @@ class Rpt
   private:
     std::size_t indexOf(Pc pc) const;
 
-    std::vector<RptEntry> _table;
+    /** Paper: 256 entries, direct-mapped. */
+    std::array<RptEntry, PrefetchConfig::rptEntries> _table{};
 };
 
 } // namespace psim

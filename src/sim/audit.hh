@@ -23,13 +23,11 @@
  * one pclock per load, store, lock, unlock and barrier plus its stall
  * and think ticks).
  *
- * Gating: compile-time via the PSIM_AUDIT CMake option (default ON)
- * and runtime via MachineConfig::audit, which defaults to the
+ * Gating: at runtime via MachineConfig::audit, which defaults to the
  * PSIM_AUDIT environment variable so CI can audit every bench harness
- * without code changes. OFF does not compile the layer away: audit.cc
- * and every `if (_audit)` hook are still built. It only makes
- * compiledIn() false, so no MachineAudit is ever constructed and each
- * hook is a null-pointer branch that is never taken.
+ * without code changes. With the audit off no MachineAudit is
+ * constructed and each `if (_audit)` hook is a null-pointer branch
+ * that is never taken.
  *
  * On violation the audit dumps the offending block's full event
  * history (issue, fill, merge, hit, invalidation, ... with ticks)
@@ -59,15 +57,14 @@ struct Message;
 namespace audit
 {
 
-/** May this build construct the audit (PSIM_AUDIT=ON)? */
+/**
+ * Every build carries the audit layer. Only bench/perf reads this, to
+ * report `audit_compiled`.
+ */
 constexpr bool
 compiledIn()
 {
-#ifdef PSIM_AUDIT_DISABLED
-    return false;
-#else
     return true;
-#endif
 }
 
 /** The terminal fate of one issued prefetch (exactly one per issue). */

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "sim/audit.hh"
 #include "sim/logging.hh"
 
 namespace psim
@@ -75,8 +74,6 @@ parseScheme(const std::string &name)
 bool
 auditDefault()
 {
-    if (!audit::compiledIn())
-        return false;
     static const bool enabled = [] {
         const char *env = std::getenv("PSIM_AUDIT");
         return env != nullptr && std::strcmp(env, "0") != 0;

@@ -52,8 +52,7 @@ PrefetchScheme parseScheme(const std::string &name);
 std::string schemeNames();
 
 /**
- * Default for MachineConfig::audit: true when the build has the audit
- * layer compiled in (PSIM_AUDIT CMake option) and the PSIM_AUDIT
+ * Default for MachineConfig::audit: true when the PSIM_AUDIT
  * environment variable is set to a value other than "0" -- so CI can
  * run every bench and test under the audit without code changes.
  */
@@ -68,6 +67,7 @@ struct PrefetchConfig
 
     /** RPT entries (I-detection); paper: 256, direct-mapped. */
     static constexpr unsigned rptEntries = 256;
+    static_assert(isPowerOf2(rptEntries));
 
     /** Entries in each of Hagersten's four tables; paper: 16, LRU. */
     static constexpr unsigned ddetEntries = 16;
@@ -108,22 +108,6 @@ struct PrefetchConfig
     /** Indirect-pattern table entries (pointer-chase), power of two. */
     static constexpr unsigned chaseEntries = 64;
     static_assert(isPowerOf2(chaseEntries));
-
-    /**
-     * Conventional scheme the chase prefetcher runs on top of --
-     * content-directed candidates augment, not replace, a streaming
-     * scheme. Must not itself be a wrapper scheme.
-     */
-    static constexpr PrefetchScheme chaseBase = PrefetchScheme::Sequential;
-
-    /** Scheme whose candidates the perceptron filter gates. */
-    static constexpr PrefetchScheme ptronBase = PrefetchScheme::Sequential;
-
-    static_assert(chaseBase != PrefetchScheme::PtrChase &&
-                  chaseBase != PrefetchScheme::Perceptron &&
-                  ptronBase != PrefetchScheme::PtrChase &&
-                  ptronBase != PrefetchScheme::Perceptron,
-                  "a wrapper base would make construction recurse");
 
     /** Perceptron training threshold (weights train while |sum| <= theta). */
     static constexpr unsigned ptronTheta = 8;

@@ -16,7 +16,7 @@ Machine::Machine(MachineConfig cfg)
       _mesh(_cfg)
 {
     _cfg.validate();
-    if (_cfg.audit && audit::compiledIn())
+    if (_cfg.audit)
         _audit = std::make_unique<audit::MachineAudit>(_cfg.numProcs);
     _nodes.reserve(_cfg.numProcs);
     for (NodeId n = 0; n < _cfg.numProcs; ++n)

@@ -27,11 +27,13 @@ observe(Prefetcher &p, Addr addr, bool hit, bool tagged)
     return out;
 }
 
+constexpr unsigned kWindow = PrefetchConfig::adaptiveWindow;
+
 } // namespace
 
 TEST(Adaptive, StartsLikeSequential)
 {
-    AdaptiveSequentialPrefetcher p(32, 1, 8, 16);
+    AdaptiveSequentialPrefetcher p(32);
     auto out = observe(p, 0x1000, false, false);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 0x1020u);
@@ -40,8 +42,8 @@ TEST(Adaptive, StartsLikeSequential)
 
 TEST(Adaptive, LateUsefulWindowsRaiseTheDegree)
 {
-    AdaptiveSequentialPrefetcher p(32, 1, 8, 16);
-    for (int i = 0; i < 16; ++i)
+    AdaptiveSequentialPrefetcher p(32);
+    for (unsigned i = 0; i < kWindow; ++i)
         p.notePrefetchOutcome(true, /*late=*/true);
     EXPECT_EQ(p.degree(), 2u);
     auto out = observe(p, 0x1000, false, false);
@@ -53,27 +55,32 @@ TEST(Adaptive, TimelyUsefulWindowsKeepTheDegree)
     // Useful and on time: the lookahead is already sufficient, so the
     // degree must not grow (that would only waste bandwidth at
     // sequence ends).
-    AdaptiveSequentialPrefetcher p(32, 1, 8, 16);
-    for (int i = 0; i < 64; ++i)
+    AdaptiveSequentialPrefetcher p(32);
+    for (unsigned i = 0; i < 4 * kWindow; ++i)
         p.notePrefetchOutcome(true, /*late=*/false);
     EXPECT_EQ(p.degree(), 1u);
 }
 
 TEST(Adaptive, DegreeIsBounded)
 {
-    AdaptiveSequentialPrefetcher p(32, 1, 4, 16);
-    for (int w = 0; w < 10; ++w) {
-        for (int i = 0; i < 16; ++i)
+    // Every window late and useful: one increase per window until the
+    // degree reaches the bound, where further windows leave it.
+    constexpr unsigned kMax = PrefetchConfig::adaptiveMaxDegree;
+    AdaptiveSequentialPrefetcher p(32);
+    for (unsigned w = 0; w < kMax + 2; ++w) {
+        for (unsigned i = 0; i < kWindow; ++i)
             p.notePrefetchOutcome(true, /*late=*/true);
     }
-    EXPECT_EQ(p.degree(), 4u);
+    EXPECT_EQ(p.degree(), kMax);
+    EXPECT_DOUBLE_EQ(p.increases.value(), kMax - 1.0);
+    EXPECT_EQ(observe(p, 0x1000, false, false).size(), kMax);
 }
 
 TEST(Adaptive, UselessWindowsLowerTheDegreeToZero)
 {
-    AdaptiveSequentialPrefetcher p(32, 2, 8, 16);
+    AdaptiveSequentialPrefetcher p(32, 2);
     for (int w = 0; w < 4; ++w) {
-        for (int i = 0; i < 16; ++i)
+        for (unsigned i = 0; i < kWindow; ++i)
             p.notePrefetchOutcome(false);
     }
     EXPECT_EQ(p.degree(), 0u);
@@ -84,7 +91,8 @@ TEST(Adaptive, UselessWindowsLowerTheDegreeToZero)
 
 TEST(Adaptive, MixedWindowKeepsDegree)
 {
-    AdaptiveSequentialPrefetcher p(32, 2, 8, 16);
+    static_assert(kWindow == 16);
+    AdaptiveSequentialPrefetcher p(32, 2);
     for (int i = 0; i < 10; ++i)
         p.notePrefetchOutcome(true);
     for (int i = 0; i < 6; ++i)
@@ -99,14 +107,13 @@ TEST(Adaptive, TaggedHitBackfillsBlocksSkippedByDegreeIncrease)
     // continuation therefore skipped the block at the old lookahead
     // distance, leaving a permanent hole that cost one demand miss per
     // increase on every active stream.
-    AdaptiveSequentialPrefetcher p(32, /*initial*/2, /*max*/8,
-                                   /*window*/4);
+    AdaptiveSequentialPrefetcher p(32, /*initial*/2);
     auto out = observe(p, 0, false, false);
     ASSERT_EQ(out.size(), 2u); // miss at degree 2: blocks 32 and 64
     EXPECT_EQ(out[0], 32u);
     EXPECT_EQ(out[1], 64u);
 
-    for (int i = 0; i < 4; ++i)
+    for (unsigned i = 0; i < kWindow; ++i)
         p.notePrefetchOutcome(true, /*late=*/true);
     ASSERT_EQ(p.degree(), 3u);
 
@@ -127,12 +134,12 @@ TEST(Adaptive, DecreaseCancelsPendingBackfill)
 {
     // An increase followed by a decrease nets out: the degree is back
     // where the stream left it, so there is no hole to backfill.
-    AdaptiveSequentialPrefetcher p(32, 2, 8, /*window*/4);
+    AdaptiveSequentialPrefetcher p(32, 2);
     observe(p, 0, false, false);
-    for (int i = 0; i < 4; ++i)
+    for (unsigned i = 0; i < kWindow; ++i)
         p.notePrefetchOutcome(true, /*late=*/true);
     ASSERT_EQ(p.degree(), 3u);
-    for (int i = 0; i < 4; ++i)
+    for (unsigned i = 0; i < kWindow; ++i)
         p.notePrefetchOutcome(false);
     ASSERT_EQ(p.degree(), 2u);
 
@@ -143,15 +150,18 @@ TEST(Adaptive, DecreaseCancelsPendingBackfill)
 
 TEST(Adaptive, ProbesAgainAfterShutoff)
 {
-    AdaptiveSequentialPrefetcher p(32, 1, 8, 16, /*probe_misses=*/8);
-    for (int i = 0; i < 16; ++i)
+    constexpr unsigned kProbe = AdaptiveSequentialPrefetcher::kProbeMisses;
+    AdaptiveSequentialPrefetcher p(32);
+    for (unsigned i = 0; i < kWindow; ++i)
         p.notePrefetchOutcome(false);
     ASSERT_EQ(p.degree(), 0u);
-    // Misses while off eventually re-enable degree 1.
-    std::vector<Addr> out;
-    for (int i = 0; i < 8; ++i)
-        out = observe(p, 0x1000 + 4096u * i, false, false);
+    // The kProbeMisses-th miss while off re-enables degree 1.
+    for (unsigned i = 0; i + 1 < kProbe; ++i)
+        EXPECT_TRUE(observe(p, 0x1000 + 4096u * i, false, false).empty());
+    EXPECT_EQ(p.degree(), 0u);
+    auto out = observe(p, 0x1000 + 4096u * kProbe, false, false);
     EXPECT_EQ(p.degree(), 1u);
+    ASSERT_EQ(out.size(), 1u);
     EXPECT_DOUBLE_EQ(p.reenables.value(), 1.0);
 }
 

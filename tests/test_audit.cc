@@ -87,8 +87,6 @@ class AuditChaos : public ::testing::TestWithParam<AuditParams>
 
 TEST_P(AuditChaos, RandomTrafficPassesTheAudit)
 {
-    if (!audit::compiledIn())
-        GTEST_SKIP() << "built with PSIM_AUDIT=OFF";
     AuditParams p = GetParam();
     MachineConfig cfg;
     cfg.numProcs = 4;
@@ -136,8 +134,6 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, AuditChaos,
 
 TEST(AuditDeath, CpuMiscountBreaksTheTimeLaw)
 {
-    if (!audit::compiledIn())
-        GTEST_SKIP() << "built with PSIM_AUDIT=OFF";
     MachineConfig cfg;
     cfg.numProcs = 4;
     cfg.audit = true;
@@ -174,7 +170,7 @@ TEST(WrapGuard, IDetDownStrideBelowZero)
 {
     // A descending stride sequence approaching address 0: candidates
     // below zero must be dropped, not wrapped to ~2^64 addresses.
-    IDetPrefetcher pf(256, 2, 32);
+    IDetPrefetcher pf(2, 32);
     std::vector<Addr> out;
     // Train stride -32: misses at 80, 48 (detects), 16 (steady).
     pf.observeRead(ReadObservation{0x200, 80, false, false}, out);

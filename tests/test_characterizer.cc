@@ -34,7 +34,7 @@ TEST(Characterizer, PureStrideStreamIsFullyStride)
 
 TEST(Characterizer, TwoAccessesAreNotASequence)
 {
-    StrideCharacterizer c(kBlk, 3);
+    StrideCharacterizer c(kBlk);
     c.observeMiss(kPcA, 1000);
     c.observeMiss(kPcA, 1032);
     auto r = c.finalize();
@@ -44,7 +44,7 @@ TEST(Characterizer, TwoAccessesAreNotASequence)
 
 TEST(Characterizer, ThreeEquidistantAccessesAreASequence)
 {
-    StrideCharacterizer c(kBlk, 3);
+    StrideCharacterizer c(kBlk);
     c.observeMiss(kPcA, 1000);
     c.observeMiss(kPcA, 1032);
     c.observeMiss(kPcA, 1064);

@@ -39,9 +39,9 @@ struct Block
 };
 
 ChasePrefetcher
-makeChase(unsigned depth)
+makeChase()
 {
-    return ChasePrefetcher(kBlock, depth, 64, nullptr);
+    return ChasePrefetcher(kBlock, nullptr);
 }
 
 /** Demand miss with no content: grows the envelope, trains learning. */
@@ -95,7 +95,7 @@ constexpr Pc kProdPc = 0x208;  // slot 2
 
 TEST(Chase, RawPointerInsideEnvelopeIsChased)
 {
-    ChasePrefetcher pf = makeChase(2);
+    ChasePrefetcher pf = makeChase();
     demand(pf, kEnvPc, 0x40000);
     demand(pf, kEnvPc, 0x50000);
 
@@ -109,7 +109,7 @@ TEST(Chase, RawPointerInsideEnvelopeIsChased)
 
 TEST(Chase, ValuesOutsideEnvelopeAreNotPointers)
 {
-    ChasePrefetcher pf = makeChase(2);
+    ChasePrefetcher pf = makeChase();
     demand(pf, kEnvPc, 0x40000);
     demand(pf, kEnvPc, 0x50000);
 
@@ -124,22 +124,37 @@ TEST(Chase, ValuesOutsideEnvelopeAreNotPointers)
 
 TEST(Chase, DepthBoundClipsChains)
 {
-    // chaseDepth 1: only content of demand-touched blocks may chase;
-    // a prefetched block's content (depth 1) is already at the bound.
-    ChasePrefetcher pf = makeChase(1);
+    // A chain anchored at a demand-touched block (depth 0) runs
+    // chaseDepth hops: each chased block's content chases once more
+    // until the chain reaches the bound.
+    static_assert(PrefetchConfig::chaseDepth == 2);
+    ChasePrefetcher pf = makeChase();
     demand(pf, kEnvPc, 0x40000);
     demand(pf, kEnvPc, 0x50000);
 
-    Block b;
-    b.u64(0, 0x49000);
-    auto out = prefetchFill(pf, kLoadPc, 0x48000, b);
-    EXPECT_TRUE(out.empty());
+    Block b0;
+    b0.u64(0, 0x49000);
+    auto out = hitWithContent(pf, kLoadPc, 0x48000, b0);
+    ASSERT_EQ(out.size(), 1u); // hop 1, recorded at depth 1
+    EXPECT_EQ(out[0], 0x49000u);
+
+    Block b1;
+    b1.u64(0, 0x4A000);
+    out = prefetchFill(pf, kLoadPc, 0x49000, b1);
+    ASSERT_EQ(out.size(), 1u); // hop 2, recorded at depth 2
+    EXPECT_EQ(out[0], 0x4A000u);
+    EXPECT_DOUBLE_EQ(pf.depthClipped.value(), 0.0);
+
+    Block b2;
+    b2.u64(0, 0x4B000);
+    out = prefetchFill(pf, kLoadPc, 0x4A000, b2);
+    EXPECT_TRUE(out.empty()); // a third hop would pass the bound
     EXPECT_DOUBLE_EQ(pf.depthClipped.value(), 1.0);
 }
 
 TEST(Chase, DepthTwoFollowsOneExtraHop)
 {
-    ChasePrefetcher pf = makeChase(2);
+    ChasePrefetcher pf = makeChase();
     demand(pf, kEnvPc, 0x40000);
     demand(pf, kEnvPc, 0x50000);
 
@@ -169,7 +184,7 @@ TEST(Chase, LearnsSelfChasePattern)
 {
     // Intrusive list over 4-byte-indexed records at base 0x40000: each
     // record stores the next index at byte offset 4.
-    ChasePrefetcher pf = makeChase(2);
+    ChasePrefetcher pf = makeChase();
     demand(pf, kEnvPc, 0x40000);
     demand(pf, kEnvPc, 0x70000);
 
@@ -210,7 +225,7 @@ TEST(Chase, ProducerConsumerBanksAndSpends)
 {
     // BFS shape: one load streams an index array (producer), another
     // consumes data[idx << 2] (consumer).
-    ChasePrefetcher pf = makeChase(2);
+    ChasePrefetcher pf = makeChase();
     demand(pf, kEnvPc, 0x40000);
     demand(pf, kEnvPc, 0x70000);
 

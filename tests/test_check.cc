@@ -342,7 +342,6 @@ TEST(Shrink, MinimizesToTheFailingPhase)
 TEST(Fuzz, SmokeRunIsCleanAndDeterministicAcrossJobs)
 {
     FuzzOptions opts;
-    opts.seedStart = 1;
     opts.numSeeds = 4;
     opts.jobs = 1;
 
@@ -371,7 +370,7 @@ TEST(Fuzz, CheckedLoadsComeFromTheBaselineRun)
     ASSERT_TRUE(rep.ok()) << out.str();
 
     SchemeRun base = runOneScheme(ProgramSpec::generate(seed),
-            PrefetchScheme::None, {}, FuzzOptions{}.tickLimit);
+            PrefetchScheme::None, {}, FuzzOptions::tickLimit);
     EXPECT_GT(base.oracle.loadsChecked, 0u);
     EXPECT_EQ(rep.loadsChecked, base.oracle.loadsChecked);
 }

@@ -31,7 +31,7 @@ observe(Prefetcher &p, Pc pc, Addr addr, bool hit)
 
 TEST(IDetLookahead, PrefetchesLookaheadStridesAhead)
 {
-    IDetPrefetcher p(256, 1, 32, /*lookahead=*/3);
+    IDetPrefetcher p(1, 32, /*lookahead=*/3);
     observe(p, 0x100, 0x1000, false);
     auto out = observe(p, 0x100, 0x1040, false); // stride 64
     ASSERT_EQ(out.size(), 1u);
@@ -42,7 +42,7 @@ TEST(IDetLookahead, FiresOnPlainHitsToo)
 {
     // Unlike the tagged-continuation scheme, the lookahead PC issues
     // prefetches regardless of whether the current access hit.
-    IDetPrefetcher p(256, 1, 32, /*lookahead=*/2);
+    IDetPrefetcher p(1, 32, /*lookahead=*/2);
     observe(p, 0x100, 0x1000, false);
     observe(p, 0x100, 0x1020, false);
     auto out = observe(p, 0x100, 0x1040, true); // SLC hit
@@ -52,7 +52,7 @@ TEST(IDetLookahead, FiresOnPlainHitsToo)
 
 TEST(IDetLookahead, SubBlockStridesAdvanceWholeBlocks)
 {
-    IDetPrefetcher p(256, 1, 32, /*lookahead=*/2);
+    IDetPrefetcher p(1, 32, /*lookahead=*/2);
     observe(p, 0x100, 0x1000, false);
     auto out = observe(p, 0x100, 0x1008, false); // 8-byte stride
     ASSERT_EQ(out.size(), 1u);
@@ -61,7 +61,7 @@ TEST(IDetLookahead, SubBlockStridesAdvanceWholeBlocks)
 
 TEST(IDetLookahead, StopsInNoPrefState)
 {
-    IDetPrefetcher p(256, 1, 32, /*lookahead=*/2);
+    IDetPrefetcher p(1, 32, /*lookahead=*/2);
     observe(p, 0x100, 1000, false);
     observe(p, 0x100, 2000, false);
     observe(p, 0x100, 9000, false);

@@ -17,7 +17,7 @@ constexpr Pc kPc = 0x4000;
 
 TEST(MultiStride, AllocatesOnlyOnMiss)
 {
-    MultiStrideTable t(256, 4, 2);
+    MultiStrideTable t;
     auto oc = t.observe(kPc, 1000, /*allocate_on_miss=*/false);
     EXPECT_FALSE(oc.entryHit);
     EXPECT_EQ(t.lookup(kPc), nullptr);
@@ -30,7 +30,7 @@ TEST(MultiStride, AllocatesOnlyOnMiss)
 
 TEST(MultiStride, SingleStrideDegeneratesToClassicRpt)
 {
-    MultiStrideTable t(256, 4, 2);
+    MultiStrideTable t;
     t.observe(kPc, 1000, true);
     auto oc = t.observe(kPc, 1064, true); // stride 64 installs, conf 1
     EXPECT_EQ(oc.count, 0u);
@@ -45,7 +45,7 @@ TEST(MultiStride, PromotesInterleavedStrides)
     // A column sweep with a row fix-up: deltas alternate +64, +8. The
     // classic single-stride RPT would thrash; here each delta holds its
     // own way and both become confident.
-    MultiStrideTable t(256, 4, 2);
+    MultiStrideTable t;
     Addr a = 1000;
     t.observe(kPc, a, true);
     MultiStrideTable::Outcome oc;
@@ -69,16 +69,20 @@ TEST(MultiStride, PromotesInterleavedStrides)
 
 TEST(MultiStride, FullWaysAgeInsteadOfEvicting)
 {
-    MultiStrideTable t(256, 2, 2);
-    // Establish stride 64 at conf 3 (cap) in a 2-way entry.
+    constexpr unsigned kWays = MultiStrideTable::kWays;
+    MultiStrideTable t;
+    // Establish stride 64 at conf 3 (cap) in way 0.
     Addr a = 1000;
     t.observe(kPc, a, true);
     for (int i = 0; i < 4; ++i)
         t.observe(kPc, a += 64, true);
-    // Burst of distinct one-off deltas: the second fills way 1, the
-    // rest age every way rather than evicting the established stride.
-    t.observe(kPc, a += 8, true);   // installs way 1 (conf 1)
-    t.observe(kPc, a += 24, true);  // no free way: age (64->2, 8->0)
+    // Burst of distinct one-off deltas (8, 16, ...): the first ones
+    // fill the free ways at conf 1, the next finds no free way and ages
+    // every way rather than evicting the established stride.
+    for (unsigned w = 1; w < kWays; ++w)
+        t.observe(kPc, a += 8 * w, true);
+    EXPECT_DOUBLE_EQ(t.wayEvictions.value(), 0.0);
+    t.observe(kPc, a += 8 * kWays, true); // age: 64 -> 2, others -> 0
     EXPECT_DOUBLE_EQ(t.wayEvictions.value(), 1.0);
     auto oc = t.observe(kPc, a += 64, true); // 64 reinforced: conf 3
     ASSERT_EQ(oc.count, 1u);
@@ -87,7 +91,7 @@ TEST(MultiStride, FullWaysAgeInsteadOfEvicting)
 
 TEST(MultiStride, ZeroDeltaDoesNotDisturbWays)
 {
-    MultiStrideTable t(256, 4, 2);
+    MultiStrideTable t;
     t.observe(kPc, 1000, true);
     t.observe(kPc, 1064, true);
     t.observe(kPc, 1064, true); // same address again: delta 0 ignored
@@ -100,7 +104,7 @@ TEST(MultiStride, PrefetcherEmitsDegreePerConfidentStride)
 {
     // degree 2, block 32: a confident 64-byte stride on a miss yields
     // the next two stride steps.
-    MultiStridePrefetcher pf(256, 4, 2, /*degree=*/2, /*block=*/32);
+    MultiStridePrefetcher pf(/*degree=*/2, /*block=*/32);
     std::vector<Addr> out;
     ReadObservation obs;
     obs.pc = kPc;
@@ -122,7 +126,7 @@ TEST(MultiStride, SubBlockStrideRoundsToOneBlock)
 {
     // An 8-byte stride must still advance a whole block per step, like
     // I-detection's block-granularity phase.
-    MultiStridePrefetcher pf(256, 4, 2, /*degree=*/1, /*block=*/32);
+    MultiStridePrefetcher pf(/*degree=*/1, /*block=*/32);
     std::vector<Addr> out;
     ReadObservation obs;
     obs.pc = kPc;
@@ -137,7 +141,7 @@ TEST(MultiStride, SubBlockStrideRoundsToOneBlock)
 
 TEST(MultiStride, TaggedHitContinuesEveryConfidentStride)
 {
-    MultiStridePrefetcher pf(256, 4, 2, /*degree=*/2, /*block=*/32);
+    MultiStridePrefetcher pf(/*degree=*/2, /*block=*/32);
     std::vector<Addr> out;
     ReadObservation obs;
     obs.pc = kPc;

@@ -37,10 +37,9 @@ class FixedBase : public Prefetcher
 };
 
 PerceptronFilter
-makeFilter(unsigned theta = 8)
+makeFilter()
 {
-    return PerceptronFilter(kBlock, theta,
-            std::make_unique<FixedBase>(kCand));
+    return PerceptronFilter(kBlock, std::make_unique<FixedBase>(kCand));
 }
 
 std::vector<Addr>
@@ -130,7 +129,8 @@ TEST(Ptron, MarginRuleStopsTrainingWhenConfident)
 {
     // Useful fates train while |sum| <= theta; once past the margin a
     // correct prediction updates nothing.
-    PerceptronFilter pf = makeFilter(/*theta=*/8);
+    static_assert(PerceptronFilter::kTheta == 8);
+    PerceptronFilter pf = makeFilter();
     for (unsigned i = 0; i < 5; ++i) {
         auto out = observe(pf);
         ASSERT_EQ(out.size(), 1u);

@@ -17,7 +17,7 @@ constexpr Pc kPc = 0x4000;
 
 TEST(Rpt, AllocatesOnlyOnMiss)
 {
-    Rpt rpt(256);
+    Rpt rpt;
     // A hit in the SLC with no entry must not allocate.
     auto oc = rpt.observe(kPc, 1000, /*allocate_on_miss=*/false);
     EXPECT_FALSE(oc.entryHit);
@@ -32,7 +32,7 @@ TEST(Rpt, AllocatesOnlyOnMiss)
 
 TEST(Rpt, SecondAppearanceComputesStrideAndStartsPrefetching)
 {
-    Rpt rpt(256);
+    Rpt rpt;
     rpt.observe(kPc, 1000, true);
     auto oc = rpt.observe(kPc, 1032, true);
     EXPECT_TRUE(oc.entryHit);
@@ -43,7 +43,7 @@ TEST(Rpt, SecondAppearanceComputesStrideAndStartsPrefetching)
 
 TEST(Rpt, ThreeInARowReachesSteady)
 {
-    Rpt rpt(256);
+    Rpt rpt;
     rpt.observe(kPc, 1000, true);
     rpt.observe(kPc, 1032, true);
     auto oc = rpt.observe(kPc, 1064, true);
@@ -54,7 +54,7 @@ TEST(Rpt, ThreeInARowReachesSteady)
 
 TEST(Rpt, SingleIncorrectFromSteadyKeepsStride)
 {
-    Rpt rpt(256);
+    Rpt rpt;
     rpt.observe(kPc, 1000, true);
     rpt.observe(kPc, 1032, true);
     rpt.observe(kPc, 1064, true); // steady
@@ -71,7 +71,7 @@ TEST(Rpt, SingleIncorrectFromSteadyKeepsStride)
 
 TEST(Rpt, SecondIncorrectRecalculatesStrideInTransient)
 {
-    Rpt rpt(256);
+    Rpt rpt;
     rpt.observe(kPc, 1000, true);
     rpt.observe(kPc, 1032, true);
     rpt.observe(kPc, 1064, true);  // steady, stride 32
@@ -84,7 +84,7 @@ TEST(Rpt, SecondIncorrectRecalculatesStrideInTransient)
 
 TEST(Rpt, ThreeIncorrectInARowStopPrefetching)
 {
-    Rpt rpt(256);
+    Rpt rpt;
     rpt.observe(kPc, 1000, true);
     rpt.observe(kPc, 1032, true);
     rpt.observe(kPc, 1064, true);   // steady
@@ -97,7 +97,7 @@ TEST(Rpt, ThreeIncorrectInARowStopPrefetching)
 
 TEST(Rpt, NoPrefRecoversThroughTransient)
 {
-    Rpt rpt(256);
+    Rpt rpt;
     rpt.observe(kPc, 1000, true);
     rpt.observe(kPc, 1032, true);
     rpt.observe(kPc, 1064, true);
@@ -114,7 +114,7 @@ TEST(Rpt, NoPrefRecoversThroughTransient)
 
 TEST(Rpt, TransientCorrectGoesSteady)
 {
-    Rpt rpt(256);
+    Rpt rpt;
     rpt.observe(kPc, 1000, true);
     rpt.observe(kPc, 1032, true);  // init, stride 32
     rpt.observe(kPc, 2000, true);  // incorrect -> transient, stride 968
@@ -125,7 +125,7 @@ TEST(Rpt, TransientCorrectGoesSteady)
 
 TEST(Rpt, ZeroStrideIsNotPrefetchable)
 {
-    Rpt rpt(256);
+    Rpt rpt;
     rpt.observe(kPc, 1000, true);
     auto oc = rpt.observe(kPc, 1000, true);
     EXPECT_EQ(oc.stride, 0);
@@ -134,7 +134,7 @@ TEST(Rpt, ZeroStrideIsNotPrefetchable)
 
 TEST(Rpt, NegativeStridesWork)
 {
-    Rpt rpt(256);
+    Rpt rpt;
     rpt.observe(kPc, 5000, true);
     rpt.observe(kPc, 4968, true);
     auto oc = rpt.observe(kPc, 4936, true);
@@ -144,9 +144,9 @@ TEST(Rpt, NegativeStridesWork)
 
 TEST(Rpt, ConflictingPcEvictsEntry)
 {
-    Rpt rpt(16); // small table: PCs 16 words apart collide
+    Rpt rpt; // PCs one table size of words apart collide
     Pc pc_a = 0x1000;
-    Pc pc_b = 0x1000 + 16 * 4; // same index, different tag
+    Pc pc_b = 0x1000 + PrefetchConfig::rptEntries * 4; // same index
     rpt.observe(pc_a, 1000, true);
     rpt.observe(pc_b, 9000, true);
     EXPECT_EQ(rpt.lookup(pc_a), nullptr);
@@ -156,7 +156,7 @@ TEST(Rpt, ConflictingPcEvictsEntry)
 
 TEST(Rpt, DistinctPcsTrackIndependentStreams)
 {
-    Rpt rpt(256);
+    Rpt rpt;
     // Different table indices: the RPT drops the low two PC bits, so
     // word-adjacent instructions land in adjacent entries.
     Pc pc_a = 0x1000;
@@ -180,7 +180,7 @@ class RptSteadyStream : public ::testing::TestWithParam<std::int64_t>
 TEST_P(RptSteadyStream, StaysSteadyForever)
 {
     std::int64_t stride = GetParam();
-    Rpt rpt(256);
+    Rpt rpt;
     Addr a = 1 << 20;
     rpt.observe(kPc, a, true);
     rpt.observe(kPc, a + stride, true);
@@ -196,8 +196,3 @@ TEST_P(RptSteadyStream, StaysSteadyForever)
 
 INSTANTIATE_TEST_SUITE_P(Strides, RptSteadyStream,
         ::testing::Values(8, 32, 40, 672, 2080, -32, -672, 4096));
-
-TEST(RptDeath, NonPowerOfTwoSizePanics)
-{
-    EXPECT_DEATH(Rpt rpt(100), "power of two");
-}

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/adaptive.hh"
+#include "core/chase.hh"
 #include "core/ddet.hh"
 #include "core/idet.hh"
+#include "core/mstride.hh"
 #include "core/prefetcher.hh"
+#include "core/ptron.hh"
 #include "core/sequential.hh"
 
 using namespace psim;
@@ -100,20 +104,34 @@ TEST(NullPrefetcher, NeverPrefetches)
 
 TEST(PrefetcherFactory, BuildsConfiguredScheme)
 {
-    EXPECT_TRUE(builds<SequentialPrefetcher>(PrefetchScheme::Sequential));
-    EXPECT_TRUE(builds<IDetPrefetcher>(PrefetchScheme::IDet));
-    EXPECT_TRUE(builds<DDetPrefetcher>(PrefetchScheme::DDet));
-    EXPECT_TRUE(builds<NullPrefetcher>(PrefetchScheme::None));
-    EXPECT_FALSE(builds<NullPrefetcher>(PrefetchScheme::Sequential));
+    using S = PrefetchScheme;
+    EXPECT_TRUE(builds<NullPrefetcher>(S::None));
+    EXPECT_TRUE(builds<SequentialPrefetcher>(S::Sequential));
+    EXPECT_TRUE(builds<IDetPrefetcher>(S::IDet));
+    EXPECT_TRUE(builds<DDetPrefetcher>(S::DDet));
+    EXPECT_TRUE(builds<AdaptiveSequentialPrefetcher>(S::Adaptive));
+    EXPECT_TRUE(builds<IDetPrefetcher>(S::IDetLookahead));
+    EXPECT_TRUE(builds<MultiStridePrefetcher>(S::MultiStride));
+    EXPECT_TRUE(builds<ChasePrefetcher>(S::PtrChase));
+    EXPECT_TRUE(builds<PerceptronFilter>(S::Perceptron));
+    EXPECT_FALSE(builds<NullPrefetcher>(S::Sequential));
+
+    // Chase runs on a sequential base: a cold miss at B carries no
+    // content, so its one candidate is sequential's B + one block.
+    MachineConfig cfg;
+    cfg.prefetch.scheme = PrefetchScheme::PtrChase;
+    std::unique_ptr<Prefetcher> p = Prefetcher::create(cfg);
+    auto out = observe(*p, 0x4000, false, false);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0], 0x4000u + cfg.blockSize);
 }
 
 // The I-det prefetcher end-to-end on an 8-byte-stride stream as the SLC
 // would present it after FLC filtering (one access per block).
-#include "core/idet.hh"
 
 TEST(IDet, BlockStrideStreamPrefetchesNextBlock)
 {
-    IDetPrefetcher p(256, 1, 32);
+    IDetPrefetcher p(1, 32);
     EXPECT_TRUE(observe(p, 0x1000, false, false).empty()); // alloc
     auto out = observe(p, 0x1020, false, false); // stride 32 detected
     ASSERT_EQ(out.size(), 1u);
@@ -126,7 +144,7 @@ TEST(IDet, BlockStrideStreamPrefetchesNextBlock)
 
 TEST(IDet, SubBlockStrideAdvancesWholeBlocks)
 {
-    IDetPrefetcher p(256, 1, 32);
+    IDetPrefetcher p(1, 32);
     observe(p, 0x1000, false, false);
     auto out = observe(p, 0x1008, false, false); // stride 8 bytes
     ASSERT_EQ(out.size(), 1u);
@@ -136,7 +154,7 @@ TEST(IDet, SubBlockStrideAdvancesWholeBlocks)
 
 TEST(IDet, LargeStridePrefetchesFarBlock)
 {
-    IDetPrefetcher p(256, 1, 32);
+    IDetPrefetcher p(1, 32);
     observe(p, 0x10000, false, false);
     auto out = observe(p, 0x102A0, false, false); // stride 672 = 21 blocks
     ASSERT_EQ(out.size(), 1u);
@@ -145,7 +163,7 @@ TEST(IDet, LargeStridePrefetchesFarBlock)
 
 TEST(IDet, DegreePrefetchesDStridesOnRestart)
 {
-    IDetPrefetcher p(256, 4, 32);
+    IDetPrefetcher p(4, 32);
     observe(p, 0x1000, false, false);
     auto out = observe(p, 0x1040, false, false); // stride 64
     ASSERT_EQ(out.size(), 4u);
@@ -155,7 +173,7 @@ TEST(IDet, DegreePrefetchesDStridesOnRestart)
 
 TEST(IDet, NoPrefetchAfterThreeMisses)
 {
-    IDetPrefetcher p(256, 1, 32);
+    IDetPrefetcher p(1, 32);
     observe(p, 1000, false, false);
     observe(p, 2000, false, false);
     observe(p, 9000, false, false);  // incorrect -> transient
@@ -166,7 +184,7 @@ TEST(IDet, NoPrefetchAfterThreeMisses)
 
 TEST(IDet, PlainUntaggedHitDoesNotPrefetch)
 {
-    IDetPrefetcher p(256, 1, 32);
+    IDetPrefetcher p(1, 32);
     observe(p, 0x1000, false, false);
     observe(p, 0x1020, false, false);
     auto out = observe(p, 0x1040, true, false);

@@ -11,11 +11,9 @@
  *                        name's error, list them all
  *     --scheme NAME      none|seq|idet|ddet|adaptive|idet-la|
  *                        mstride|chase|ptron (see schemeNames())
- *     --degree N         degree of prefetching (default 1)
  *     --procs N          processors (default 16), on the squarest
  *                        mesh that tiles them (as run_spec --procs)
  *     --slc BYTES        SLC size, 0 = infinite (default 0)
- *     --block BYTES      cache block size (default 32)
  *     --scale N          data-set scale (default 1)
  *     --seed N           PRNG seed (default 12345)
  *     --stats            dump per-node statistics
@@ -34,14 +32,12 @@
  *
  * Differential fuzzing subcommand:
  *   psim_cli fuzz [options]
- *     --seeds N          check seeds seed-start..seed-start+N (default 20)
- *     --seed-start S     first seed of the range (default 1)
+ *     --seeds N          check seeds 1..N (default 20)
  *     --seed X           check one explicit seed (repeatable)
  *     --corpus FILE      read seeds from FILE (one per line, '#' comments)
  *     --jobs N           fan seeds out over N worker threads
  *     --no-shrink        skip greedy repro minimization on failure
  *     --repro-out FILE   write failing-seed repro report to FILE
- *     --tick-limit N     per-run quiesce deadline in ticks
  *     --mutant NAME      fault injection: corrupt-load|drop-store|page-cross
  */
 
@@ -68,9 +64,9 @@ namespace
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-            "usage: %s [--workload NAME] [--scheme NAME] [--degree N]\n"
-            "          [--procs N] [--slc BYTES] [--block BYTES]\n"
-            "          [--scale N] [--seed N] [--stats]\n"
+            "usage: %s [--workload NAME] [--scheme NAME]\n"
+            "          [--procs N] [--slc BYTES] [--scale N]\n"
+            "          [--seed N] [--stats]\n"
             "          [--characterize] [--trace FILE]\n"
             "          [--stats-json FILE] [--sample-interval N]\n"
             "          [--sample-csv FILE] [--chrome-trace FILE]\n"
@@ -82,9 +78,9 @@ usage(const char *argv0)
 fuzzUsage(const char *argv0)
 {
     std::fprintf(stderr,
-            "usage: %s fuzz [--seeds N] [--seed-start S] [--seed X]...\n"
+            "usage: %s fuzz [--seeds N] [--seed X]...\n"
             "          [--corpus FILE] [--jobs N] [--no-shrink]\n"
-            "          [--repro-out FILE] [--tick-limit N]\n"
+            "          [--repro-out FILE]\n"
             "          [--mutant corrupt-load|drop-store|page-cross]\n",
             argv0);
     std::exit(2);
@@ -132,8 +128,6 @@ fuzzMain(int argc, char **argv)
         };
         if (arg == "--seeds") {
             opts.numSeeds = parseUnsignedFlag("--seeds", value());
-        } else if (arg == "--seed-start") {
-            opts.seedStart = parseUnsignedStrict("--seed-start", value());
         } else if (arg == "--seed") {
             opts.seeds.push_back(parseUnsignedStrict("--seed", value()));
         } else if (arg == "--corpus") {
@@ -144,8 +138,6 @@ fuzzMain(int argc, char **argv)
             opts.shrink = false;
         } else if (arg == "--repro-out") {
             opts.reproPath = value();
-        } else if (arg == "--tick-limit") {
-            opts.tickLimit = parseTickFlag("--tick-limit", value());
         } else if (arg == "--mutant") {
             std::string m = value();
             if (m == "corrupt-load")
@@ -193,14 +185,10 @@ main(int argc, char **argv)
             workload = value();
         } else if (arg == "--scheme") {
             cfg.prefetch.scheme = parseScheme(value());
-        } else if (arg == "--degree") {
-            cfg.prefetch.degree = parseUnsignedFlag("--degree", value());
         } else if (arg == "--procs") {
             applyProcCount(cfg, parseUnsignedFlag("--procs", value()));
         } else if (arg == "--slc") {
             cfg.slcSize = parseUnsignedFlag("--slc", value());
-        } else if (arg == "--block") {
-            cfg.blockSize = parseUnsignedFlag("--block", value());
         } else if (arg == "--scale") {
             opts.scale = parseUnsignedFlag("--scale", value());
         } else if (arg == "--seed") {

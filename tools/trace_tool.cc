@@ -35,6 +35,7 @@
 #include "core/ddet.hh"
 #include "core/idet.hh"
 #include "core/sequential.hh"
+#include "sim/config.hh"
 #include "sim/parse.hh"
 #include "sim/stats.hh"
 #include "trace/trace.hh"
@@ -204,8 +205,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(writes),
                 per_node.size());
 
+    // psim_cli captures run at the default block size, the only one its
+    // flags allow.
+    const unsigned block = MachineConfig{}.blockSize;
+
     // Characterize the chosen node's demand read-miss stream.
-    StrideCharacterizer chr(32);
+    StrideCharacterizer chr(block);
     std::uint64_t node_misses = 0;
     for (const auto &rec : records) {
         if (rec.node == node && rec.kind == TraceRecord::Kind::Read &&
@@ -234,7 +239,7 @@ main(int argc, char **argv)
         std::vector<Addr> future;
         for (const auto &rec : records) {
             if (rec.node == node && rec.kind == TraceRecord::Kind::Read)
-                future.push_back(alignDown(rec.addr, 32));
+                future.push_back(alignDown(rec.addr, block));
         }
         std::size_t pos = 0;
         for (const auto &rec : records) {
@@ -248,7 +253,7 @@ main(int argc, char **argv)
             p.observeRead(obs, out);
             for (Addr cand : out) {
                 ++issued;
-                Addr blk = alignDown(cand, 32);
+                Addr blk = alignDown(cand, block);
                 for (std::size_t j = pos + 1;
                      j < future.size() && j < pos + 512; ++j) {
                     if (future[j] == blk) {
@@ -266,11 +271,11 @@ main(int argc, char **argv)
     };
 
     std::printf("\nprefetcher replay over node %u's reads:\n", node);
-    SequentialPrefetcher seq(32, 1);
+    SequentialPrefetcher seq(block, 1);
     evaluate("seq", seq);
-    IDetPrefetcher idet(256, 1, 32);
+    IDetPrefetcher idet(1, block);
     evaluate("i-det", idet);
-    DDetPrefetcher ddet(32, 1);
+    DDetPrefetcher ddet(block, 1);
     evaluate("d-det", ddet);
     return 0;
 }
