@@ -572,11 +572,6 @@ renderSensitivity(const Spec &s, const Results &r)
     hr(86);
 }
 
-void
-renderNone(const Spec &, const Results &)
-{
-}
-
 struct Entry
 {
     const char *id;
@@ -597,7 +592,6 @@ constexpr Entry kRenderers[] = {
     {"extension_protocol", renderProtocol},
     {"extension_nextgen", renderNextgen},
     {"sensitivity_arch", renderSensitivity},
-    {"none", renderNone},
 };
 
 } // namespace

@@ -2,10 +2,11 @@
  * @file
  * The differential fuzzing driver.
  *
- * For every seed, generate one program (fuzzgen.hh) and run it on all
- * five of the paper's scheme configurations -- baseline (no
- * prefetching), sequential, I-detection stride, D-detection stride,
- * and adaptive sequential. Every run is checked four ways:
+ * For every seed, generate one program (fuzzgen.hh) and run it under
+ * all eight schemes of fuzzSchemes(): baseline (no prefetching),
+ * sequential, I-detection stride, D-detection stride, adaptive
+ * sequential, multi-stride, pointer chase and the perceptron filter.
+ * Every run is checked four ways:
  *
  *  1. the machine must quiesce within the tick limit;
  *  2. the workload's native model must verify the final values;

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "sim/logging.hh"
+
 namespace psim
 {
 
@@ -43,6 +45,7 @@ ChasePrefetcher::ChasePrefetcher(unsigned block_size,
                                  std::unique_ptr<Prefetcher> base)
     : _blockSize(block_size), _base(std::move(base))
 {
+    psim_assert(_base, "chase needs a base scheme");
     for (RingEntry &e : _ring)
         e.bytes.resize(block_size);
 }
@@ -229,7 +232,7 @@ ChasePrefetcher::observeRead(const ReadObservation &obs,
 {
     // The base scheme sees the classic observation stream only --
     // synthesized fill observations would double-train it.
-    if (_base && !obs.fill)
+    if (!obs.fill)
         _base->observeRead(obs, out);
 
     _emitted = 0;

@@ -77,14 +77,13 @@ class ChasePrefetcher : public Prefetcher
     notePrefetchOutcome(bool useful, bool late = false,
                         Addr blk_addr = 0) override
     {
-        if (_base)
-            _base->notePrefetchOutcome(useful, late, blk_addr);
+        _base->notePrefetchOutcome(useful, late, blk_addr);
     }
 
     bool
     wantsOutcomeFeedback() const override
     {
-        return _base && _base->wantsOutcomeFeedback();
+        return _base->wantsOutcomeFeedback();
     }
 
     bool wantsBlockContent() const override { return true; }
@@ -118,7 +117,7 @@ class ChasePrefetcher : public Prefetcher
               std::vector<Addr> &out);
 
     unsigned _blockSize;
-    std::unique_ptr<Prefetcher> _base;
+    std::unique_ptr<Prefetcher> _base; ///< never null
 
     std::array<Pattern, PrefetchConfig::chaseEntries> _patterns{};
     std::array<RingEntry, 4> _ring;

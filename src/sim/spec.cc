@@ -1,6 +1,5 @@
 #include "sim/spec.hh"
 
-#include <cstdio>
 #include <initializer_list>
 #include <limits>
 #include <unordered_set>
@@ -58,75 +57,27 @@ patchFromJson(const json::Value *v, const std::string &what)
     return patch;
 }
 
-RunOverrides
-runFromJson(const json::Value *v, const std::string &what)
-{
-    RunOverrides run;
-    if (!v)
-        return run;
-    checkKeys(v->asObject(what), {"characterize", "scale"}, what);
-    if (const json::Value *c = v->find("characterize"))
-        run.characterize = c->asBool(what + ": characterize");
-    if (const json::Value *s = v->find("scale")) {
-        auto n = s->asUnsigned(what + ": scale",
-                               std::numeric_limits<unsigned>::max());
-        if (n == 0)
-            psim_fatal("%s: scale must be >= 1", what.c_str());
-        run.scale = static_cast<unsigned>(n);
-    }
-    return run;
-}
-
-/** The cell-id fragment a bare scalar value derives. */
-std::string
-deriveId(const json::Value &scalar, const std::string &what)
-{
-    switch (scalar.type()) {
-      case json::Value::Type::String:
-        return scalar.asString(what);
-      case json::Value::Type::Bool:
-        return scalar.asBool(what) ? "true" : "false";
-      case json::Value::Type::Number: {
-        double n = scalar.asNumber(what);
-        char buf[32];
-        if (n == static_cast<double>(static_cast<long long>(n)))
-            std::snprintf(buf, sizeof(buf), "%lld",
-                          static_cast<long long>(n));
-        else
-            std::snprintf(buf, sizeof(buf), "%g", n);
-        return buf;
-      }
-      default:
-        psim_fatal("%s: a %s cannot derive a cell id", what.c_str(),
-                   scalar.typeName());
-    }
-}
-
 AxisValue
 axisValueFromJson(const json::Value &v, const std::string &what)
 {
     AxisValue av;
     if (v.isObject()) {
-        checkKeys(v.asObject(what), {"value", "id", "label", "config", "run"},
-                  what);
+        checkKeys(v.asObject(what), {"value", "id", "label", "config"}, what);
         if (const json::Value *scalar = v.find("value"))
             av.scalar = *scalar;
         av.config = patchFromJson(v.find("config"), what + ": config");
-        av.run = runFromJson(v.find("run"), what + ": run");
-        if (const json::Value *id = v.find("id"))
-            av.id = id->asString(what + ": id");
-        else if (!av.scalar.isNull())
-            av.id = deriveId(av.scalar, what);
-        else
-            psim_fatal("%s: a value with no scalar needs an explicit "
-                       "\"id\"", what.c_str());
+        const json::Value *id = v.find("id");
+        if (!id)
+            psim_fatal("%s: a value object needs an explicit \"id\"",
+                       what.c_str());
+        av.id = id->asString(what + ": id");
         if (const json::Value *label = v.find("label"))
             av.label = label->asString(what + ": label");
         else
             av.label = av.id;
     } else {
         av.scalar = v;
-        av.id = deriveId(v, what);
+        av.id = v.asString(what);
         av.label = av.id;
     }
     if (av.id.empty())
@@ -141,7 +92,7 @@ struct PlannedCell
     std::vector<std::pair<std::string, std::string>> coords;
     std::string workload;
     MachineConfig cfg;
-    RunOverrides run;
+    unsigned scale = 1;
 };
 
 /**
@@ -153,20 +104,14 @@ std::vector<PlannedCell>
 expand(const Spec &spec, const std::string &what)
 {
     std::vector<PlannedCell> plan;
-    for (std::size_t gi = 0; gi < spec.groups.size(); ++gi) {
-        const Group &g = spec.groups[gi];
-        MachineConfig group_cfg; // defaults are the paper's Table 1
-        applyConfigPatch(group_cfg, spec.config, what + ": config");
-        applyConfigPatch(group_cfg, g.config, what + ": group config");
-        RunOverrides group_run = spec.run;
-        group_run.merge(g.run);
-
+    MachineConfig spec_cfg; // defaults are the paper's Table 1
+    applyConfigPatch(spec_cfg, spec.config, what + ": config");
+    for (const Group &g : spec.groups) {
         std::vector<std::size_t> idx(g.axes.size(), 0);
         bool more = true;
         while (more) {
             PlannedCell cell;
-            cell.cfg = group_cfg;
-            cell.run = group_run;
+            cell.cfg = spec_cfg;
             for (std::size_t a = 0; a < g.axes.size(); ++a) {
                 const Axis &axis = g.axes[a];
                 const AxisValue &av = axis.values[idx[a]];
@@ -182,14 +127,13 @@ expand(const Spec &spec, const std::string &what)
                         if (n == 0)
                             psim_fatal("%s: scale must be >= 1",
                                        vwhat.c_str());
-                        cell.run.scale = static_cast<unsigned>(n);
+                        cell.scale = static_cast<unsigned>(n);
                     } else {
                         applyConfigKey(cell.cfg, axis.name, av.scalar,
                                        vwhat);
                     }
                 }
                 applyConfigPatch(cell.cfg, av.config, vwhat);
-                cell.run.merge(av.run);
                 cell.coords.emplace_back(axis.name, av.id);
                 if (!cell.id.empty())
                     cell.id += '-';
@@ -396,7 +340,12 @@ parseSpec(const json::Value &doc, const std::string &what)
     if (spec.name.empty() || spec.report.empty())
         psim_fatal("%s: name and report must be nonempty", what.c_str());
     spec.config = patchFromJson(doc.find("config"), what + ": config");
-    spec.run = runFromJson(doc.find("run"), what + ": run");
+    if (const json::Value *run = doc.find("run")) {
+        const std::string rwhat = what + ": run";
+        checkKeys(run->asObject(rwhat), {"characterize"}, rwhat);
+        if (const json::Value *c = run->find("characterize"))
+            spec.characterize = c->asBool(rwhat + ": characterize");
+    }
 
     const auto &grid =
             require(doc, "grid", what).asArray(what + ": grid");
@@ -404,11 +353,8 @@ parseSpec(const json::Value &doc, const std::string &what)
         psim_fatal("%s: grid must have at least one group", what.c_str());
     for (std::size_t gi = 0; gi < grid.size(); ++gi) {
         const std::string gwhat = what + ": grid[" + std::to_string(gi) + "]";
-        checkKeys(grid[gi].asObject(gwhat), {"config", "run", "axes"}, gwhat);
+        checkKeys(grid[gi].asObject(gwhat), {"axes"}, gwhat);
         Group group;
-        group.config = patchFromJson(grid[gi].find("config"),
-                                     gwhat + ".config");
-        group.run = runFromJson(grid[gi].find("run"), gwhat + ".run");
         const auto &axes = require(grid[gi], "axes", gwhat)
                                    .asArray(gwhat + ".axes");
         if (axes.empty())
@@ -480,8 +426,8 @@ runSpec(const Spec &spec, const ExecOptions &exec)
     runGrid(plan.size(), resolveJobs(exec.jobs), [&](std::size_t i) {
         const PlannedCell &cell = plan[i];
         apps::RunOptions ropts = exec.obs;
-        ropts.characterize = cell.run.characterize.value_or(false);
-        ropts.scale = cell.run.scale.value_or(1);
+        ropts.characterize = spec.characterize;
+        ropts.scale = cell.scale;
         ropts.cell = cell.id;
 
         apps::Run run = apps::runWorkload(cell.workload, cell.cfg, ropts);

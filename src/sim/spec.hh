@@ -21,17 +21,16 @@
  * ```json
  * {
  *   "schema": "psim-spec-v1",
- *   "name": "fig6",                // must match the file's basename
- *   "report": "fig6",              // renderer id (bench/render.cc)
- *   "config": { ... },             // machine overrides for every cell
- *   "run": {"characterize": true, "scale": 2},      // run options
+ *   "name": "degree_sweep",        // must match the file's basename
+ *   "report": "ablation_degree",   // renderer id (bench/render.cc)
+ *   "config": {"scheme": "seq"},   // machine overrides for every cell
+ *   "run": {"characterize": true}, // run the miss characterizer
  *   "grid": [
  *     {
- *       "config": { ... },         // group-level overrides
  *       "axes": [
  *         {"name": "app", "values": ["lu", "ocean"]},
- *         {"name": "scheme", "values": ["none", "seq"]},
- *         {"name": "prefetch.degree", "values": [1, 2, 4]}
+ *         {"name": "prefetch.degree",
+ *          "values": [{"value": 1, "id": "d1"}, {"value": 2, "id": "d2"}]}
  *       ]
  *     }
  *   ]
@@ -40,18 +39,19 @@
  *
  * Axis semantics, applied to each cell in axis order:
  *  - "app": the workload (values must be strings);
- *  - "scale": the workload scale factor (run option);
+ *  - "scale": the workload scale factor, >= 1 (1 when no axis sets it);
  *  - any machine-config key ("scheme", "blockSize", "slcSize",
  *    "prefetch.degree", "sequentialConsistency", ...): that field is
  *    set to the value; "scheme" goes through parseScheme().
  *
- * A value may also be an object {"value": ..., "id": "...", "label":
- * "...", "config": {...}, "run": {...}}: the optional scalar keeps the
- * axis semantics, the patches stack on top, and id/label override the
- * derived cell-id fragment and display label. An object with no
- * "value" applies only its patches, which makes the axis name purely
- * descriptive ("variant", "point") -- that is how heterogeneous
- * sweeps like sensitivity points are declared.
+ * A bare value must be a string, and it is its own cell-id fragment
+ * and label. Any other value is an object {"value": ..., "id": "...",
+ * "label": "...", "config": {...}} with a mandatory "id": the optional
+ * scalar keeps the axis semantics, the config patch stacks on top, and
+ * the label defaults to the id. An object with no "value" applies only
+ * its patch, which makes the axis name purely descriptive ("variant",
+ * "point") -- that is how heterogeneous sweeps like sensitivity points
+ * are declared.
  *
  * Cells expand row-major (the last axis varies fastest), groups in
  * order; a cell's id is its axis fragments joined with '-'.
@@ -62,7 +62,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,23 +90,6 @@ void applyConfigKey(MachineConfig &cfg, const std::string &key,
 void applyConfigPatch(MachineConfig &cfg, const ConfigPatch &patch,
                       const std::string &what);
 
-/** The spec'able subset of apps::RunOptions. */
-struct RunOverrides
-{
-    std::optional<bool> characterize;
-    std::optional<unsigned> scale;
-
-    /** Overlay @p other on top of this (other wins where set). */
-    void
-    merge(const RunOverrides &other)
-    {
-        if (other.characterize)
-            characterize = other.characterize;
-        if (other.scale)
-            scale = other.scale;
-    }
-};
-
 /** One point along an axis. */
 struct AxisValue
 {
@@ -115,7 +97,6 @@ struct AxisValue
     std::string label;  ///< display label (defaults to id)
     json::Value scalar; ///< the semantic payload; null when patch-only
     ConfigPatch config;
-    RunOverrides run;
 };
 
 struct Axis
@@ -124,11 +105,9 @@ struct Axis
     std::vector<AxisValue> values;
 };
 
-/** A crossed block of axes sharing group-level overrides. */
+/** A crossed block of axes. */
 struct Group
 {
-    ConfigPatch config;
-    RunOverrides run;
     std::vector<Axis> axes;
 
     std::size_t
@@ -146,7 +125,7 @@ struct Spec
     std::string name;
     std::string report;
     ConfigPatch config;
-    RunOverrides run;
+    bool characterize = false; ///< run the miss characterizer in every cell
     std::vector<Group> groups;
 
     std::size_t

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
 #include "core/chase.hh"
 
@@ -41,7 +42,7 @@ struct Block
 ChasePrefetcher
 makeChase()
 {
-    return ChasePrefetcher(kBlock, nullptr);
+    return ChasePrefetcher(kBlock, std::make_unique<NullPrefetcher>());
 }
 
 /** Demand miss with no content: grows the envelope, trains learning. */

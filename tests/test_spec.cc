@@ -104,7 +104,7 @@ TEST(SpecParse, AxisValueObjectsCarryIdLabelAndPatches)
         {"name": "variant", "values": [
           {"id": "base"},
           {"id": "big", "label": "BIG",
-           "config": {"slcSize": 262144}, "run": {"scale": 2}}
+           "config": {"slcSize": 262144}}
         ]}
       ]}]
     })json");
@@ -113,8 +113,6 @@ TEST(SpecParse, AxisValueObjectsCarryIdLabelAndPatches)
     EXPECT_EQ(axis.values[1].label, "BIG");
     ASSERT_EQ(axis.values[1].config.size(), 1u);
     EXPECT_EQ(axis.values[1].config[0].first, "slcSize");
-    ASSERT_TRUE(axis.values[1].run.scale.has_value());
-    EXPECT_EQ(*axis.values[1].run.scale, 2u);
 }
 
 TEST(SpecParseDeathTest, RejectsUnknownKeysAndBadTypes)
@@ -142,6 +140,28 @@ TEST(SpecParseDeathTest, RejectsUnknownKeysAndBadTypes)
     EXPECT_DEATH(parseText(R"json({
       "schema": "psim-spec-v1", "name": "t", "report": "none"
     })json"), "missing required key 'grid'");
+    // One form per setting: a group holds only axes, a value patches
+    // only config, and the scale is an axis, not a run option.
+    EXPECT_DEATH(parseText(R"json({
+      "schema": "psim-spec-v1", "name": "t", "report": "none",
+      "grid": [{"config": {"slcSize": 262144},
+                "axes": [{"name": "app", "values": ["lu"]}]}]
+    })json"), "grid\\[0\\]: unknown key 'config'");
+    EXPECT_DEATH(parseText(R"json({
+      "schema": "psim-spec-v1", "name": "t", "report": "none",
+      "grid": [{"run": {"characterize": true},
+                "axes": [{"name": "app", "values": ["lu"]}]}]
+    })json"), "grid\\[0\\]: unknown key 'run'");
+    EXPECT_DEATH(parseText(R"json({
+      "schema": "psim-spec-v1", "name": "t", "report": "none",
+      "grid": [{"axes": [{"name": "app", "values": [
+        {"value": "lu", "id": "lu", "run": {"characterize": true}}]}]}]
+    })json"), "values\\[0\\]: unknown key 'run'");
+    EXPECT_DEATH(parseText(R"json({
+      "schema": "psim-spec-v1", "name": "t", "report": "none",
+      "run": {"scale": 2},
+      "grid": [{"axes": [{"name": "app", "values": ["lu"]}]}]
+    })json"), "run: unknown key 'scale'");
 }
 
 TEST(SpecParseDeathTest, RejectsDegenerateGrids)
@@ -167,6 +187,19 @@ TEST(SpecParseDeathTest, RejectsDegenerateGrids)
       "grid": [{"axes": [{"name": "app",
                           "values": [{"config": {"seed": 1}}]}]}]
     })json"), "needs an explicit");
+    // A bare value is its own id, so it must be a string; any other
+    // value is an object with an explicit id.
+    EXPECT_DEATH(parseText(R"json({
+      "schema": "psim-spec-v1", "name": "t", "report": "none",
+      "grid": [{"axes": [{"name": "app", "values": ["lu"]},
+                         {"name": "prefetch.degree", "values": [2]}]}]
+    })json"), "values\\[0\\]: expected string, got number");
+    EXPECT_DEATH(parseText(R"json({
+      "schema": "psim-spec-v1", "name": "t", "report": "none",
+      "grid": [{"axes": [{"name": "app", "values": ["lu"]},
+                         {"name": "prefetch.degree",
+                          "values": [{"value": 2}]}]}]
+    })json"), "needs an explicit");
 }
 
 TEST(SpecParseDeathTest, RejectsBadConfigAndRunValues)
@@ -183,8 +216,9 @@ TEST(SpecParseDeathTest, RejectsBadConfigAndRunValues)
     })json"), "unknown prefetch scheme 'warp9'");
     EXPECT_DEATH(parseText(R"json({
       "schema": "psim-spec-v1", "name": "t", "report": "none",
-      "run": {"scale": 0},
-      "grid": [{"axes": [{"name": "app", "values": ["lu"]}]}]
+      "grid": [{"axes": [{"name": "app", "values": ["lu"]},
+                         {"name": "scale",
+                          "values": [{"value": 0, "id": "s0"}]}]}]
     })json"), "scale must be >= 1");
     EXPECT_DEATH(parseText(R"json({
       "schema": "psim-spec-v1", "name": "t", "report": "none",
