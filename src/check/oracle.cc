@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
 #include "sim/audit.hh"
 #include "sim/logging.hh"
@@ -128,46 +127,55 @@ Oracle::check(const AccessLog &log, const BackingStore &final_store,
 
     // 2. Final image: after all stores replayed, the shadow and the
     //    machine's functional memory must agree bytewise. Both are
-    //    sparse with absent pages reading as zero, so compare the
-    //    union of their materialized pages (in address order, for
-    //    deterministic reports).
-    std::map<Addr, std::vector<std::uint8_t>> shadow_img, final_img;
-    shadow.forEachPage(
-            [&](Addr base, const std::uint8_t *bytes, unsigned len) {
-                shadow_img.emplace(base,
-                        std::vector<std::uint8_t>(bytes, bytes + len));
-            });
-    final_store.forEachPage(
-            [&](Addr base, const std::uint8_t *bytes, unsigned len) {
-                final_img.emplace(base,
-                        std::vector<std::uint8_t>(bytes, bytes + len));
-            });
-    const std::vector<std::uint8_t> zeros(_pageSize, 0);
-    auto pageOf = [&](const std::map<Addr, std::vector<std::uint8_t>> &img,
-                      Addr base) -> const std::vector<std::uint8_t> & {
-        auto it = img.find(base);
-        return it == img.end() ? zeros : it->second;
+    //    sparse with absent pages reading as zero, so walk the union
+    //    of their materialized pages by merging the two page lists in
+    //    address order (for deterministic reports). A page that
+    //    matches as a whole costs one memcmp; only a differing page is
+    //    scanned in 8-byte chunks.
+    using PageRef = std::pair<Addr, const std::uint8_t *>;
+    auto sortedPages = [](const BackingStore &store) {
+        std::vector<PageRef> pages;
+        store.forEachPage(
+                [&](Addr base, const std::uint8_t *bytes, unsigned) {
+                    pages.emplace_back(base, bytes);
+                });
+        std::sort(pages.begin(), pages.end());
+        return pages;
     };
-    std::map<Addr, bool> bases;
-    for (const auto &[base, bytes] : shadow_img)
-        bases[base] = true;
-    for (const auto &[base, bytes] : final_img)
-        bases[base] = true;
-    for (const auto &[base, unused] : bases) {
-        (void)unused;
-        const auto &want = pageOf(shadow_img, base);
-        const auto &got = pageOf(final_img, base);
+    const std::vector<PageRef> want_pages = sortedPages(shadow);
+    const std::vector<PageRef> got_pages = sortedPages(final_store);
+    const std::vector<std::uint8_t> zeros(_pageSize, 0);
+    auto comparePage = [&](Addr base, const std::uint8_t *want,
+                           const std::uint8_t *got) {
+        if (std::memcmp(want, got, _pageSize) == 0)
+            return;
         for (unsigned off = 0; off < _pageSize; off += 8) {
             unsigned n = std::min(8u, _pageSize - off);
-            if (std::memcmp(want.data() + off, got.data() + off, n) == 0)
+            if (std::memcmp(want + off, got + off, n) == 0)
                 continue;
             Divergence d;
             d.kind = Divergence::Kind::FinalImage;
             d.addr = base + off;
             d.len = n;
-            std::memcpy(d.expected, want.data() + off, n);
-            std::memcpy(d.got, got.data() + off, n);
+            std::memcpy(d.expected, want + off, n);
+            std::memcpy(d.got, got + off, n);
             add(d);
+        }
+    };
+    auto w = want_pages.begin();
+    auto g = got_pages.begin();
+    while (w != want_pages.end() || g != got_pages.end()) {
+        if (g == got_pages.end() ||
+            (w != want_pages.end() && w->first < g->first)) {
+            comparePage(w->first, w->second, zeros.data());
+            ++w;
+        } else if (w == want_pages.end() || g->first < w->first) {
+            comparePage(g->first, zeros.data(), g->second);
+            ++g;
+        } else {
+            comparePage(w->first, w->second, g->second);
+            ++w;
+            ++g;
         }
     }
 

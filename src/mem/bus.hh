@@ -37,16 +37,21 @@ class Bus
         // still experiences arbitration + transfer latency.
         Tick occ = _cfg.busPhaseCycles * _cfg.busCycle;
         Tick arb = _cfg.busCycle;
-        Tick start = res.claim(now, occ);
+        Tick start = _res.claim(now, occ);
         ++transactions;
         if (data)
             ++dataTransactions;
+        busyTicks += static_cast<double>(occ);
+        waitTicks += static_cast<double>(start - now);
         return start + arb + occ;
     }
 
-    Resource res;
     stats::Scalar transactions;
     stats::Scalar dataTransactions;
+    /** Total ticks the bus was occupied. */
+    stats::Scalar busyTicks;
+    /** Total ticks transfers spent queued for the bus. */
+    stats::Scalar waitTicks;
 
     /** Register this bus's statistics into @p g. */
     void
@@ -55,14 +60,15 @@ class Bus
         g.addScalar("transactions", &transactions, "bus transactions");
         g.addScalar("dataTransactions", &dataTransactions,
                 "data-carrying transactions");
-        g.addScalar("busyTicks", &res.busyTicks,
+        g.addScalar("busyTicks", &busyTicks,
                 "ticks the bus was occupied");
-        g.addScalar("waitTicks", &res.waitTicks,
+        g.addScalar("waitTicks", &waitTicks,
                 "ticks requests queued for the bus");
     }
 
   private:
     const MachineConfig &_cfg;
+    Resource _res;
 };
 
 } // namespace psim

@@ -8,14 +8,17 @@ namespace psim
 namespace
 {
 
-constexpr std::size_t kInitialPool = 1024;
+/**
+ * Slots in the first pool. The pool doubles on demand, so a machine
+ * pays only for the slots its peak of pending events needs.
+ */
+constexpr std::size_t kInitialPool = 64;
 
 } // namespace
 
 EventQueue::EventQueue()
 {
     _occupied.fill(0);
-    _pool.reserve(kInitialPool);
     growPool();
 }
 

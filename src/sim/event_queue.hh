@@ -15,8 +15,10 @@
  *
  * The engine is allocation-free in steady state:
  *
- *  - Events live in a preallocated, free-listed pool of 64-byte slots.
- *    There is no cancellation: every scheduled event fires exactly once.
+ *  - Events live in a free-listed pool of 64-byte slots that starts
+ *    small and doubles when it runs out, so it settles at the run's
+ *    peak number of pending events. There is no cancellation: every
+ *    scheduled event fires exactly once.
  *  - Short-delay schedules — the overwhelmingly common case (cache,
  *    bus, mesh and CPU latencies are tens to hundreds of ticks) — go
  *    into a 4096-bucket time wheel. Its occupied buckets are tracked in

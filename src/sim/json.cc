@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -413,10 +414,10 @@ serializeValue(const Value &v, std::string &out)
         out += v.asBool("") ? "true" : "false";
         break;
       case Value::Type::Number:
-        out += number(v.asNumber(""));
+        appendNumber(out, v.asNumber(""));
         break;
       case Value::Type::String:
-        out += quote(v.asString(""));
+        appendQuoted(out, v.asString(""));
         break;
       case Value::Type::Array: {
         out += '[';
@@ -437,7 +438,7 @@ serializeValue(const Value &v, std::string &out)
             if (!first)
                 out += ',';
             first = false;
-            out += quote(k);
+            appendQuoted(out, k);
             out += ':';
             serializeValue(e, out);
         }
@@ -455,13 +456,17 @@ parse(const std::string &text, const std::string &what)
     return Parser(text, what).document();
 }
 
-std::string
-quote(const std::string &s)
+void
+appendQuoted(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
     out += '"';
-    for (char c : s) {
+    std::size_t plain = 0; // start of the pending run of plain chars
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20)
+            continue;
+        out.append(s, plain, i - plain);
+        plain = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -470,32 +475,59 @@ quote(const std::string &s)
           case '\n': out += "\\n"; break;
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                      static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(
+                                  static_cast<unsigned char>(c)));
+            out += buf;
+          }
         }
     }
+    out.append(s, plain);
     out += '"';
-    return out;
+}
+
+void
+appendNumber(std::string &out, double n)
+{
+    // JSON has no NaN/Inf; an absent value (the prefetch efficiency of
+    // a run that issued none) becomes null.
+    if (!std::isfinite(n)) {
+        out += "null";
+        return;
+    }
+    // Nearly every statistic is a count. Below 2^53 an integral double
+    // is exact and %.17g prints its plain decimal digits, which
+    // to_chars gives without printf's parsing; -0 keeps its sign.
+    if (std::fabs(n) < 9007199254740992.0) {
+        auto i = static_cast<std::int64_t>(n);
+        if (static_cast<double>(i) == n && !(i == 0 && std::signbit(n))) {
+            appendInteger(out, i);
+            return;
+        }
+    }
+    char buf[40];
+    int len = std::snprintf(buf, sizeof(buf), "%.17g", n);
+    out.append(buf, static_cast<std::size_t>(len));
+}
+
+void
+flushBuffer(std::ostream &os, std::string &out, bool last)
+{
+    constexpr std::size_t kFlushBytes = 16384;
+    if (!last && out.size() < kFlushBytes)
+        return;
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
+    out.clear();
 }
 
 std::string
 number(double n)
 {
-    // JSON has no NaN/Inf; an absent value (the prefetch efficiency of
-    // a run that issued none) becomes null.
-    if (!std::isfinite(n))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", n);
-    return buf;
+    std::string out;
+    appendNumber(out, n);
+    return out;
 }
 
 std::string

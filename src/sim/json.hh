@@ -16,8 +16,12 @@
 #ifndef PSIM_SIM_JSON_HH
 #define PSIM_SIM_JSON_HH
 
+#include <charconv>
 #include <cstddef>
+#include <iosfwd>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -106,11 +110,35 @@ Value parse(const std::string &text, const std::string &what);
 std::string serialize(const Value &v);
 
 /**
- * The serializer's leaves, for writers that stream a document without
- * building a Value tree: @p s as a quoted, escaped string literal, and
- * @p n as a %.17g number (null when NaN/Inf; JSON has neither).
+ * The serializer's leaves, for writers that build a document in one
+ * buffer without a Value tree (stats, sampler, chrome trace): append
+ * @p s to @p out as a quoted, escaped string literal, and @p n as a
+ * %.17g number (null when NaN/Inf; JSON has neither). Integral values
+ * below 2^53 skip printf but print exactly what %.17g would.
  */
-std::string quote(const std::string &s);
+void appendQuoted(std::string &out, std::string_view s);
+void appendNumber(std::string &out, double n);
+
+/** Append integer @p v in decimal (what an ostream prints). */
+template <typename T>
+void
+appendInteger(std::string &out, T v)
+{
+    static_assert(std::is_integral_v<T>);
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+/**
+ * Write @p out to @p os and empty it, once it holds 16 KiB or more,
+ * or always when @p last. A writer that builds a document in @p out
+ * calls it after each element, so a large document is never held
+ * whole beside the stream's own copy.
+ */
+void flushBuffer(std::ostream &os, std::string &out, bool last = false);
+
+/** appendNumber() into a fresh string. */
 std::string number(double n);
 
 /** Load and parse a JSON file; fatal() on I/O or parse errors. */

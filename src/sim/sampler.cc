@@ -31,19 +31,27 @@ Sampler::sample(Tick now)
 }
 
 void
-Sampler::dumpJson(std::ostream &os) const
+Sampler::appendJson(std::string &out) const
 {
-    os << "{\"interval\":" << _interval << ",\"probes\":[";
-    for (std::size_t i = 0; i < _names.size(); ++i)
-        os << (i ? "," : "") << json::quote(_names[i]);
-    os << "],\"rows\":[";
-    for (std::size_t r = 0; r < _rows.size(); ++r) {
-        os << (r ? "," : "") << "[" << _rows[r].tick;
-        for (double v : _rows[r].values)
-            os << "," << json::number(v);
-        os << "]";
+    out += "{\"interval\":";
+    json::appendInteger(out, _interval);
+    out += ",\"probes\":[";
+    for (std::size_t i = 0; i < _names.size(); ++i) {
+        if (i)
+            out += ',';
+        json::appendQuoted(out, _names[i]);
     }
-    os << "]}";
+    out += "],\"rows\":[";
+    for (std::size_t r = 0; r < _rows.size(); ++r) {
+        out += r ? ",[" : "[";
+        json::appendInteger(out, _rows[r].tick);
+        for (double v : _rows[r].values) {
+            out += ',';
+            json::appendNumber(out, v);
+        }
+        out += ']';
+    }
+    out += "]}";
 }
 
 void

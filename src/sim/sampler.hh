@@ -58,10 +58,11 @@ class Sampler
     const std::vector<Row> &rows() const { return _rows; }
 
     /**
-     * JSON fragment for the stats document's "samples" member:
+     * Append the JSON fragment for the stats document's "samples"
+     * member to @p out:
      *   {"interval":N,"probes":[...],"rows":[[tick,v0,v1,...],...]}
      */
-    void dumpJson(std::ostream &os) const;
+    void appendJson(std::string &out) const;
 
     /** CSV time series: header "tick,probe0,..." then one row per sample. */
     void dumpCsv(std::ostream &os) const;

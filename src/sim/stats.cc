@@ -47,69 +47,100 @@ void
 Group::dump(std::ostream &os) const
 {
     os << "---------- " << _name << " ----------\n";
-    auto line = [&os](const std::string &name, double value,
-                      const std::string &desc) {
-        os << std::left << std::setw(44) << name
+    auto line = [&os, this](std::string_view name, std::string_view suffix,
+                            double value, std::string_view desc) {
+        std::string full = _name;
+        full += '.';
+        full += name;
+        full += suffix;
+        os << std::left << std::setw(44) << full
            << std::right << std::setw(16) << value
            << "  # " << desc << "\n";
     };
     for (const auto &item : _scalars)
-        line(_name + "." + item.name, item.stat->value(), item.desc);
+        line(item.name, "", item.stat->value(), item.desc);
     for (const auto &item : _averages) {
-        line(_name + "." + item.name + ".mean", item.stat->mean(),
+        line(item.name, ".mean", item.stat->mean(), item.desc);
+        line(item.name, ".count", static_cast<double>(item.stat->count()),
              item.desc);
-        line(_name + "." + item.name + ".count",
-             static_cast<double>(item.stat->count()), item.desc);
     }
     for (const auto &item : _histograms) {
-        line(_name + "." + item.name + ".total",
-             static_cast<double>(item.stat->total()), item.desc);
+        line(item.name, ".total", static_cast<double>(item.stat->total()),
+             item.desc);
         for (const auto &[key, weight] : item.stat->buckets()) {
-            line(_name + "." + item.name + "[" + std::to_string(key) + "]",
+            line(item.name, "[" + std::to_string(key) + "]",
                  static_cast<double>(weight), item.desc);
         }
     }
 }
 
 void
-Group::dumpJson(std::ostream &os) const
+Group::appendJson(std::string &out) const
 {
-    os << "{\"name\":" << json::quote(_name) << ",\"scalars\":[";
-    bool first = true;
+    using json::appendInteger;
+    using json::appendNumber;
+    using json::appendQuoted;
+    // The name and desc members every item opens with.
+    auto open = [&out](std::string_view name, std::string_view desc) {
+        out += "{\"name\":";
+        appendQuoted(out, name);
+        out += ",\"desc\":";
+        appendQuoted(out, desc);
+    };
+
+    out += "{\"name\":";
+    appendQuoted(out, _name);
+    out += ",\"scalars\":[";
+    const char *sep = "";
     for (const auto &item : _scalars) {
-        os << (first ? "" : ",") << "{\"name\":" << json::quote(item.name)
-           << ",\"desc\":" << json::quote(item.desc)
-           << ",\"value\":" << json::number(item.stat->value()) << "}";
-        first = false;
+        out += sep;
+        open(item.name, item.desc);
+        out += ",\"value\":";
+        appendNumber(out, item.stat->value());
+        out += '}';
+        sep = ",";
     }
-    os << "],\"averages\":[";
-    first = true;
+    out += "],\"averages\":[";
+    sep = "";
     for (const auto &item : _averages) {
-        os << (first ? "" : ",") << "{\"name\":" << json::quote(item.name)
-           << ",\"desc\":" << json::quote(item.desc)
-           << ",\"mean\":" << json::number(item.stat->mean())
-           << ",\"sum\":" << json::number(item.stat->sum())
-           << ",\"count\":" << item.stat->count()
-           << ",\"min\":" << json::number(item.stat->min())
-           << ",\"max\":" << json::number(item.stat->max()) << "}";
-        first = false;
+        const Average &a = *item.stat;
+        out += sep;
+        open(item.name, item.desc);
+        out += ",\"mean\":";
+        appendNumber(out, a.mean());
+        out += ",\"sum\":";
+        appendNumber(out, a.sum());
+        out += ",\"count\":";
+        appendInteger(out, a.count());
+        out += ",\"min\":";
+        appendNumber(out, a.min());
+        out += ",\"max\":";
+        appendNumber(out, a.max());
+        out += '}';
+        sep = ",";
     }
-    os << "],\"histograms\":[";
-    first = true;
+    out += "],\"histograms\":[";
+    sep = "";
     for (const auto &item : _histograms) {
-        os << (first ? "" : ",") << "{\"name\":" << json::quote(item.name)
-           << ",\"desc\":" << json::quote(item.desc)
-           << ",\"total\":" << item.stat->total() << ",\"buckets\":[";
-        bool bfirst = true;
+        out += sep;
+        open(item.name, item.desc);
+        out += ",\"total\":";
+        appendInteger(out, item.stat->total());
+        out += ",\"buckets\":[";
+        const char *bsep = "";
         for (const auto &[key, weight] : item.stat->buckets()) {
-            os << (bfirst ? "" : ",") << "{\"key\":" << key
-               << ",\"count\":" << weight << "}";
-            bfirst = false;
+            out += bsep;
+            out += "{\"key\":";
+            appendInteger(out, key);
+            out += ",\"count\":";
+            appendInteger(out, weight);
+            out += '}';
+            bsep = ",";
         }
-        os << "]}";
-        first = false;
+        out += "]}";
+        sep = ",";
     }
-    os << "]}";
+    out += "]}";
 }
 
 const Scalar *
@@ -137,17 +168,23 @@ Registry::dump(std::ostream &os) const
 }
 
 void
-Registry::dumpJson(std::ostream &os, const std::string &extra) const
+Registry::dumpJson(std::ostream &os, std::string_view extra) const
 {
-    os << "{\"schema\":\"" << kSchemaId << "\",\"groups\":[";
-    bool first = true;
+    std::string out;
+    out += "{\"schema\":\"";
+    out += kSchemaId;
+    out += "\",\"groups\":[";
+    const char *sep = "";
     for (const auto &g : _groups) {
-        if (!first)
-            os << ",";
-        g->dumpJson(os);
-        first = false;
+        out += sep;
+        g->appendJson(out);
+        sep = ",";
+        json::flushBuffer(os, out);
     }
-    os << "]" << extra << "}\n";
+    out += ']';
+    out += extra;
+    out += "}\n";
+    json::flushBuffer(os, out, true);
 }
 
 } // namespace psim::stats

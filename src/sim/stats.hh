@@ -21,6 +21,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace psim::stats
@@ -106,53 +107,65 @@ class Histogram
 /**
  * A named collection of statistics. Members register themselves with
  * addScalar()/addAverage()/addHistogram() pointers; dump() renders them.
+ * A statistic's name and description are string literals at every
+ * registration site, so the group keeps views of them, not copies:
+ * both must outlive the group.
  */
 class Group
 {
   public:
+    /** One registered statistic. */
+    template <typename T>
+    struct Item
+    {
+        std::string_view name;
+        std::string_view desc;
+        const T *stat;
+    };
+
     explicit Group(std::string name) : _name(std::move(name)) {}
 
     void
-    addScalar(const std::string &name, const Scalar *s,
-              const std::string &desc)
+    addScalar(std::string_view name, const Scalar *s, std::string_view desc)
     {
         _scalars.push_back({name, desc, s});
     }
 
     void
-    addAverage(const std::string &name, const Average *a,
-               const std::string &desc)
+    addAverage(std::string_view name, const Average *a,
+               std::string_view desc)
     {
         _averages.push_back({name, desc, a});
     }
 
     void
-    addHistogram(const std::string &name, const Histogram *h,
-                 const std::string &desc)
+    addHistogram(std::string_view name, const Histogram *h,
+                 std::string_view desc)
     {
         _histograms.push_back({name, desc, h});
     }
 
     const std::string &name() const { return _name; }
 
+    /** The registered statistics of each kind, in registration order. */
+    const std::vector<Item<Scalar>> &scalars() const { return _scalars; }
+    const std::vector<Item<Average>> &averages() const { return _averages; }
+    const std::vector<Item<Histogram>> &
+    histograms() const
+    {
+        return _histograms;
+    }
+
     /** Render every registered statistic to @p os. */
     void dump(std::ostream &os) const;
 
-    /** Render this group as one JSON object (no trailing newline). */
-    void dumpJson(std::ostream &os) const;
+    /** Append this group as one JSON object to @p out. */
+    void appendJson(std::string &out) const;
 
     /** Look up a registered scalar by name; nullptr when absent. */
     const Scalar *findScalar(const std::string &name) const;
 
   private:
-    template <typename T>
-    struct Item
-    {
-        std::string name;
-        std::string desc;
-        const T *stat;
-    };
-
     std::string _name;
     std::vector<Item<Scalar>> _scalars;
     std::vector<Item<Average>> _averages;
@@ -188,9 +201,10 @@ class Registry
      *   {"schema":"psim-stats-v1","groups":[...]}
      * @p extra, when non-empty, is spliced in verbatim as additional
      * top-level members (must start with a comma) -- the machine uses
-     * it to append the interval-sampler time series.
+     * it to append the interval-sampler time series. The document is
+     * built in one buffer, written out every 16 KiB.
      */
-    void dumpJson(std::ostream &os, const std::string &extra = "") const;
+    void dumpJson(std::ostream &os, std::string_view extra = {}) const;
 
     /** The schema identifier embedded in every JSON document. */
     static constexpr const char *kSchemaId = "psim-stats-v1";

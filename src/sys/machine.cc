@@ -1,7 +1,6 @@
 #include "sys/machine.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "sim/block_table.hh"
 #include "sim/logging.hh"
@@ -251,10 +250,8 @@ Machine::dumpStatsJson(std::ostream &os) const
 {
     std::string extra;
     if (_sampler) {
-        std::ostringstream ss;
-        ss << ",\"samples\":";
-        _sampler->dumpJson(ss);
-        extra = ss.str();
+        extra = ",\"samples\":";
+        _sampler->appendJson(extra);
     }
     _registry.dumpJson(os, extra);
 }

@@ -8,8 +8,6 @@
 #ifndef PSIM_SYS_NODE_HH
 #define PSIM_SYS_NODE_HH
 
-#include <memory>
-
 #include "mem/bus.hh"
 #include "mem/flc.hh"
 #include "mem/mem_ctrl.hh"
@@ -27,6 +25,10 @@ class Node
   public:
     Node(Machine &m, NodeId id);
 
+    // The components hold references to each other.
+    Node(const Node &) = delete;
+    Node &operator=(const Node &) = delete;
+
     NodeId id() const { return _id; }
 
     /** Deliver a message that has crossed this node's bus. */
@@ -35,24 +37,26 @@ class Node
     /** Present the FLWB head to the SLC (a FlwbPump fired). */
     void pumpFlwb();
 
-    Cpu &cpu() { return *_cpu; }
-    const Cpu &cpu() const { return *_cpu; }
-    Flc &flc() { return *_flc; }
-    Flwb &flwb() { return *_flwb; }
-    Slc &slc() { return *_slc; }
-    const Slc &slc() const { return *_slc; }
-    MemCtrl &mem() { return *_mem; }
-    const MemCtrl &mem() const { return *_mem; }
-    Bus &bus() { return *_bus; }
+    Cpu &cpu() { return _cpu; }
+    const Cpu &cpu() const { return _cpu; }
+    Flc &flc() { return _flc; }
+    Flwb &flwb() { return _flwb; }
+    Slc &slc() { return _slc; }
+    const Slc &slc() const { return _slc; }
+    MemCtrl &mem() { return _mem; }
+    const MemCtrl &mem() const { return _mem; }
+    Bus &bus() { return _bus; }
 
   private:
+    // Declaration order is construction order: the CPU wires into the
+    // FLC and FLWB, the SLC into the FLC and CPU.
     NodeId _id;
-    std::unique_ptr<Flc> _flc;
-    std::unique_ptr<Flwb> _flwb;
-    std::unique_ptr<Bus> _bus;
-    std::unique_ptr<Cpu> _cpu;
-    std::unique_ptr<Slc> _slc;
-    std::unique_ptr<MemCtrl> _mem;
+    Flc _flc;
+    Flwb _flwb;
+    Bus _bus;
+    Cpu _cpu;
+    Slc _slc;
+    MemCtrl _mem;
 };
 
 } // namespace psim

@@ -115,23 +115,38 @@ ChromeTracer::meshMessage(NodeId src, NodeId dst, unsigned flits,
 void
 ChromeTracer::write(std::ostream &os) const
 {
-    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-    bool first = true;
+    std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+    const char *sep = "";
     for (const auto &e : _events) {
-        os << (first ? "" : ",") << "{\"name\":" << json::quote(e.name)
-           << ",\"cat\":\"" << e.cat
-           << "\",\"ph\":\"" << e.ph << "\",\"ts\":" << e.ts;
-        if (e.ph == 'X')
-            os << ",\"dur\":" << e.dur;
-        else
-            os << ",\"s\":\"t\"";
-        os << ",\"pid\":" << e.pid << ",\"tid\":" << e.tid;
-        if (!e.args.empty())
-            os << ",\"args\":" << e.args;
-        os << "}";
-        first = false;
+        out += sep;
+        out += "{\"name\":";
+        json::appendQuoted(out, e.name);
+        out += ",\"cat\":\"";
+        out += e.cat;
+        out += "\",\"ph\":\"";
+        out += e.ph;
+        out += "\",\"ts\":";
+        json::appendInteger(out, e.ts);
+        if (e.ph == 'X') {
+            out += ",\"dur\":";
+            json::appendInteger(out, e.dur);
+        } else {
+            out += ",\"s\":\"t\"";
+        }
+        out += ",\"pid\":";
+        json::appendInteger(out, e.pid);
+        out += ",\"tid\":";
+        json::appendInteger(out, e.tid);
+        if (!e.args.empty()) {
+            out += ",\"args\":";
+            out += e.args;
+        }
+        out += '}';
+        sep = ",";
+        json::flushBuffer(os, out);
     }
-    os << "]}\n";
+    out += "]}\n";
+    json::flushBuffer(os, out, true);
 }
 
 } // namespace psim

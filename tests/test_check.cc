@@ -148,6 +148,53 @@ TEST(Oracle, CatchesAPhantomValueInTheFinalImage)
     EXPECT_EQ(rep.divergences[0].kind, Divergence::Kind::FinalImage);
 }
 
+TEST(Oracle, ReportsFinalImageDivergencesInAddressOrder)
+{
+    // Three pages: 0x1000 only in the replayed shadow (a store the
+    // machine lost), 0x2000 only in the machine (a phantom value), and
+    // 0x3000 in both, differing in 40 of its 8-byte chunks. No page
+    // differs in its first chunk. The pages are materialized in
+    // reverse address order; the report must still come out by
+    // address, and the total must count past the cap.
+    constexpr unsigned kDiffering = 40;
+    static_assert(kDiffering > Oracle::kMaxReported);
+    BackingStore store;
+    Oracle oracle;
+    oracle.snapshotInitial(store);
+
+    AccessLog log;
+    for (unsigned k = 0; k < kDiffering; ++k) {
+        store.store<std::uint32_t>(0x3008 + 8 * k, 2 * k + 2);
+        log.onAccess(write(0, 0x3008 + 8 * k, 2 * k + 1));
+    }
+    store.store<std::uint32_t>(0x2040, 0xBEEF);
+    log.onAccess(write(0, 0x1ff8, 0xF00D));
+
+    OracleReport rep = oracle.check(log, store, nullptr);
+    EXPECT_EQ(rep.total, 2u + kDiffering);
+    ASSERT_EQ(rep.divergences.size(), Oracle::kMaxReported);
+    for (const Divergence &d : rep.divergences) {
+        EXPECT_EQ(d.kind, Divergence::Kind::FinalImage);
+        EXPECT_EQ(d.len, 8u);
+    }
+    EXPECT_EQ(rep.divergences[0].addr, 0x1ff8u);
+    EXPECT_EQ(rep.divergences[1].addr, 0x2040u);
+    for (std::size_t i = 2; i < rep.divergences.size(); ++i)
+        EXPECT_EQ(rep.divergences[i].addr, 0x3008u + 8 * (i - 2)) << i;
+
+    // The shadow-only page's chunk: the shadow holds the store, the
+    // machine reads zero; the machine-only page is the reverse.
+    std::uint32_t v;
+    std::memcpy(&v, rep.divergences[0].expected, sizeof(v));
+    EXPECT_EQ(v, 0xF00Du);
+    std::memcpy(&v, rep.divergences[0].got, sizeof(v));
+    EXPECT_EQ(v, 0u);
+    std::memcpy(&v, rep.divergences[1].got, sizeof(v));
+    EXPECT_EQ(v, 0xBEEFu);
+    std::memcpy(&v, rep.divergences[1].expected, sizeof(v));
+    EXPECT_EQ(v, 0u);
+}
+
 TEST(Oracle, EnforcesThePageRule)
 {
     BackingStore store;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "sim/json.hh"
 
@@ -58,16 +59,34 @@ TEST(JsonSerialize, NonFiniteNumbersBecomeNull)
 
 TEST(JsonSerialize, LeavesEscapeAndFormat)
 {
-    // The streaming writers (stats, sampler, chrome trace) share these.
-    EXPECT_EQ(json::quote("plain"), R"("plain")");
-    EXPECT_EQ(json::quote("a\"b\\c"), R"("a\"b\\c")");
-    EXPECT_EQ(json::quote("x\ny"), R"("x\ny")");
-    EXPECT_EQ(json::quote(std::string(1, '\x01')), R"("\u0001")");
+    // The buffer writers (stats, sampler, chrome trace) share these;
+    // they append after what the buffer already holds.
+    auto quote = [](std::string_view s) {
+        std::string out = "<";
+        json::appendQuoted(out, s);
+        return out;
+    };
+    EXPECT_EQ(quote("plain"), R"(<"plain")");
+    EXPECT_EQ(quote("a\"b\\c"), R"(<"a\"b\\c")");
+    EXPECT_EQ(quote("x\ny"), R"(<"x\ny")");
+    EXPECT_EQ(quote(std::string(1, '\x01')), R"(<"\u0001")");
+    EXPECT_EQ(quote("\t\"mid\"\x1f end"), R"(<"\t\"mid\"\u001f end")");
     EXPECT_EQ(json::number(2), "2");
     EXPECT_EQ(json::number(2.5), "2.5");
     EXPECT_EQ(json::number(std::nan("")), "null");
     EXPECT_EQ(json::number(HUGE_VAL), "null");
-    EXPECT_EQ(json::serialize(Value("a\"b")), json::quote("a\"b"));
+    EXPECT_EQ("<" + json::serialize(Value("a\"b")), quote("a\"b"));
+
+    // Integral values below 2^53 take a fast path; it and the printf
+    // path must both print exactly what %.17g prints.
+    const double two53 = 9007199254740992.0;
+    for (double v : {0.0, -0.0, -1.0, two53 - 1, two53, two53 + 2, 1e16,
+                     0.1, 1.0 / 3.0, 5e-324, -2.5}) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        EXPECT_EQ(json::number(v), buf) << buf;
+    }
+    EXPECT_EQ(json::number(-0.0), "-0");
 }
 
 TEST(JsonParseDeathTest, RejectsMalformedInput)

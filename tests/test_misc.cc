@@ -1,12 +1,13 @@
 /**
  * @file
- * Small-piece coverage: Resource accounting, message classification,
- * logging helpers, and node-level message routing.
+ * Small-piece coverage: Resource horizons, bus accounting, message
+ * classification, logging helpers, and node-level message routing.
  */
 
 #include <gtest/gtest.h>
 
 #include "harness.hh"
+#include "mem/bus.hh"
 #include "proto/message.hh"
 #include "sim/logging.hh"
 #include "sim/resource.hh"
@@ -19,8 +20,6 @@ TEST(Resource, UncontendedClaimStartsImmediately)
     Resource r;
     EXPECT_EQ(r.claim(10, 5), 10u);
     EXPECT_EQ(r.freeAt(), 15u);
-    EXPECT_DOUBLE_EQ(r.busyTicks.value(), 5.0);
-    EXPECT_DOUBLE_EQ(r.waitTicks.value(), 0.0);
 }
 
 TEST(Resource, ContendedClaimQueues)
@@ -30,8 +29,6 @@ TEST(Resource, ContendedClaimQueues)
     Tick start = r.claim(3, 4);
     EXPECT_EQ(start, 10u);
     EXPECT_EQ(r.freeAt(), 14u);
-    EXPECT_DOUBLE_EQ(r.waitTicks.value(), 7.0);
-    EXPECT_DOUBLE_EQ(r.claims.value(), 2.0);
 }
 
 TEST(Resource, IdleGapDoesNotAccumulateWait)
@@ -40,7 +37,34 @@ TEST(Resource, IdleGapDoesNotAccumulateWait)
     r.claim(0, 5);
     Tick start = r.claim(100, 5);
     EXPECT_EQ(start, 100u);
-    EXPECT_DOUBLE_EQ(r.waitTicks.value(), 0.0);
+    EXPECT_EQ(r.freeAt(), 105u);
+}
+
+// The bus accounts for its own occupancy and queueing: busyTicks sums
+// transfer phases, waitTicks the ticks a transfer queued behind the
+// previous one, and an idle gap adds no wait.
+TEST(Bus, AccountsBusyAndWaitTicks)
+{
+    MachineConfig cfg;
+    Bus bus(cfg);
+    const Tick occ = cfg.busPhaseCycles * cfg.busCycle;
+    const Tick arb = cfg.busCycle;
+
+    EXPECT_EQ(bus.transfer(10, true), 10 + arb + occ);
+    EXPECT_DOUBLE_EQ(bus.busyTicks.value(), double(occ));
+    EXPECT_DOUBLE_EQ(bus.waitTicks.value(), 0.0);
+
+    // Presented one tick later, the second transfer queues for the
+    // rest of the first one's phase.
+    EXPECT_EQ(bus.transfer(11, false), 10 + occ + arb + occ);
+    EXPECT_DOUBLE_EQ(bus.waitTicks.value(), double(occ - 1));
+    EXPECT_DOUBLE_EQ(bus.busyTicks.value(), double(2 * occ));
+
+    bus.transfer(1000, false);
+    EXPECT_DOUBLE_EQ(bus.waitTicks.value(), double(occ - 1));
+    EXPECT_DOUBLE_EQ(bus.busyTicks.value(), double(3 * occ));
+    EXPECT_DOUBLE_EQ(bus.transactions.value(), 3.0);
+    EXPECT_DOUBLE_EQ(bus.dataTransactions.value(), 1.0);
 }
 
 TEST(Message, ClassificationCoversAllTypes)

@@ -48,6 +48,15 @@ TEST(StatsJson, RegistryDocumentShape)
     stats::Group &g = registry.addGroup("unit.grp");
     g.addScalar("alpha", &a, "first");
     g.addScalar("beta", &b, "second");
+    stats::Average lat;
+    lat.sample(3);
+    lat.sample(1.5);
+    stats::Histogram h;
+    h.sample(2, 2);
+    h.sample(-1);
+    stats::Group &g2 = registry.addGroup("g2");
+    g2.addAverage("lat", &lat, "latency");
+    g2.addHistogram("strides", &h, "a \"quoted\" desc");
 
     std::ostringstream os;
     registry.dumpJson(os);
@@ -56,7 +65,14 @@ TEST(StatsJson, RegistryDocumentShape)
             "{\"name\":\"unit.grp\",\"scalars\":["
             "{\"name\":\"alpha\",\"desc\":\"first\",\"value\":3},"
             "{\"name\":\"beta\",\"desc\":\"second\",\"value\":4.5}"
-            "],\"averages\":[],\"histograms\":[]}]}\n");
+            "],\"averages\":[],\"histograms\":[]},"
+            "{\"name\":\"g2\",\"scalars\":[],\"averages\":["
+            "{\"name\":\"lat\",\"desc\":\"latency\",\"mean\":2.25,"
+            "\"sum\":4.5,\"count\":2,\"min\":1.5,\"max\":3}"
+            "],\"histograms\":["
+            "{\"name\":\"strides\",\"desc\":\"a \\\"quoted\\\" desc\","
+            "\"total\":3,\"buckets\":[{\"key\":-1,\"count\":1},"
+            "{\"key\":2,\"count\":2}]}]}]}\n");
 }
 
 TEST(StatsJson, ExtraMembersAreSpliced)
@@ -69,44 +85,95 @@ TEST(StatsJson, ExtraMembersAreSpliced)
               std::string::npos);
 }
 
-// The JSON document and the classic text dump are two renderings of
-// the same registry: every scalar in the text dump must appear in the
-// JSON with the same value.
+// The JSON document is a rendering of the registry: parsed back, it
+// holds every group and every statistic in registration order, with
+// its name, description and formatted value.
 TEST(StatsJson, MatchesTextDumpForARealRun)
 {
     apps::Run run = apps::runWorkload("lu", smallConfig());
     ASSERT_TRUE(run.finished);
 
-    std::ostringstream json;
-    run.machine->dumpStatsJson(json);
-    const std::string doc = json.str();
-    EXPECT_NE(doc.find("\"schema\":\"psim-stats-v1\""),
-              std::string::npos);
+    std::ostringstream os;
+    run.machine->dumpStatsJson(os);
+    const json::Value doc = json::parse(os.str(), "stats document");
+    EXPECT_EQ(doc.find("schema")->asString("schema"), "psim-stats-v1");
 
-    std::size_t groups = 0, checked = 0;
-    for (const auto &g : run.machine->registry().groups()) {
-        ++groups;
-        EXPECT_NE(doc.find("\"name\":\"" + g->name() + "\""),
-                  std::string::npos) << g->name();
-        for (const char *stat :
-             {"demandReads", "demandReadMisses", "pfIssued"}) {
-            const stats::Scalar *s = g->findScalar(stat);
-            if (!s)
-                continue;
-            std::string entry = "{\"name\":\"" + std::string(stat) +
-                                "\",";
-            std::size_t pos = doc.find(entry);
-            ASSERT_NE(pos, std::string::npos) << g->name() << "." << stat;
-            std::string value = "\"value\":" +
-                                json::number(s->value());
-            EXPECT_NE(doc.find(value, pos), std::string::npos)
-                    << g->name() << "." << stat << " = " << s->value();
-            ++checked;
+    // A parsed number re-serializes to the bytes it was read from.
+    auto same = [](const json::Value &v, double want) {
+        return json::serialize(v) == json::number(want);
+    };
+    static const json::Value kAbsent;
+    auto member = [](const json::Value &obj,
+                     const char *key) -> const json::Value & {
+        const json::Value *v = obj.find(key);
+        EXPECT_NE(v, nullptr) << key;
+        return v ? *v : kAbsent;
+    };
+    auto nameAndDesc = [&](const json::Value &obj, const auto &item) {
+        EXPECT_EQ(member(obj, "name").asString("name"), item.name);
+        EXPECT_EQ(member(obj, "desc").asString("desc"), item.desc);
+    };
+
+    const auto &groups = run.machine->registry().groups();
+    const auto &jgroups = member(doc, "groups").asArray("groups");
+    ASSERT_EQ(jgroups.size(), groups.size());
+    std::size_t stats = 0;
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        const stats::Group &g = *groups[gi];
+        const json::Value &jg = jgroups[gi];
+        EXPECT_EQ(member(jg, "name").asString("name"), g.name());
+
+        const auto &scalars = member(jg, "scalars").asArray("scalars");
+        ASSERT_EQ(scalars.size(), g.scalars().size()) << g.name();
+        for (std::size_t i = 0; i < scalars.size(); ++i) {
+            const auto &item = g.scalars()[i];
+            nameAndDesc(scalars[i], item);
+            EXPECT_TRUE(same(member(scalars[i], "value"),
+                             item.stat->value()))
+                    << g.name() << "." << item.name;
+            ++stats;
+        }
+
+        const auto &averages = member(jg, "averages").asArray("averages");
+        ASSERT_EQ(averages.size(), g.averages().size()) << g.name();
+        for (std::size_t i = 0; i < averages.size(); ++i) {
+            const auto &item = g.averages()[i];
+            const stats::Average &a = *item.stat;
+            nameAndDesc(averages[i], item);
+            EXPECT_TRUE(same(member(averages[i], "mean"), a.mean()));
+            EXPECT_TRUE(same(member(averages[i], "sum"), a.sum()));
+            EXPECT_TRUE(same(member(averages[i], "count"),
+                             static_cast<double>(a.count())));
+            EXPECT_TRUE(same(member(averages[i], "min"), a.min()));
+            EXPECT_TRUE(same(member(averages[i], "max"), a.max()));
+            ++stats;
+        }
+
+        const auto &histograms =
+                member(jg, "histograms").asArray("histograms");
+        ASSERT_EQ(histograms.size(), g.histograms().size()) << g.name();
+        for (std::size_t i = 0; i < histograms.size(); ++i) {
+            const auto &item = g.histograms()[i];
+            nameAndDesc(histograms[i], item);
+            EXPECT_TRUE(same(member(histograms[i], "total"),
+                             static_cast<double>(item.stat->total())));
+            const auto &buckets =
+                    member(histograms[i], "buckets").asArray("buckets");
+            ASSERT_EQ(buckets.size(), item.stat->buckets().size());
+            std::size_t b = 0;
+            for (const auto &[key, weight] : item.stat->buckets()) {
+                EXPECT_TRUE(same(member(buckets[b], "key"),
+                                 static_cast<double>(key)));
+                EXPECT_TRUE(same(member(buckets[b], "count"),
+                                 static_cast<double>(weight)));
+                ++b;
+            }
+            ++stats;
         }
     }
-    // 4 nodes x (slc + pf groups at least) plus mesh.
-    EXPECT_GE(groups, 9u);
-    EXPECT_GE(checked, 4u);
+    // 4 nodes x 7 groups plus the mesh; every group registers some.
+    EXPECT_EQ(groups.size(), 29u);
+    EXPECT_GE(stats, 29u);
 }
 
 // ---------------------------------------------------------------------
@@ -165,10 +232,10 @@ TEST(Sampler, CsvAndJsonRenderTheSameSeries)
         lines += c == '\n';
     EXPECT_EQ(lines, 1 + s->rows().size());
 
-    std::ostringstream json;
-    s->dumpJson(json);
-    EXPECT_NE(json.str().find("\"interval\":2000"), std::string::npos);
-    EXPECT_NE(json.str().find("\"rows\":["), std::string::npos);
+    std::string json;
+    s->appendJson(json);
+    EXPECT_NE(json.find("\"interval\":2000"), std::string::npos);
+    EXPECT_NE(json.find("\"rows\":["), std::string::npos);
 
     // The machine splices the series into the stats document.
     std::ostringstream doc;
