@@ -30,6 +30,7 @@ TYPE_CHECKS = {
     "string": lambda v: isinstance(v, str),
     "number": lambda v: isinstance(v, (int, float))
     and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "null": lambda v: v is None,
     "boolean": lambda v: isinstance(v, bool),
 }

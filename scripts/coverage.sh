@@ -16,6 +16,8 @@
 #   - one 64-processor psim_cli run (a non-default mesh shape);
 #   - psim_cli fuzz over bench/fuzz_corpus.txt, plain and under
 #     PSIM_AUDIT=1, and each --mutant on 4 seeds (the shrinker runs);
+#   - run_spec --stats-json on fig6 (lu and mp3d), as CI's
+#     observability job exports it;
 #   - psim_cli on lu, kvstore and mp3d with every output flag;
 #   - trace_tool in its default, --node, stats, check and --salvage
 #     modes on the lu capture.
@@ -68,6 +70,10 @@ for m in corrupt-load drop-store page-cross; do
         exit 1
     fi
 done
+
+# The statistics export CI's observability job runs.
+"$spec" --spec fig6 --apps lu,mp3d --jobs 4 --stats-json "$work/stats-" \
+    > /dev/null
 
 for w in lu kvstore mp3d; do
     "$cli" --workload $w --scheme seq --stats --characterize \

@@ -111,13 +111,12 @@ class AdaptiveSequentialPrefetcher : public Prefetcher
     bool wantsOutcomeFeedback() const override { return true; }
 
     void
-    registerStats(stats::Group &g) override
+    visitStats(stats::Visitor &v) const override
     {
-        Prefetcher::registerStats(g);
-        g.addScalar("degreeIncreases", &increases, "degree increases");
-        g.addScalar("degreeDecreases", &decreases, "degree decreases");
-        g.addScalar("reenables", &reenables,
-                "re-enables after a degree-0 phase");
+        Prefetcher::visitStats(v);
+        v.scalar("degreeIncreases", "degree increases", increases);
+        v.scalar("degreeDecreases", "degree decreases", decreases);
+        v.scalar("reenables", "re-enables after a degree-0 phase", reenables);
     }
 
     unsigned degree() const { return _degree; }

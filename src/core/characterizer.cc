@@ -57,7 +57,7 @@ StrideCharacterizer::observeMiss(Pc pc, Addr addr)
         }
         if (fresh) {
             _strideMisses += fresh;
-            _strideHist.sample(strideBlocks(st.stride), fresh);
+            _strideHist[strideBlocks(st.stride)] += fresh;
         }
         return;
     }
@@ -100,7 +100,7 @@ StrideCharacterizer::finalize()
             : 0.0;
 
     std::vector<std::pair<std::int64_t, std::uint64_t>> buckets(
-            _strideHist.buckets().begin(), _strideHist.buckets().end());
+            _strideHist.begin(), _strideHist.end());
     std::sort(buckets.begin(), buckets.end(),
             [](const auto &a, const auto &b) { return a.second > b.second; });
     for (const auto &[stride, weight] : buckets) {

@@ -19,10 +19,10 @@
 #define PSIM_CORE_CHARACTERIZER_HH
 
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace psim
@@ -83,7 +83,8 @@ class StrideCharacterizer
     std::uint64_t _strideMisses = 0;
     std::uint64_t _numSequences = 0;
     std::uint64_t _sumSeqLen = 0;
-    stats::Histogram _strideHist; ///< stride (blocks) -> member misses
+    /** Stride (blocks) -> member misses. */
+    std::map<std::int64_t, std::uint64_t> _strideHist;
     std::unordered_map<Pc, PcState> _pcs;
 };
 

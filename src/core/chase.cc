@@ -289,17 +289,19 @@ ChasePrefetcher::observeRead(const ReadObservation &obs,
 }
 
 void
-ChasePrefetcher::registerStats(stats::Group &g)
+ChasePrefetcher::visitStats(stats::Visitor &v) const
 {
-    Prefetcher::registerStats(g);
-    g.addScalar("chaseRawCandidates", &rawCandidates,
-            "raw heap-pointer chase candidates");
-    g.addScalar("chaseIndirectCandidates", &indirectCandidates,
-            "pattern-directed index chase candidates");
-    g.addScalar("chasePatternsLearned", &patternsLearned,
-            "index patterns reaching prefetch confidence");
-    g.addScalar("chaseDepthClipped", &depthClipped,
-            "chases stopped by the depth bound");
+    Prefetcher::visitStats(v);
+    v.scalar("chaseRawCandidates", "raw heap-pointer chase candidates",
+            rawCandidates);
+    v.scalar("chaseIndirectCandidates",
+            "pattern-directed index chase candidates",
+            indirectCandidates);
+    v.scalar("chasePatternsLearned",
+            "index patterns reaching prefetch confidence",
+            patternsLearned);
+    v.scalar("chaseDepthClipped", "chases stopped by the depth bound",
+            depthClipped);
 }
 
 } // namespace psim

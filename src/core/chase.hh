@@ -88,7 +88,7 @@ class ChasePrefetcher : public Prefetcher
 
     bool wantsBlockContent() const override { return true; }
 
-    void registerStats(stats::Group &g) override;
+    void visitStats(stats::Visitor &v) const override;
 
     /** Peek at the pattern a consumer PC maps to (tests). */
     const Pattern *lookup(Pc pc) const;

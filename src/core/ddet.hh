@@ -50,13 +50,13 @@ class DDetPrefetcher : public Prefetcher
                      std::vector<Addr> &out) override;
 
     void
-    registerStats(stats::Group &g) override
+    visitStats(stats::Visitor &v) const override
     {
-        Prefetcher::registerStats(g);
-        g.addScalar("streamsCreated", &streamsCreated,
-                "streams allocated");
-        g.addScalar("stridesPromoted", &stridesPromoted,
-                "strides promoted to the common-stride list");
+        Prefetcher::visitStats(v);
+        v.scalar("streamsCreated", "streams allocated", streamsCreated);
+        v.scalar("stridesPromoted",
+                "strides promoted to the common-stride list",
+                stridesPromoted);
     }
 
     /** Streams allocated over the run. */

@@ -78,10 +78,10 @@ class IDetPrefetcher : public Prefetcher
     }
 
     void
-    registerStats(stats::Group &g) override
+    visitStats(stats::Visitor &v) const override
     {
-        Prefetcher::registerStats(g);
-        _rpt.registerStats(g);
+        Prefetcher::visitStats(v);
+        _rpt.visitStats(v);
     }
 
   private:

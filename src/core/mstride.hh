@@ -134,16 +134,17 @@ class MultiStrideTable
     }
 
     void
-    registerStats(stats::Group &g)
+    visitStats(stats::Visitor &v) const
     {
-        g.addScalar("msAllocations", &allocations,
-                "multi-stride entries allocated");
-        g.addScalar("msConflicts", &conflicts,
-                "multi-stride entries evicted by PC conflicts");
-        g.addScalar("msWayEvictions", &wayEvictions,
-                "aging events with every way occupied");
-        g.addScalar("msMultiActive", &multiActive,
-                "observations with two or more confident strides");
+        v.scalar("msAllocations", "multi-stride entries allocated",
+                allocations);
+        v.scalar("msConflicts", "multi-stride entries evicted by PC conflicts",
+                conflicts);
+        v.scalar("msWayEvictions", "aging events with every way occupied",
+                wayEvictions);
+        v.scalar("msMultiActive",
+                "observations with two or more confident strides",
+                multiActive);
     }
 
     stats::Scalar allocations;
@@ -198,10 +199,10 @@ class MultiStridePrefetcher : public Prefetcher
     }
 
     void
-    registerStats(stats::Group &g) override
+    visitStats(stats::Visitor &v) const override
     {
-        Prefetcher::registerStats(g);
-        _table.registerStats(g);
+        Prefetcher::visitStats(v);
+        _table.visitStats(v);
     }
 
   private:

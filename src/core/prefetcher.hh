@@ -102,14 +102,15 @@ class Prefetcher
     virtual bool wantsBlockContent() const { return false; }
 
     /**
-     * Register the scheme's statistics into @p g (one group per node,
-     * owned by the machine's stats::Registry). Subclasses extend.
+     * Hand the scheme's statistics to @p v (the node's ".pf" group in
+     * the machine's stats::Registry visits them). Subclasses extend.
      */
     virtual void
-    registerStats(stats::Group &g)
+    visitStats(stats::Visitor &v) const
     {
-        g.addScalar("candidatesWrapped", &candidatesWrapped,
-                "candidates dropped for wrapping the address space");
+        v.scalar("candidatesWrapped",
+                "candidates dropped for wrapping the address space",
+                candidatesWrapped);
     }
 
     /** Candidates dropped because base + offset left the address space. */

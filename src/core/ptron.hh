@@ -97,17 +97,18 @@ class PerceptronFilter : public Prefetcher
     }
 
     void
-    registerStats(stats::Group &g) override
+    visitStats(stats::Visitor &v) const override
     {
-        Prefetcher::registerStats(g);
-        g.addScalar("ptronSuppressed", &suppressed,
-                "base-scheme candidates suppressed by the filter");
-        g.addScalar("ptronProbes", &probes,
-                "suppressed candidates issued as exploration probes");
-        g.addScalar("ptronTrainUp", &trainUp,
-                "weight updates toward issuing");
-        g.addScalar("ptronTrainDown", &trainDown,
-                "weight updates toward suppressing");
+        Prefetcher::visitStats(v);
+        v.scalar("ptronSuppressed",
+                "base-scheme candidates suppressed by the filter",
+                suppressed);
+        v.scalar("ptronProbes",
+                "suppressed candidates issued as exploration probes",
+                probes);
+        v.scalar("ptronTrainUp", "weight updates toward issuing", trainUp);
+        v.scalar("ptronTrainDown", "weight updates toward suppressing",
+                trainDown);
     }
 
     /** Score the candidate a trigger would produce (tests). */

@@ -80,16 +80,15 @@ class Rpt
     /** Peek at the entry a PC maps to; nullptr if absent/mismatched. */
     const RptEntry *lookup(Pc pc) const;
 
-    /** Register the table's statistics into @p g. */
+    /** Hand the table's statistics to @p v. */
     void
-    registerStats(stats::Group &g)
+    visitStats(stats::Visitor &v) const
     {
-        g.addScalar("rptAllocations", &allocations, "RPT entries allocated");
-        g.addScalar("rptConflicts", &conflicts,
-                "RPT entries evicted by PC conflicts");
-        g.addScalar("rptCorrect", &correct, "correct stride predictions");
-        g.addScalar("rptIncorrect", &incorrect,
-                "incorrect stride predictions");
+        v.scalar("rptAllocations", "RPT entries allocated", allocations);
+        v.scalar("rptConflicts", "RPT entries evicted by PC conflicts",
+                conflicts);
+        v.scalar("rptCorrect", "correct stride predictions", correct);
+        v.scalar("rptIncorrect", "incorrect stride predictions", incorrect);
     }
 
     /** Entries allocated over the run. */

@@ -41,8 +41,8 @@ class Bus
         ++transactions;
         if (data)
             ++dataTransactions;
-        busyTicks += static_cast<double>(occ);
-        waitTicks += static_cast<double>(start - now);
+        busyTicks += occ;
+        waitTicks += start - now;
         return start + arb + occ;
     }
 
@@ -53,17 +53,15 @@ class Bus
     /** Total ticks transfers spent queued for the bus. */
     stats::Scalar waitTicks;
 
-    /** Register this bus's statistics into @p g. */
+    /** Hand this bus's statistics to @p v. */
     void
-    registerStats(stats::Group &g)
+    visitStats(stats::Visitor &v) const
     {
-        g.addScalar("transactions", &transactions, "bus transactions");
-        g.addScalar("dataTransactions", &dataTransactions,
-                "data-carrying transactions");
-        g.addScalar("busyTicks", &busyTicks,
-                "ticks the bus was occupied");
-        g.addScalar("waitTicks", &waitTicks,
-                "ticks requests queued for the bus");
+        v.scalar("transactions", "bus transactions", transactions);
+        v.scalar("dataTransactions", "data-carrying transactions",
+                dataTransactions);
+        v.scalar("busyTicks", "ticks the bus was occupied", busyTicks);
+        v.scalar("waitTicks", "ticks requests queued for the bus", waitTicks);
     }
 
   private:

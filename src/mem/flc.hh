@@ -78,16 +78,16 @@ class Flc
     stats::Scalar writeMisses;
     stats::Scalar invalidations;
 
-    /** Register this cache's statistics into @p g. */
+    /** Hand this cache's statistics to @p v. */
     void
-    registerStats(stats::Group &g)
+    visitStats(stats::Visitor &v) const
     {
-        g.addScalar("reads", &reads, "read probes");
-        g.addScalar("readMisses", &readMisses, "read misses");
-        g.addScalar("writes", &writes, "write probes");
-        g.addScalar("writeMisses", &writeMisses, "write misses");
-        g.addScalar("invalidations", &invalidations,
-                "inclusion invalidations from the SLC");
+        v.scalar("reads", "read probes", reads);
+        v.scalar("readMisses", "read misses", readMisses);
+        v.scalar("writes", "write probes", writes);
+        v.scalar("writeMisses", "write misses", writeMisses);
+        v.scalar("invalidations", "inclusion invalidations from the SLC",
+                invalidations);
     }
 
   private:

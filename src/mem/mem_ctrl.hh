@@ -76,32 +76,31 @@ class MemCtrl
     stats::Scalar migratoryDemotions;  ///< read-only handoffs demoted
 
     /**
-     * Register this controller's statistics (including the memory-side
-     * lock and barrier controllers it owns) into @p g.
+     * Hand this controller's statistics (including the memory-side
+     * lock and barrier controllers it owns) to @p v.
      */
     void
-    registerStats(stats::Group &g)
+    visitStats(stats::Visitor &v) const
     {
-        g.addScalar("readReqs", &readReqs, "read requests");
-        g.addScalar("readExReqs", &readExReqs, "read-exclusive requests");
-        g.addScalar("upgradeReqs", &upgradeReqs, "upgrade requests");
-        g.addScalar("convertedUpgrades", &convertedUpgrades,
-                "upgrades serviced as read-exclusive");
-        g.addScalar("fetchesSent", &fetchesSent, "owner fetches sent");
-        g.addScalar("invalidationsSent", &invalidationsSent,
-                "invalidations sent");
-        g.addScalar("writebacksRecv", &writebacksRecv,
-                "writebacks received");
-        g.addScalar("queuedAtBusyEntry", &queuedAtBusyEntry,
-                "requests queued at busy directory entries");
-        g.addScalar("migratoryDetected", &migratoryDetected,
-                "blocks classified migratory");
-        g.addScalar("migratoryGrants", &migratoryGrants,
-                "reads granted exclusive copies");
-        g.addScalar("migratoryDemotions", &migratoryDemotions,
-                "read-only handoffs demoted");
-        _locks.registerStats(g);
-        _barrier.registerStats(g);
+        v.scalar("readReqs", "read requests", readReqs);
+        v.scalar("readExReqs", "read-exclusive requests", readExReqs);
+        v.scalar("upgradeReqs", "upgrade requests", upgradeReqs);
+        v.scalar("convertedUpgrades", "upgrades serviced as read-exclusive",
+                convertedUpgrades);
+        v.scalar("fetchesSent", "owner fetches sent", fetchesSent);
+        v.scalar("invalidationsSent", "invalidations sent", invalidationsSent);
+        v.scalar("writebacksRecv", "writebacks received", writebacksRecv);
+        v.scalar("queuedAtBusyEntry",
+                "requests queued at busy directory entries",
+                queuedAtBusyEntry);
+        v.scalar("migratoryDetected", "blocks classified migratory",
+                migratoryDetected);
+        v.scalar("migratoryGrants", "reads granted exclusive copies",
+                migratoryGrants);
+        v.scalar("migratoryDemotions", "read-only handoffs demoted",
+                migratoryDemotions);
+        _locks.visitStats(v);
+        _barrier.visitStats(v);
     }
 
   private:

@@ -41,50 +41,44 @@ Slc::slwbHasRoom(bool demand) const
 }
 
 void
-Slc::registerStats(stats::Group &g)
+Slc::visitStats(stats::Visitor &v) const
 {
-    g.addScalar("demandReads", &demandReads,
-            "read requests presented by the FLC");
-    g.addScalar("demandReadMisses", &demandReadMisses,
-            "demand read misses");
-    g.addScalar("missesCold", &missesCold, "cold misses");
-    g.addScalar("missesCoherence", &missesCoherence, "coherence misses");
-    g.addScalar("missesReplacement", &missesReplacement,
-            "replacement misses");
-    g.addScalar("writeRequests", &writeRequests,
-            "write requests presented by the FLWB");
-    g.addScalar("writeMisses", &writeMisses,
-            "stores needing read-exclusive");
-    g.addScalar("upgrades", &upgrades, "stores needing S->M upgrade");
-    g.addScalar("writebacks", &writebacks, "dirty evictions");
-    g.addScalar("invalidationsRecv", &invalidationsRecv,
-            "invalidations received");
-    g.addScalar("pfIssued", &pfIssued, "prefetches issued");
-    g.addScalar("pfUsefulTagged", &pfUsefulTagged,
-            "demand hits on tagged blocks");
-    g.addScalar("pfUsefulLate", &pfUsefulLate,
-            "demand reads merged with in-flight prefetches");
-    g.addScalar("pfWriteHitTagged", &pfWriteHitTagged,
-            "store hits on tagged blocks");
-    g.addScalar("pfUselessInvalidated", &pfUselessInvalidated,
-            "tagged blocks lost to invalidations");
-    g.addScalar("pfUselessReplaced", &pfUselessReplaced,
-            "tagged blocks lost to replacement");
-    g.addScalar("pfAgedUnused", &pfAgedUnused,
-            "tagged blocks aged out of the feedback ring unused");
-    g.addScalar("pfUselessUnused", &pfUselessUnused,
-            "tagged blocks never referenced");
-    g.addScalar("pfDropInCache", &pfDropInCache,
-            "candidates already resident");
-    g.addScalar("pfDropPending", &pfDropPending,
-            "candidates matching a pending transaction");
-    g.addScalar("pfDropPageCross", &pfDropPageCross,
-            "candidates crossing the trigger's page");
-    g.addScalar("pfDropNoSlot", &pfDropNoSlot,
-            "candidates dropped for lack of an SLWB slot");
+    v.scalar("demandReads", "read requests presented by the FLC", demandReads);
+    v.scalar("demandReadMisses", "demand read misses", demandReadMisses);
+    v.scalar("missesCold", "cold misses", missesCold);
+    v.scalar("missesCoherence", "coherence misses", missesCoherence);
+    v.scalar("missesReplacement", "replacement misses", missesReplacement);
+    v.scalar("writeRequests", "write requests presented by the FLWB",
+            writeRequests);
+    v.scalar("writeMisses", "stores needing read-exclusive", writeMisses);
+    v.scalar("upgrades", "stores needing S->M upgrade", upgrades);
+    v.scalar("writebacks", "dirty evictions", writebacks);
+    v.scalar("invalidationsRecv", "invalidations received", invalidationsRecv);
+    v.scalar("pfIssued", "prefetches issued", pfIssued);
+    v.scalar("pfUsefulTagged", "demand hits on tagged blocks", pfUsefulTagged);
+    v.scalar("pfUsefulLate", "demand reads merged with in-flight prefetches",
+            pfUsefulLate);
+    v.scalar("pfWriteHitTagged", "store hits on tagged blocks",
+            pfWriteHitTagged);
+    v.scalar("pfUselessInvalidated", "tagged blocks lost to invalidations",
+            pfUselessInvalidated);
+    v.scalar("pfUselessReplaced", "tagged blocks lost to replacement",
+            pfUselessReplaced);
+    v.scalar("pfAgedUnused",
+            "tagged blocks aged out of the feedback ring unused",
+            pfAgedUnused);
+    v.scalar("pfUselessUnused", "tagged blocks never referenced",
+            pfUselessUnused);
+    v.scalar("pfDropInCache", "candidates already resident", pfDropInCache);
+    v.scalar("pfDropPending", "candidates matching a pending transaction",
+            pfDropPending);
+    v.scalar("pfDropPageCross", "candidates crossing the trigger's page",
+            pfDropPageCross);
+    v.scalar("pfDropNoSlot", "candidates dropped for lack of an SLWB slot",
+            pfDropNoSlot);
 }
 
-double
+std::uint64_t
 Slc::usefulPrefetches() const
 {
     return pfUsefulTagged.value() + pfUsefulLate.value();

@@ -73,8 +73,8 @@ class Slc
     /** Attach the chrome://tracing exporter (read-only observation). */
     void setChromeTracer(ChromeTracer *t) { _chrome = t; }
 
-    /** Register this cache's statistics into @p g. */
-    void registerStats(stats::Group &g);
+    /** Hand this cache's statistics to @p v. */
+    void visitStats(stats::Visitor &v) const;
 
     /** Count still-tagged blocks as useless at end of simulation. */
     void finalizeStats();
@@ -131,7 +131,7 @@ class Slc
     stats::Scalar pfDropNoSlot;
 
     /** Useful prefetches (paper's prefetch-efficiency numerator). */
-    double usefulPrefetches() const;
+    std::uint64_t usefulPrefetches() const;
 
   private:
     struct Mshr

@@ -92,13 +92,13 @@ class Flwb
     stats::Scalar retries;
     stats::Average occupancy;
 
-    /** Register this buffer's statistics into @p g. */
+    /** Hand this buffer's statistics to @p v. */
     void
-    registerStats(stats::Group &g)
+    visitStats(stats::Visitor &v) const
     {
-        g.addScalar("pushes", &pushes, "entries enqueued");
-        g.addScalar("retries", &retries, "head retries (SLC refused)");
-        g.addAverage("occupancy", &occupancy, "entries after each push");
+        v.scalar("pushes", "entries enqueued", pushes);
+        v.scalar("retries", "head retries (SLC refused)", retries);
+        v.average("occupancy", "entries after each push", occupancy);
     }
 
   private:

@@ -73,7 +73,7 @@ Mesh::send(Tick now, NodeId src, NodeId dst, unsigned flits)
     Tick arrival = head + worm;
 
     ++messages;
-    flitsInjected += static_cast<double>(flits);
+    flitsInjected += flits;
     msgLatency.sample(static_cast<double>(arrival - now));
     return arrival;
 }

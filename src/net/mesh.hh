@@ -37,13 +37,13 @@ class Mesh
      */
     Tick send(Tick now, NodeId src, NodeId dst, unsigned flits);
 
-    /** Register the mesh's statistics into @p g. */
+    /** Hand the mesh's statistics to @p v. */
     void
-    registerStats(stats::Group &g)
+    visitStats(stats::Visitor &v) const
     {
-        g.addScalar("messages", &messages, "messages injected");
-        g.addScalar("flits", &flitsInjected, "flits injected");
-        g.addAverage("latency", &msgLatency, "in-network message latency");
+        v.scalar("messages", "messages injected", messages);
+        v.scalar("flits", "flits injected", flitsInjected);
+        v.average("latency", "in-network message latency", msgLatency);
     }
 
     /** Hop count of the X-Y route between two nodes. */

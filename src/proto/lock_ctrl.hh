@@ -56,9 +56,8 @@ class LockCtrl
             _grant(src, addr);
         } else {
             l.waiters.push_back(src);
-            if (l.waiters.size() > static_cast<std::size_t>(
-                        maxQueue.value()))
-                maxQueue = static_cast<double>(l.waiters.size());
+            if (l.waiters.size() > maxQueue.value())
+                maxQueue = l.waiters.size();
         }
     }
 
@@ -126,13 +125,13 @@ class LockCtrl
     stats::Scalar requests;
     stats::Scalar maxQueue;
 
-    /** Register this controller's statistics into @p g. */
+    /** Hand this controller's statistics to @p v. */
     void
-    registerStats(stats::Group &g)
+    visitStats(stats::Visitor &v) const
     {
-        g.addScalar("lockRequests", &requests, "lock requests received");
-        g.addScalar("lockMaxQueue", &maxQueue,
-                "deepest lock waiter queue observed");
+        v.scalar("lockRequests", "lock requests received", requests);
+        v.scalar("lockMaxQueue", "deepest lock waiter queue observed",
+                maxQueue);
     }
 
   private:
@@ -185,12 +184,11 @@ class BarrierCtrl
 
     stats::Scalar episodes;
 
-    /** Register this controller's statistics into @p g. */
+    /** Hand this controller's statistics to @p v. */
     void
-    registerStats(stats::Group &g)
+    visitStats(stats::Visitor &v) const
     {
-        g.addScalar("barrierEpisodes", &episodes,
-                "barrier episodes completed");
+        v.scalar("barrierEpisodes", "barrier episodes completed", episodes);
     }
 
   private:

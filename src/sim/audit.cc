@@ -222,15 +222,15 @@ NodeAudit::finalize(const Slc &slc)
         {Fate::AgedUnused, &slc.pfAgedUnused, "pfAgedUnused"},
         {Fate::ResidentAtEnd, &slc.pfUselessUnused, "pfUselessUnused"},
     };
-    if (static_cast<double>(_issued) != slc.pfIssued.value()) {
+    if (_issued != slc.pfIssued.value()) {
         psim_panic("node %u audit: issue count %" PRIu64
-                   " disagrees with stat pfIssued %.0f",
+                   " disagrees with stat pfIssued %" PRIu64,
                    _node, _issued, slc.pfIssued.value());
     }
     for (const Check &c : checks) {
-        if (static_cast<double>(fateCount(c.fate)) != c.stat->value()) {
+        if (fateCount(c.fate) != c.stat->value()) {
             psim_panic("node %u audit: fate '%s' counted %" PRIu64
-                       " times but stat %s is %.0f",
+                       " times but stat %s is %" PRIu64,
                        _node, toString(c.fate), fateCount(c.fate),
                        c.name, c.stat->value());
         }
@@ -321,16 +321,15 @@ MachineAudit::finalize(const Machine &m)
         // records, and think time is all the rest: the counters must
         // account for every tick up to the finish.
         const Cpu &cpu = m.node(n).cpu();
-        const double accounted =
+        const std::uint64_t accounted =
                 cpu.loads.value() + cpu.stores.value() +
-                cpu.locks.value() + cpu.barriers.value() +
-                static_cast<double>(cpu.unlocks()) +
+                cpu.locks.value() + cpu.barriers.value() + cpu.unlocks() +
                 cpu.readStall.value() + cpu.lockStall.value() +
                 cpu.barrierStall.value() + cpu.writeStall.value() +
                 cpu.thinkTicks.value();
         if (cpu.finishTick.value() != accounted) {
             psim_panic("audit: node %u time law violated: finished at "
-                       "tick %.0f, counters account for %.0f",
+                       "tick %" PRIu64 ", counters account for %" PRIu64,
                        n, cpu.finishTick.value(), accounted);
         }
     }

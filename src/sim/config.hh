@@ -90,7 +90,7 @@ struct PrefetchConfig
     /** Prefetch outcomes per adaptation decision (adaptive scheme). */
     static constexpr unsigned adaptiveWindow = 16;
 
-    // ---- Post-paper schemes (ROADMAP item 2) ----
+    // ---- Post-paper schemes ----
 
     /** Concurrent (stride, confidence) ways per PC (multi-stride RPT). */
     static constexpr unsigned mstrideWays = 4;

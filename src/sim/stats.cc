@@ -7,164 +7,182 @@
 namespace psim::stats
 {
 
-void
-Histogram::sample(std::int64_t key, std::uint64_t weight)
+namespace
 {
-    _buckets[key] += weight;
-    _total += weight;
-}
 
-std::uint64_t
-Histogram::count(std::int64_t key) const
+/** Renders a group's statistics as aligned "name value # desc" lines. */
+class TextDump final : public Visitor
 {
-    auto it = _buckets.find(key);
-    return it == _buckets.end() ? 0 : it->second;
-}
-
-std::int64_t
-Histogram::dominantKey() const
-{
-    std::int64_t best_key = 0;
-    std::uint64_t best = 0;
-    for (const auto &[key, weight] : _buckets) {
-        if (weight > best) {
-            best = weight;
-            best_key = key;
-        }
+  public:
+    TextDump(std::ostream &os, const std::string &group)
+        : _os(os), _group(group)
+    {
     }
-    return best_key;
-}
 
-double
-Histogram::fraction(std::int64_t key) const
+    void
+    scalar(std::string_view name, std::string_view desc,
+           const Scalar &s) override
+    {
+        line(name, "", s.value(), desc);
+    }
+
+    void
+    average(std::string_view name, std::string_view desc,
+            const Average &a) override
+    {
+        line(name, ".mean", a.mean(), desc);
+        line(name, ".count", a.count(), desc);
+    }
+
+  private:
+    template <typename V>
+    void
+    line(std::string_view name, std::string_view suffix, V value,
+         std::string_view desc)
+    {
+        std::string full = _group;
+        full += '.';
+        full += name;
+        full += suffix;
+        _os << std::left << std::setw(44) << full
+            << std::right << std::setw(16) << value
+            << "  # " << desc << "\n";
+    }
+
+    std::ostream &_os;
+    const std::string &_group;
+};
+
+/** Appends one JSON object per visited statistic to an array. */
+class JsonItems : public Visitor
 {
-    if (_total == 0)
-        return 0.0;
-    return static_cast<double>(count(key)) / static_cast<double>(_total);
-}
+  public:
+    explicit JsonItems(std::string &out) : _out(out) {}
+
+  protected:
+    /** The separator, name and desc members every item opens with. */
+    void
+    open(std::string_view name, std::string_view desc)
+    {
+        _out += _sep;
+        _sep = ",";
+        _out += "{\"name\":";
+        json::appendQuoted(_out, name);
+        _out += ",\"desc\":";
+        json::appendQuoted(_out, desc);
+    }
+
+    std::string &_out;
+
+  private:
+    const char *_sep = "";
+};
+
+/** The "scalars" array: every scalar, averages skipped. */
+class JsonScalars final : public JsonItems
+{
+  public:
+    using JsonItems::JsonItems;
+
+    void
+    scalar(std::string_view name, std::string_view desc,
+           const Scalar &s) override
+    {
+        open(name, desc);
+        _out += ",\"value\":";
+        json::appendInteger(_out, s.value());
+        _out += '}';
+    }
+};
+
+/** The "averages" array: every average, scalars skipped. */
+class JsonAverages final : public JsonItems
+{
+  public:
+    using JsonItems::JsonItems;
+
+    void
+    average(std::string_view name, std::string_view desc,
+            const Average &a) override
+    {
+        open(name, desc);
+        _out += ",\"mean\":";
+        json::appendNumber(_out, a.mean());
+        _out += ",\"sum\":";
+        json::appendNumber(_out, a.sum());
+        _out += ",\"count\":";
+        json::appendInteger(_out, a.count());
+        _out += ",\"min\":";
+        json::appendNumber(_out, a.min());
+        _out += ",\"max\":";
+        json::appendNumber(_out, a.max());
+        _out += '}';
+    }
+};
+
+} // namespace
 
 void
 Group::dump(std::ostream &os) const
 {
     os << "---------- " << _name << " ----------\n";
-    auto line = [&os, this](std::string_view name, std::string_view suffix,
-                            double value, std::string_view desc) {
-        std::string full = _name;
-        full += '.';
-        full += name;
-        full += suffix;
-        os << std::left << std::setw(44) << full
-           << std::right << std::setw(16) << value
-           << "  # " << desc << "\n";
-    };
-    for (const auto &item : _scalars)
-        line(item.name, "", item.stat->value(), item.desc);
-    for (const auto &item : _averages) {
-        line(item.name, ".mean", item.stat->mean(), item.desc);
-        line(item.name, ".count", static_cast<double>(item.stat->count()),
-             item.desc);
-    }
-    for (const auto &item : _histograms) {
-        line(item.name, ".total", static_cast<double>(item.stat->total()),
-             item.desc);
-        for (const auto &[key, weight] : item.stat->buckets()) {
-            line(item.name, "[" + std::to_string(key) + "]",
-                 static_cast<double>(weight), item.desc);
-        }
-    }
+    TextDump text(os, _name);
+    visit(text);
 }
 
 void
 Group::appendJson(std::string &out) const
 {
-    using json::appendInteger;
-    using json::appendNumber;
-    using json::appendQuoted;
-    // The name and desc members every item opens with.
-    auto open = [&out](std::string_view name, std::string_view desc) {
-        out += "{\"name\":";
-        appendQuoted(out, name);
-        out += ",\"desc\":";
-        appendQuoted(out, desc);
-    };
-
     out += "{\"name\":";
-    appendQuoted(out, _name);
+    json::appendQuoted(out, _name);
     out += ",\"scalars\":[";
-    const char *sep = "";
-    for (const auto &item : _scalars) {
-        out += sep;
-        open(item.name, item.desc);
-        out += ",\"value\":";
-        appendNumber(out, item.stat->value());
-        out += '}';
-        sep = ",";
-    }
+    JsonScalars scalars(out);
+    visit(scalars);
     out += "],\"averages\":[";
-    sep = "";
-    for (const auto &item : _averages) {
-        const Average &a = *item.stat;
-        out += sep;
-        open(item.name, item.desc);
-        out += ",\"mean\":";
-        appendNumber(out, a.mean());
-        out += ",\"sum\":";
-        appendNumber(out, a.sum());
-        out += ",\"count\":";
-        appendInteger(out, a.count());
-        out += ",\"min\":";
-        appendNumber(out, a.min());
-        out += ",\"max\":";
-        appendNumber(out, a.max());
-        out += '}';
-        sep = ",";
-    }
-    out += "],\"histograms\":[";
-    sep = "";
-    for (const auto &item : _histograms) {
-        out += sep;
-        open(item.name, item.desc);
-        out += ",\"total\":";
-        appendInteger(out, item.stat->total());
-        out += ",\"buckets\":[";
-        const char *bsep = "";
-        for (const auto &[key, weight] : item.stat->buckets()) {
-            out += bsep;
-            out += "{\"key\":";
-            appendInteger(out, key);
-            out += ",\"count\":";
-            appendInteger(out, weight);
-            out += '}';
-            bsep = ",";
-        }
-        out += "]}";
-        sep = ",";
-    }
-    out += "]}";
+    JsonAverages averages(out);
+    visit(averages);
+    // psim-stats-v1 names a histograms array; no statistic fills it.
+    out += "],\"histograms\":[]}";
 }
 
 const Scalar *
 Group::findScalar(const std::string &name) const
 {
-    for (const auto &item : _scalars) {
-        if (item.name == name)
-            return item.stat;
-    }
-    return nullptr;
+    class Finder final : public Visitor
+    {
+      public:
+        explicit Finder(const std::string &n) : want(n) {}
+
+        void
+        scalar(std::string_view name, std::string_view,
+               const Scalar &s) override
+        {
+            if (!found && name == want)
+                found = &s;
+        }
+
+        const std::string &want;
+        const Scalar *found = nullptr;
+    } finder(name);
+    visit(finder);
+    return finder.found;
 }
 
-Group &
-Registry::addGroup(const std::string &name)
+std::vector<const Group *>
+Registry::groups() const
 {
-    _groups.push_back(std::make_unique<Group>(name));
-    return *_groups.back();
+    std::vector<const Group *> view;
+    view.reserve(_groups.size());
+    for (const Group &g : _groups)
+        view.push_back(&g);
+    return view;
 }
 
 void
 Registry::dump(std::ostream &os) const
 {
-    for (const auto &g : _groups)
-        g->dump(os);
+    for (const Group &g : _groups)
+        g.dump(os);
 }
 
 void
@@ -175,9 +193,9 @@ Registry::dumpJson(std::ostream &os, std::string_view extra) const
     out += kSchemaId;
     out += "\",\"groups\":[";
     const char *sep = "";
-    for (const auto &g : _groups) {
+    for (const Group &g : _groups) {
         out += sep;
-        g->appendJson(out);
+        g.appendJson(out);
         sep = ",";
         json::flushBuffer(os, out);
     }

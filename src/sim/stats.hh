@@ -2,13 +2,16 @@
  * @file
  * A small statistics package in the spirit of gem5's Stats.
  *
- * Statistics are registered in named groups; a group can dump itself as
- * aligned "name value # description" lines. Scalars, averages and
- * histograms cover everything the paper's evaluation reports.
+ * Statistics are plain members of the components that count them: a
+ * Scalar is an exact 64-bit count and an Average a mean/min/max over
+ * samples. A component names its statistics in
+ * `visitStats(stats::Visitor &) const`, handing each to the visitor in
+ * a fixed order; the text dump, the JSON writer and Group::findScalar()
+ * are the visitors.
  *
- * A process-wide view is provided by Registry: every component of a
- * machine registers its group into the machine's registry, which can
- * render the whole collection as the classic text dump or as a stable,
+ * A machine's Registry holds one Group per component: a name, the
+ * component and the function that visits it. The registry renders the
+ * whole collection as the classic text dump or as a stable,
  * machine-readable JSON document (schema id "psim-stats-v1", validated
  * by scripts/check_stats_schema.py).
  */
@@ -16,32 +19,35 @@
 #ifndef PSIM_SIM_STATS_HH
 #define PSIM_SIM_STATS_HH
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace psim::stats
 {
 
-/** A monotonically accumulating scalar statistic. */
+/** A count: an exact, monotonically accumulating integer. */
 class Scalar
 {
   public:
-    Scalar() = default;
-
     Scalar &operator++() { ++_value; return *this; }
-    Scalar &operator+=(double v) { _value += v; return *this; }
-    Scalar &operator=(double v) { _value = v; return *this; }
+    Scalar &operator+=(std::uint64_t v) { _value += v; return *this; }
+    Scalar &operator=(std::uint64_t v) { _value = v; return *this; }
 
-    double value() const { return _value; }
-    void reset() { _value = 0; }
+    // A count takes no fraction: passing a floating-point value does
+    // not compile.
+    template <std::floating_point F> Scalar &operator+=(F) = delete;
+    template <std::floating_point F> Scalar &operator=(F) = delete;
+
+    std::uint64_t value() const { return _value; }
 
   private:
-    double _value = 0;
+    std::uint64_t _value = 0;
 };
 
 /** Mean/min/max over a stream of samples. */
@@ -72,126 +78,86 @@ class Average
     double _max = 0;
 };
 
-/** A histogram over integer keys (e.g. stride lengths in blocks). */
-class Histogram
+/**
+ * What a component's visitStats() hands each of its statistics to,
+ * with the statistic's name and description. Both calls ignore the
+ * statistic unless a visitor overrides them.
+ */
+class Visitor
 {
   public:
-    void sample(std::int64_t key, std::uint64_t weight = 1);
-
-    std::uint64_t total() const { return _total; }
-    std::uint64_t count(std::int64_t key) const;
-
-    /** Key with the largest weight; 0 if empty. */
-    std::int64_t dominantKey() const;
-
-    /** Fraction of all samples carried by @p key (0 if empty). */
-    double fraction(std::int64_t key) const;
-
-    const std::map<std::int64_t, std::uint64_t> &buckets() const
+    virtual void scalar(std::string_view, std::string_view, const Scalar &)
     {
-        return _buckets;
     }
 
-    void
-    reset()
+    virtual void average(std::string_view, std::string_view,
+                         const Average &)
     {
-        _buckets.clear();
-        _total = 0;
     }
 
-  private:
-    std::map<std::int64_t, std::uint64_t> _buckets;
-    std::uint64_t _total = 0;
+  protected:
+    ~Visitor() = default;
 };
 
 /**
- * A named collection of statistics. Members register themselves with
- * addScalar()/addAverage()/addHistogram() pointers; dump() renders them.
- * A statistic's name and description are string literals at every
- * registration site, so the group keeps views of them, not copies:
- * both must outlive the group.
+ * One named group of statistics: a component and the function that
+ * calls its visitStats(). The component must outlive the group.
  */
 class Group
 {
   public:
-    /** One registered statistic. */
     template <typename T>
-    struct Item
+    Group(std::string name, const T &obj)
+        : _name(std::move(name)), _obj(&obj),
+          _visit([](const void *o, Visitor &v) {
+              static_cast<const T *>(o)->visitStats(v);
+          })
     {
-        std::string_view name;
-        std::string_view desc;
-        const T *stat;
-    };
-
-    explicit Group(std::string name) : _name(std::move(name)) {}
-
-    void
-    addScalar(std::string_view name, const Scalar *s, std::string_view desc)
-    {
-        _scalars.push_back({name, desc, s});
-    }
-
-    void
-    addAverage(std::string_view name, const Average *a,
-               std::string_view desc)
-    {
-        _averages.push_back({name, desc, a});
-    }
-
-    void
-    addHistogram(std::string_view name, const Histogram *h,
-                 std::string_view desc)
-    {
-        _histograms.push_back({name, desc, h});
     }
 
     const std::string &name() const { return _name; }
 
-    /** The registered statistics of each kind, in registration order. */
-    const std::vector<Item<Scalar>> &scalars() const { return _scalars; }
-    const std::vector<Item<Average>> &averages() const { return _averages; }
-    const std::vector<Item<Histogram>> &
-    histograms() const
-    {
-        return _histograms;
-    }
+    /** Hand every statistic of the group to @p v, in visit order. */
+    void visit(Visitor &v) const { _visit(_obj, v); }
 
-    /** Render every registered statistic to @p os. */
+    /** Render every statistic to @p os as "name value # desc" lines. */
     void dump(std::ostream &os) const;
 
     /** Append this group as one JSON object to @p out. */
     void appendJson(std::string &out) const;
 
-    /** Look up a registered scalar by name; nullptr when absent. */
+    /** Look up a scalar by name; nullptr when absent. */
     const Scalar *findScalar(const std::string &name) const;
 
   private:
     std::string _name;
-    std::vector<Item<Scalar>> _scalars;
-    std::vector<Item<Average>> _averages;
-    std::vector<Item<Histogram>> _histograms;
+    const void *_obj;
+    void (*_visit)(const void *, Visitor &);
 };
 
 /**
- * Owns every statistics Group of one machine. Components call
- * addGroup() once at construction time and register their statistics
- * into the returned group; the registry renders the whole collection
- * in registration order, so dumps are deterministic.
+ * Every statistics Group of one machine, held by value in the order
+ * they were added, so dumps are deterministic.
  */
 class Registry
 {
   public:
-    Registry() = default;
-    Registry(const Registry &) = delete;
-    Registry &operator=(const Registry &) = delete;
+    void reserve(std::size_t groups) { _groups.reserve(groups); }
 
-    /** Create (and own) a new group. The reference stays valid. */
-    Group &addGroup(const std::string &name);
-
-    const std::vector<std::unique_ptr<Group>> &groups() const
+    /** Add the group @p name for component @p obj. */
+    template <typename T>
+    void
+    add(std::string name, const T &obj)
     {
-        return _groups;
+        _groups.emplace_back(std::move(name), obj);
     }
+
+    /**
+     * A pointer to each group, built on each call for bench/perf's
+     * loop over `*group`; it goes once bench/perf walks the groups by
+     * value (ROADMAP item 1).
+     */
+    std::vector<const Group *> groups() const;
 
     /** Classic aligned text dump of every group. */
     void dump(std::ostream &os) const;
@@ -210,7 +176,7 @@ class Registry
     static constexpr const char *kSchemaId = "psim-stats-v1";
 
   private:
-    std::vector<std::unique_ptr<Group>> _groups;
+    std::vector<Group> _groups;
 };
 
 } // namespace psim::stats

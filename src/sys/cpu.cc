@@ -38,7 +38,7 @@ Cpu::resume()
     h.resume();
     if (_task.done() && !_finished) {
         _finished = true;
-        finishTick = static_cast<double>(_eq.now());
+        finishTick = _eq.now();
     }
 }
 
@@ -94,9 +94,9 @@ Cpu::pushed()
                 _pending = Pending::Store;
                 break;
             }
-            writeStall += static_cast<double>(now - _opStart);
+            writeStall += now - _opStart;
         } else {
-            lockStall += static_cast<double>(now - _opStart);
+            lockStall += now - _opStart;
         }
         resumeAt(now + _m.cfg().flcReadLat);
         break;
@@ -199,7 +199,7 @@ void
 Cpu::think(Tick cycles, std::coroutine_handle<> h)
 {
     _waiting = h;
-    thinkTicks += static_cast<double>(cycles);
+    thinkTicks += cycles;
     resumeAt(_eq.now() + (cycles ? cycles : 1));
 }
 
@@ -217,7 +217,7 @@ Cpu::readComplete(Addr addr)
         CohState::Invalid) {
         _flc.fill(addr);
     }
-    readStall += static_cast<double>(now - _opStart - _m.cfg().flcReadLat);
+    readStall += now - _opStart - _m.cfg().flcReadLat;
     resumeNow();
 }
 
@@ -231,8 +231,7 @@ Cpu::storePerformed()
     if (_pending == Pending::Drain) {
         pushOrStall(*_pendingEntry, _after);
     } else if (_pending == Pending::Store) {
-        writeStall += static_cast<double>(
-                _eq.now() - _opStart - _m.cfg().flcReadLat);
+        writeStall += _eq.now() - _opStart - _m.cfg().flcReadLat;
         resumeNow();
     }
 }
@@ -242,8 +241,7 @@ Cpu::lockGranted()
 {
     psim_assert(_pending == Pending::Lock,
             "cpu %u spurious lock grant", _id);
-    lockStall += static_cast<double>(
-            _eq.now() - _opStart - _m.cfg().flcReadLat);
+    lockStall += _eq.now() - _opStart - _m.cfg().flcReadLat;
     resumeNow();
 }
 
@@ -252,8 +250,7 @@ Cpu::barrierDone()
 {
     psim_assert(_pending == Pending::Barrier,
             "cpu %u spurious barrier release", _id);
-    barrierStall += static_cast<double>(
-            _eq.now() - _opStart - _m.cfg().flcReadLat);
+    barrierStall += _eq.now() - _opStart - _m.cfg().flcReadLat;
     resumeNow();
 }
 

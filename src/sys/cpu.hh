@@ -109,20 +109,20 @@ class Cpu
     /** Tick at which the thread finished. */
     stats::Scalar finishTick;
 
-    /** Register this processor's statistics into @p g. */
+    /** Hand this processor's statistics to @p v. */
     void
-    registerStats(stats::Group &g)
+    visitStats(stats::Visitor &v) const
     {
-        g.addScalar("loads", &loads, "loads issued");
-        g.addScalar("stores", &stores, "stores issued");
-        g.addScalar("locks", &locks, "lock acquires");
-        g.addScalar("barriers", &barriers, "barrier episodes");
-        g.addScalar("thinkTicks", &thinkTicks, "busy (non-memory) ticks");
-        g.addScalar("readStall", &readStall, "read stall ticks");
-        g.addScalar("lockStall", &lockStall, "lock stall ticks");
-        g.addScalar("barrierStall", &barrierStall, "barrier stall ticks");
-        g.addScalar("writeStall", &writeStall, "FLWB-full stall ticks");
-        g.addScalar("finishTick", &finishTick, "completion tick");
+        v.scalar("loads", "loads issued", loads);
+        v.scalar("stores", "stores issued", stores);
+        v.scalar("locks", "lock acquires", locks);
+        v.scalar("barriers", "barrier episodes", barriers);
+        v.scalar("thinkTicks", "busy (non-memory) ticks", thinkTicks);
+        v.scalar("readStall", "read stall ticks", readStall);
+        v.scalar("lockStall", "lock stall ticks", lockStall);
+        v.scalar("barrierStall", "barrier stall ticks", barrierStall);
+        v.scalar("writeStall", "FLWB-full stall ticks", writeStall);
+        v.scalar("finishTick", "completion tick", finishTick);
     }
 
   private:

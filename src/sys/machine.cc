@@ -21,21 +21,21 @@ Machine::Machine(MachineConfig cfg)
     for (NodeId n = 0; n < _cfg.numProcs; ++n)
         _nodes.push_back(std::make_unique<Node>(*this, n));
 
-    // Every component registers its statistics group; registration
-    // order fixes the (deterministic) dump order.
+    // One statistics group per component; the order they are added in
+    // fixes the (deterministic) dump order.
+    _registry.reserve(7 * _cfg.numProcs + 1);
     for (NodeId n = 0; n < _cfg.numProcs; ++n) {
         Node &node = *_nodes[n];
         std::string prefix = "node" + std::to_string(n);
-        node.cpu().registerStats(_registry.addGroup(prefix + ".cpu"));
-        node.flc().registerStats(_registry.addGroup(prefix + ".flc"));
-        node.flwb().registerStats(_registry.addGroup(prefix + ".flwb"));
-        node.bus().registerStats(_registry.addGroup(prefix + ".bus"));
-        node.slc().registerStats(_registry.addGroup(prefix + ".slc"));
-        node.slc().prefetcher().registerStats(
-                _registry.addGroup(prefix + ".pf"));
-        node.mem().registerStats(_registry.addGroup(prefix + ".mem"));
+        _registry.add(prefix + ".cpu", node.cpu());
+        _registry.add(prefix + ".flc", node.flc());
+        _registry.add(prefix + ".flwb", node.flwb());
+        _registry.add(prefix + ".bus", node.bus());
+        _registry.add(prefix + ".slc", node.slc());
+        _registry.add(prefix + ".pf", node.slc().prefetcher());
+        _registry.add(prefix + ".mem", node.mem());
     }
-    _mesh.registerStats(_registry.addGroup("mesh"));
+    _registry.add("mesh", _mesh);
 }
 
 Machine::~Machine() = default;
@@ -221,8 +221,7 @@ Machine::metrics() const
     for (const auto &node : _nodes) {
         const Cpu &cpu = node->cpu();
         const Slc &slc = node->slc();
-        r.execTicks = std::max(r.execTicks,
-                static_cast<Tick>(cpu.finishTick.value()));
+        r.execTicks = std::max(r.execTicks, cpu.finishTick.value());
         r.reads += cpu.loads.value();
         r.writes += cpu.stores.value();
         r.readStall += cpu.readStall.value();

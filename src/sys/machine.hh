@@ -169,7 +169,7 @@ class Machine
     /** Aggregate the paper's metrics over all nodes. */
     RunMetrics metrics() const;
 
-    /** Every component's statistics group, in registration order. */
+    /** Every component's statistics group, in the order they were added. */
     const stats::Registry &registry() const { return _registry; }
 
     /** Dump every statistics group (classic aligned text form). */

@@ -183,7 +183,9 @@ TEST(Adaptive, IntegrationRampsUpOnAStream)
     const Slc &slc = sys.m.node(0).slc();
     // A clean unit-stride stream: misses nearly eliminated.
     EXPECT_LT(slc.demandReadMisses.value(), 16384.0 / 32.0 * 0.2);
-    EXPECT_GT(slc.usefulPrefetches() / slc.pfIssued.value(), 0.8);
+    EXPECT_GT(static_cast<double>(slc.usefulPrefetches()) /
+                      static_cast<double>(slc.pfIssued.value()),
+              0.8);
 }
 
 TEST(Adaptive, IntegrationShutsOffOnRandomTraffic)

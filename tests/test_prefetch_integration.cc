@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "harness.hh"
 
@@ -46,11 +47,18 @@ soloCfg(PrefetchScheme scheme)
 
 struct StreamResult
 {
-    double misses;
-    double issued;
-    double useful;
-    double pageDrops;
-    double inCacheDrops;
+    std::uint64_t misses;
+    std::uint64_t issued;
+    std::uint64_t useful;
+    std::uint64_t pageDrops;
+    std::uint64_t inCacheDrops;
+
+    /** The share of issued prefetches that were useful. */
+    double
+    accuracy() const
+    {
+        return static_cast<double>(useful) / static_cast<double>(issued);
+    }
 };
 
 StreamResult
@@ -71,7 +79,7 @@ runStream(PrefetchScheme scheme, unsigned bytes, unsigned stride,
 }
 
 /** Sum of the terminal-fate buckets; must equal pfIssued at quiesce. */
-double
+std::uint64_t
 accountedFates(const Slc &slc)
 {
     return slc.pfUsefulTagged.value() + slc.pfUsefulLate.value() +
@@ -86,18 +94,18 @@ accountedFates(const Slc &slc)
 TEST(PrefetchIntegration, BaselineIssuesNoPrefetches)
 {
     auto r = runStream(PrefetchScheme::None, 4096, 8);
-    EXPECT_DOUBLE_EQ(r.issued, 0.0);
-    EXPECT_DOUBLE_EQ(r.misses, 4096.0 / 32.0); // one miss per block
+    EXPECT_EQ(r.issued, 0u);
+    EXPECT_EQ(r.misses, 4096u / 32u); // one miss per block
 }
 
 TEST(PrefetchIntegration, SequentialCoversAUnitStrideStream)
 {
     auto base = runStream(PrefetchScheme::None, 4096, 8);
     auto seq = runStream(PrefetchScheme::Sequential, 4096, 8);
-    EXPECT_GT(seq.issued, 0.0);
+    EXPECT_GT(seq.issued, 0u);
     // Nearly every block after the first is covered.
     EXPECT_LT(seq.misses, base.misses * 0.15);
-    EXPECT_GT(seq.useful / seq.issued, 0.85);
+    EXPECT_GT(seq.accuracy(), 0.85);
 }
 
 TEST(PrefetchIntegration, IDetCoversAUnitStrideStream)
@@ -105,7 +113,7 @@ TEST(PrefetchIntegration, IDetCoversAUnitStrideStream)
     auto base = runStream(PrefetchScheme::None, 4096, 8);
     auto idet = runStream(PrefetchScheme::IDet, 4096, 8);
     EXPECT_LT(idet.misses, base.misses * 0.25);
-    EXPECT_GT(idet.useful / idet.issued, 0.85);
+    EXPECT_GT(idet.accuracy(), 0.85);
 }
 
 TEST(PrefetchIntegration, IDetCoversALargeStrideStream)
@@ -119,7 +127,7 @@ TEST(PrefetchIntegration, IDetCoversALargeStrideStream)
     // Sequential prefetching cannot remove these misses...
     EXPECT_GT(seq.misses, base.misses * 0.8);
     // ...and its prefetches are mostly useless.
-    EXPECT_LT(seq.useful / seq.issued, 0.2);
+    EXPECT_LT(seq.accuracy(), 0.2);
 }
 
 TEST(PrefetchIntegration, DDetCoversAStrideStreamAfterDetection)
@@ -219,7 +227,7 @@ TEST(PrefetchIntegration, TaggedHitAccountingBalances)
     const Slc &slc = sys.m.node(0).slc();
     // Every issued prefetch ends in exactly one bucket by the end of
     // the run (the machine is quiescent).
-    EXPECT_DOUBLE_EQ(accountedFates(slc), slc.pfIssued.value());
+    EXPECT_EQ(accountedFates(slc), slc.pfIssued.value());
 }
 
 TEST(PrefetchIntegration, BaselineEfficiencyIsNaN)
@@ -249,7 +257,7 @@ TEST(PrefetchIntegration, AgedPrefetchesGetASingleFate)
     ASSERT_TRUE(sys.finish());
     const Slc &slc = sys.m.node(0).slc();
     EXPECT_GT(slc.pfAgedUnused.value(), 0.0);
-    EXPECT_DOUBLE_EQ(accountedFates(slc), slc.pfIssued.value());
+    EXPECT_EQ(accountedFates(slc), slc.pfIssued.value());
 }
 
 TEST(PrefetchIntegration, UpgradesDoNotConsumeSlwbSlots)
@@ -327,7 +335,9 @@ TEST(PrefetchIntegration, DescendingStreamsAreCovered)
     ASSERT_TRUE(sys.finish());
     const Slc &slc = sys.m.node(0).slc();
     EXPECT_LT(slc.demandReadMisses.value(), 97 * 0.3);
-    EXPECT_GT(slc.usefulPrefetches() / slc.pfIssued.value(), 0.8);
+    EXPECT_GT(static_cast<double>(slc.usefulPrefetches()) /
+                      static_cast<double>(slc.pfIssued.value()),
+              0.8);
 }
 
 // ---- pushCandidate edge cases ----

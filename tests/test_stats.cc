@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "sim/stats.hh"
@@ -14,14 +15,32 @@ using namespace psim::stats;
 TEST(Scalar, AccumulatesAndResets)
 {
     Scalar s;
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
+    EXPECT_EQ(s.value(), 0u);
     ++s;
-    s += 2.5;
-    EXPECT_DOUBLE_EQ(s.value(), 3.5);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
+    s += 2;
+    EXPECT_EQ(s.value(), 3u);
+    s = 0;
+    EXPECT_EQ(s.value(), 0u);
     s = 7;
-    EXPECT_DOUBLE_EQ(s.value(), 7.0);
+    EXPECT_EQ(s.value(), 7u);
+}
+
+// A count takes no fraction: feeding it a double does not compile.
+template <typename T>
+constexpr bool kAddable = requires(Scalar s, T v) { s += v; };
+template <typename T>
+constexpr bool kAssignable = requires(Scalar s, T v) { s = v; };
+static_assert(kAddable<int> && kAddable<std::uint64_t>);
+static_assert(!kAddable<double> && !kAddable<float>);
+static_assert(kAssignable<std::uint64_t> && !kAssignable<double>);
+
+// A count is exact past 2^53, where a double would round it.
+TEST(Scalar, CountsExactlyPastTwoToThe53)
+{
+    Scalar s;
+    s = std::uint64_t{1} << 53;
+    ++s;
+    EXPECT_EQ(s.value() - (std::uint64_t{1} << 53), 1u);
 }
 
 TEST(Average, TracksMeanMinMaxCount)
@@ -47,57 +66,54 @@ TEST(Average, SingleSampleIsMinAndMax)
     EXPECT_DOUBLE_EQ(a.mean(), -3.0);
 }
 
-TEST(Histogram, CountsAndDominantKey)
+namespace
 {
-    Histogram h;
-    h.sample(1, 3);
-    h.sample(21, 7);
-    h.sample(1, 2);
-    EXPECT_EQ(h.total(), 12u);
-    EXPECT_EQ(h.count(1), 5u);
-    EXPECT_EQ(h.count(21), 7u);
-    EXPECT_EQ(h.count(99), 0u);
-    EXPECT_EQ(h.dominantKey(), 21);
-    EXPECT_DOUBLE_EQ(h.fraction(21), 7.0 / 12.0);
-}
 
-TEST(Histogram, EmptyHistogramIsSafe)
+/** Two statistics, visited as a component visits its own. */
+struct Component
 {
-    Histogram h;
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.dominantKey(), 0);
-    EXPECT_DOUBLE_EQ(h.fraction(5), 0.0);
-}
+    Scalar answer, waitTicks;
+    Average lat;
 
-TEST(Histogram, ResetClears)
-{
-    Histogram h;
-    h.sample(3);
-    h.reset();
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_TRUE(h.buckets().empty());
-}
+    void
+    visitStats(Visitor &v) const
+    {
+        v.scalar("answer", "the answer", answer);
+        v.scalar("waitTicks", "ticks spent waiting", waitTicks);
+        v.average("lat", "latency", lat);
+    }
+};
+
+} // namespace
 
 TEST(Group, DumpsRegisteredStats)
 {
-    Scalar s;
-    s = 42;
-    Average a;
-    a.sample(10);
-    Histogram h;
-    h.sample(21, 2);
+    Component c;
+    c.answer = 42;
+    c.waitTicks = 28266012;
+    c.lat.sample(10);
 
-    Group g("test.group");
-    g.addScalar("answer", &s, "the answer");
-    g.addAverage("lat", &a, "latency");
-    g.addHistogram("strides", &h, "stride histogram");
-
+    Group g("test.group", c);
     std::ostringstream os;
     g.dump(os);
     std::string out = os.str();
     EXPECT_NE(out.find("test.group.answer"), std::string::npos);
     EXPECT_NE(out.find("42"), std::string::npos);
     EXPECT_NE(out.find("test.group.lat.mean"), std::string::npos);
-    EXPECT_NE(out.find("test.group.strides[21]"), std::string::npos);
     EXPECT_NE(out.find("# the answer"), std::string::npos);
+    // Counts print every digit, never a rounded 2.8266e+07.
+    EXPECT_NE(out.find(" 28266012  # ticks spent waiting"),
+              std::string::npos);
+    EXPECT_EQ(out.find("e+07"), std::string::npos);
+}
+
+TEST(Group, FindsScalarsByName)
+{
+    Component c;
+    c.waitTicks = 5;
+    Group g("test.group", c);
+    ASSERT_NE(g.findScalar("waitTicks"), nullptr);
+    EXPECT_EQ(g.findScalar("waitTicks"), &c.waitTicks);
+    EXPECT_EQ(g.findScalar("lat"), nullptr);
+    EXPECT_EQ(g.findScalar("missing"), nullptr);
 }

@@ -39,24 +39,131 @@ smallConfig(PrefetchScheme scheme = PrefetchScheme::Sequential)
 // Registry JSON rendering
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+struct TwoScalars
+{
+    stats::Scalar alpha, beta;
+
+    void
+    visitStats(stats::Visitor &v) const
+    {
+        v.scalar("alpha", "first", alpha);
+        v.scalar("beta", "second", beta);
+    }
+};
+
+struct OneAverage
+{
+    stats::Average lat;
+
+    void
+    visitStats(stats::Visitor &v) const
+    {
+        v.average("lat", "a \"quoted\" desc", lat);
+    }
+};
+
+struct NoStats
+{
+    void visitStats(stats::Visitor &) const {}
+};
+
+/**
+ * Checks each statistic a group visits against the group's object in
+ * a parsed stats document: same order, name, description and value.
+ */
+class MatchesJson final : public stats::Visitor
+{
+  public:
+    explicit MatchesJson(const json::Value &group) : _group(group) {}
+
+    void
+    scalar(std::string_view name, std::string_view desc,
+           const stats::Scalar &s) override
+    {
+        const json::Value &j = next("scalars", _scalars, name, desc);
+        EXPECT_EQ(json::serialize(member(j, "value")),
+                  std::to_string(s.value()))
+                << name;
+    }
+
+    void
+    average(std::string_view name, std::string_view desc,
+            const stats::Average &a) override
+    {
+        const json::Value &j = next("averages", _averages, name, desc);
+        EXPECT_TRUE(same(member(j, "mean"), a.mean())) << name;
+        EXPECT_TRUE(same(member(j, "sum"), a.sum())) << name;
+        EXPECT_EQ(json::serialize(member(j, "count")),
+                  std::to_string(a.count()))
+                << name;
+        EXPECT_TRUE(same(member(j, "min"), a.min())) << name;
+        EXPECT_TRUE(same(member(j, "max"), a.max())) << name;
+    }
+
+    /** Every item of the JSON group was visited; returns how many. */
+    std::size_t
+    finish() const
+    {
+        EXPECT_EQ(_scalars, member(_group, "scalars").size());
+        EXPECT_EQ(_averages, member(_group, "averages").size());
+        EXPECT_EQ(member(_group, "histograms").size(), 0u);
+        return _scalars + _averages;
+    }
+
+  private:
+    static const json::Value &
+    member(const json::Value &obj, const char *key)
+    {
+        static const json::Value kAbsent;
+        const json::Value *v = obj.find(key);
+        EXPECT_NE(v, nullptr) << key;
+        return v ? *v : kAbsent;
+    }
+
+    /** A parsed number re-serializes to the bytes it was read from. */
+    static bool
+    same(const json::Value &v, double want)
+    {
+        return json::serialize(v) == json::number(want);
+    }
+
+    /** The @p i-th item of array @p key, checked against name/desc. */
+    const json::Value &
+    next(const char *key, std::size_t &i, std::string_view name,
+         std::string_view desc) const
+    {
+        static const json::Value kAbsent;
+        const auto &items = member(_group, key).asArray(key);
+        EXPECT_LT(i, items.size()) << name;
+        if (i >= items.size())
+            return kAbsent;
+        const json::Value &j = items[i++];
+        EXPECT_EQ(member(j, "name").asString("name"), name);
+        EXPECT_EQ(member(j, "desc").asString("desc"), desc);
+        return j;
+    }
+
+    const json::Value &_group;
+    std::size_t _scalars = 0;
+    std::size_t _averages = 0;
+};
+
+} // namespace
+
 TEST(StatsJson, RegistryDocumentShape)
 {
+    TwoScalars unit;
+    unit.alpha = 3;
+    unit.beta = 28266012;
+    OneAverage g2;
+    g2.lat.sample(3);
+    g2.lat.sample(1.5);
     stats::Registry registry;
-    stats::Scalar a, b;
-    a = 3;
-    b = 4.5;
-    stats::Group &g = registry.addGroup("unit.grp");
-    g.addScalar("alpha", &a, "first");
-    g.addScalar("beta", &b, "second");
-    stats::Average lat;
-    lat.sample(3);
-    lat.sample(1.5);
-    stats::Histogram h;
-    h.sample(2, 2);
-    h.sample(-1);
-    stats::Group &g2 = registry.addGroup("g2");
-    g2.addAverage("lat", &lat, "latency");
-    g2.addHistogram("strides", &h, "a \"quoted\" desc");
+    registry.add("unit.grp", unit);
+    registry.add("g2", g2);
 
     std::ostringstream os;
     registry.dumpJson(os);
@@ -64,21 +171,19 @@ TEST(StatsJson, RegistryDocumentShape)
             "{\"schema\":\"psim-stats-v1\",\"groups\":["
             "{\"name\":\"unit.grp\",\"scalars\":["
             "{\"name\":\"alpha\",\"desc\":\"first\",\"value\":3},"
-            "{\"name\":\"beta\",\"desc\":\"second\",\"value\":4.5}"
+            "{\"name\":\"beta\",\"desc\":\"second\",\"value\":28266012}"
             "],\"averages\":[],\"histograms\":[]},"
             "{\"name\":\"g2\",\"scalars\":[],\"averages\":["
-            "{\"name\":\"lat\",\"desc\":\"latency\",\"mean\":2.25,"
-            "\"sum\":4.5,\"count\":2,\"min\":1.5,\"max\":3}"
-            "],\"histograms\":["
-            "{\"name\":\"strides\",\"desc\":\"a \\\"quoted\\\" desc\","
-            "\"total\":3,\"buckets\":[{\"key\":-1,\"count\":1},"
-            "{\"key\":2,\"count\":2}]}]}]}\n");
+            "{\"name\":\"lat\",\"desc\":\"a \\\"quoted\\\" desc\","
+            "\"mean\":2.25,\"sum\":4.5,\"count\":2,\"min\":1.5,"
+            "\"max\":3}],\"histograms\":[]}]}\n");
 }
 
 TEST(StatsJson, ExtraMembersAreSpliced)
 {
+    NoStats none;
     stats::Registry registry;
-    registry.addGroup("g");
+    registry.add("g", none);
     std::ostringstream os;
     registry.dumpJson(os, ",\"samples\":{\"interval\":5}");
     EXPECT_NE(os.str().find("\"samples\":{\"interval\":5}"),
@@ -86,8 +191,8 @@ TEST(StatsJson, ExtraMembersAreSpliced)
 }
 
 // The JSON document is a rendering of the registry: parsed back, it
-// holds every group and every statistic in registration order, with
-// its name, description and formatted value.
+// holds every group and every statistic in visit order, with its name,
+// description and formatted value.
 TEST(StatsJson, MatchesTextDumpForARealRun)
 {
     apps::Run run = apps::runWorkload("lu", smallConfig());
@@ -98,80 +203,19 @@ TEST(StatsJson, MatchesTextDumpForARealRun)
     const json::Value doc = json::parse(os.str(), "stats document");
     EXPECT_EQ(doc.find("schema")->asString("schema"), "psim-stats-v1");
 
-    // A parsed number re-serializes to the bytes it was read from.
-    auto same = [](const json::Value &v, double want) {
-        return json::serialize(v) == json::number(want);
-    };
-    static const json::Value kAbsent;
-    auto member = [](const json::Value &obj,
-                     const char *key) -> const json::Value & {
-        const json::Value *v = obj.find(key);
-        EXPECT_NE(v, nullptr) << key;
-        return v ? *v : kAbsent;
-    };
-    auto nameAndDesc = [&](const json::Value &obj, const auto &item) {
-        EXPECT_EQ(member(obj, "name").asString("name"), item.name);
-        EXPECT_EQ(member(obj, "desc").asString("desc"), item.desc);
-    };
-
-    const auto &groups = run.machine->registry().groups();
-    const auto &jgroups = member(doc, "groups").asArray("groups");
+    const auto groups = run.machine->registry().groups();
+    const auto &jgroups = doc.find("groups")->asArray("groups");
     ASSERT_EQ(jgroups.size(), groups.size());
     std::size_t stats = 0;
     for (std::size_t gi = 0; gi < groups.size(); ++gi) {
         const stats::Group &g = *groups[gi];
         const json::Value &jg = jgroups[gi];
-        EXPECT_EQ(member(jg, "name").asString("name"), g.name());
-
-        const auto &scalars = member(jg, "scalars").asArray("scalars");
-        ASSERT_EQ(scalars.size(), g.scalars().size()) << g.name();
-        for (std::size_t i = 0; i < scalars.size(); ++i) {
-            const auto &item = g.scalars()[i];
-            nameAndDesc(scalars[i], item);
-            EXPECT_TRUE(same(member(scalars[i], "value"),
-                             item.stat->value()))
-                    << g.name() << "." << item.name;
-            ++stats;
-        }
-
-        const auto &averages = member(jg, "averages").asArray("averages");
-        ASSERT_EQ(averages.size(), g.averages().size()) << g.name();
-        for (std::size_t i = 0; i < averages.size(); ++i) {
-            const auto &item = g.averages()[i];
-            const stats::Average &a = *item.stat;
-            nameAndDesc(averages[i], item);
-            EXPECT_TRUE(same(member(averages[i], "mean"), a.mean()));
-            EXPECT_TRUE(same(member(averages[i], "sum"), a.sum()));
-            EXPECT_TRUE(same(member(averages[i], "count"),
-                             static_cast<double>(a.count())));
-            EXPECT_TRUE(same(member(averages[i], "min"), a.min()));
-            EXPECT_TRUE(same(member(averages[i], "max"), a.max()));
-            ++stats;
-        }
-
-        const auto &histograms =
-                member(jg, "histograms").asArray("histograms");
-        ASSERT_EQ(histograms.size(), g.histograms().size()) << g.name();
-        for (std::size_t i = 0; i < histograms.size(); ++i) {
-            const auto &item = g.histograms()[i];
-            nameAndDesc(histograms[i], item);
-            EXPECT_TRUE(same(member(histograms[i], "total"),
-                             static_cast<double>(item.stat->total())));
-            const auto &buckets =
-                    member(histograms[i], "buckets").asArray("buckets");
-            ASSERT_EQ(buckets.size(), item.stat->buckets().size());
-            std::size_t b = 0;
-            for (const auto &[key, weight] : item.stat->buckets()) {
-                EXPECT_TRUE(same(member(buckets[b], "key"),
-                                 static_cast<double>(key)));
-                EXPECT_TRUE(same(member(buckets[b], "count"),
-                                 static_cast<double>(weight)));
-                ++b;
-            }
-            ++stats;
-        }
+        EXPECT_EQ(jg.find("name")->asString("name"), g.name());
+        MatchesJson match(jg);
+        g.visit(match);
+        stats += match.finish();
     }
-    // 4 nodes x 7 groups plus the mesh; every group registers some.
+    // 4 nodes x 7 groups plus the mesh; every group visits some.
     EXPECT_EQ(groups.size(), 29u);
     EXPECT_GE(stats, 29u);
 }

@@ -89,6 +89,38 @@ checkCommand(const std::string &path, bool salvage)
     return 0;
 }
 
+/** SLC probe counts of one node, or of the whole trace. */
+struct NodeCounts
+{
+    stats::Scalar reads, readMisses, writes;
+
+    void
+    visitStats(stats::Visitor &v) const
+    {
+        v.scalar("reads", "SLC read probes", reads);
+        v.scalar("readMisses", "SLC read misses", readMisses);
+        v.scalar("writes", "SLC write probes", writes);
+    }
+};
+
+/** Whole-file counts: the "trace" group. */
+struct TraceCounts
+{
+    stats::Scalar records;
+    NodeCounts slc;
+    stats::Scalar nodes, firstTick, lastTick;
+
+    void
+    visitStats(stats::Visitor &v) const
+    {
+        v.scalar("records", "records in the trace", records);
+        slc.visitStats(v);
+        v.scalar("nodes", "distinct nodes in the trace", nodes);
+        v.scalar("firstTick", "tick of the first record", firstTick);
+        v.scalar("lastTick", "tick of the last record", lastTick);
+    }
+};
+
 /**
  * `trace_tool stats`: aggregate a trace into the simulator's JSON stats
  * schema. The "trace" group carries whole-file counts; each node that
@@ -99,56 +131,37 @@ statsCommand(const std::string &path, bool salvage)
 {
     auto records = TraceReader::readAll(path, salvage);
 
-    struct NodeCounts
-    {
-        stats::Scalar reads, readMisses, writes;
-    };
-    // std::map: nodes render in ascending id order, and inserting new
-    // nodes never invalidates the pointers already registered.
+    // std::map: nodes render in ascending id order.
     std::map<NodeId, NodeCounts> nodes;
-    stats::Scalar total, reads, readMisses, writes;
+    TraceCounts all;
     Tick first = 0, last = 0;
     for (const auto &rec : records) {
-        if (total.value() == 0 || rec.tick < first)
+        if (all.records.value() == 0 || rec.tick < first)
             first = rec.tick;
         if (rec.tick > last)
             last = rec.tick;
-        ++total;
+        ++all.records;
         NodeCounts &nc = nodes[rec.node];
         if (rec.kind == TraceRecord::Kind::Read) {
-            ++reads;
+            ++all.slc.reads;
             ++nc.reads;
             if (!rec.hit) {
-                ++readMisses;
+                ++all.slc.readMisses;
                 ++nc.readMisses;
             }
         } else {
-            ++writes;
+            ++all.slc.writes;
             ++nc.writes;
         }
     }
-
-    stats::Scalar first_tick, last_tick, node_count;
-    first_tick = static_cast<double>(first);
-    last_tick = static_cast<double>(last);
-    node_count = static_cast<double>(nodes.size());
+    all.firstTick = first;
+    all.lastTick = last;
+    all.nodes = nodes.size();
 
     stats::Registry registry;
-    stats::Group &g = registry.addGroup("trace");
-    g.addScalar("records", &total, "records in the trace");
-    g.addScalar("reads", &reads, "SLC read probes");
-    g.addScalar("readMisses", &readMisses, "SLC read misses");
-    g.addScalar("writes", &writes, "SLC write probes");
-    g.addScalar("nodes", &node_count, "distinct nodes in the trace");
-    g.addScalar("firstTick", &first_tick, "tick of the first record");
-    g.addScalar("lastTick", &last_tick, "tick of the last record");
-    for (auto &[id, nc] : nodes) {
-        stats::Group &ng = registry.addGroup(
-                "node" + std::to_string(id) + ".trace");
-        ng.addScalar("reads", &nc.reads, "SLC read probes");
-        ng.addScalar("readMisses", &nc.readMisses, "SLC read misses");
-        ng.addScalar("writes", &nc.writes, "SLC write probes");
-    }
+    registry.add("trace", all);
+    for (const auto &[id, nc] : nodes)
+        registry.add("node" + std::to_string(id) + ".trace", nc);
     registry.dumpJson(std::cout);
     return 0;
 }
