@@ -3,8 +3,8 @@
 
 Standard library only: implements exactly the subset of JSON Schema the
 schema files use (type, const, enum, required, properties, items,
-minimum, additionalProperties). CI runs this over the stats documents a
-smoke run produces -- and, via --schema, over experiment specs
+minimum, maxItems, additionalProperties). CI runs this over the stats
+documents a smoke run produces -- and, via --schema, over experiment specs
 (spec_schema.json) and canonical results documents
 (results_schema.json) -- so schema drift is caught at the source, not
 in downstream tooling.
@@ -66,6 +66,11 @@ def validate(value, schema, path, errors):
             for key in value:
                 if key not in allowed:
                     errors.append(f"{path}: unknown member '{key}'")
+    if isinstance(value, list) and "maxItems" in schema:
+        if len(value) > schema["maxItems"]:
+            errors.append(
+                f"{path}: {len(value)} items > maxItems {schema['maxItems']}"
+            )
     if isinstance(value, list) and "items" in schema:
         for i, item in enumerate(value):
             validate(item, schema["items"], f"{path}[{i}]", errors)

@@ -51,26 +51,18 @@ segStrideFor(std::uint32_t segCap)
 
 } // namespace
 
+VertexPartition::VertexPartition(std::uint32_t nV, unsigned nproc)
+    : _lo(nproc + 1), _nproc(nproc), _vShift(log2Exact(nV))
+{
+    psim_assert(isPowerOf2(nV) && nV >= nproc && nproc >= 1,
+            "vertex partition needs a power-of-two vertex count of at "
+            "least nproc");
+    for (unsigned t = 0; t <= nproc; ++t)
+        _lo[t] = static_cast<std::uint32_t>(
+                static_cast<std::uint64_t>(t) * nV / nproc);
+}
+
 BfsWorkload::BfsWorkload(unsigned scale) : Workload(scale) {}
-
-unsigned
-BfsWorkload::ownerOf(std::uint32_t v, unsigned nproc) const
-{
-    unsigned t = static_cast<unsigned>(
-            static_cast<std::uint64_t>(v) * nproc / _nV);
-    while (t + 1 < nproc && vertsLo(t + 1, nproc) <= v)
-        ++t;
-    while (vertsLo(t, nproc) > v)
-        --t;
-    return t;
-}
-
-std::uint32_t
-BfsWorkload::vertsLo(unsigned t, unsigned nproc) const
-{
-    return static_cast<std::uint32_t>(
-            static_cast<std::uint64_t>(t) * _nV / nproc);
-}
 
 Addr
 BfsWorkload::segAddr(unsigned buf, unsigned t) const
@@ -96,6 +88,7 @@ BfsWorkload::setup(Machine &m)
     _nE = static_cast<std::uint64_t>(_nV) * kDeg;
     _queries = 3;
     _segCap = (_nV + nproc - 1) / nproc;
+    _part = VertexPartition(_nV, nproc);
     _zipf = std::make_unique<ZipfSampler>(_nV, _theta);
 
     _rowOff = shm().alloc((static_cast<std::size_t>(_nV) + 1) * 4,
@@ -184,8 +177,8 @@ BfsWorkload::setup(Machine &m)
             ++level;
         }
         for (unsigned t = 0; t < nproc; ++t) {
-            const std::uint32_t lo = vertsLo(t, nproc);
-            const std::uint32_t hi = vertsLo(t + 1, nproc);
+            const std::uint32_t lo = _part.lo(t);
+            const std::uint32_t hi = _part.lo(t + 1);
             for (std::uint32_t v = lo; v < hi; ++v) {
                 _refDigest[t] += mix64((q << 40) ^
                                        (static_cast<std::uint64_t>(
@@ -205,8 +198,8 @@ BfsWorkload::thread(ThreadCtx &ctx)
 {
     const unsigned tid = ctx.tid();
     const unsigned nproc = ctx.nthreads();
-    const std::uint32_t lo = vertsLo(tid, nproc);
-    const std::uint32_t hi = vertsLo(tid + 1, nproc);
+    const std::uint32_t lo = _part.lo(tid);
+    const std::uint32_t hi = _part.lo(tid + 1);
 
     // Query stream shared by all threads: everyone computes the same
     // source and the same arrival gap from the same pure generator.
@@ -234,7 +227,7 @@ BfsWorkload::thread(ThreadCtx &ctx)
                     _dist + static_cast<Addr>(v) * 4,
                     v == src ? 0 : kInf);
         std::uint32_t myCount = 0;
-        if (ownerOf(src, nproc) == tid) {
+        if (_part.ownerOf(src) == tid) {
             co_await ctx.write<std::uint32_t>(segAddr(0, tid), src);
             myCount = 1;
         }
@@ -259,7 +252,7 @@ BfsWorkload::thread(ThreadCtx &ctx)
                     for (std::uint32_t ei = rs; ei < re; ++ei) {
                         auto w = co_await ctx.read<std::uint32_t>(
                                 _col + static_cast<Addr>(ei) * 4);
-                        if (ownerOf(w, nproc) != tid)
+                        if (_part.ownerOf(w) != tid)
                             continue;
                         auto d = co_await ctx.read<std::uint32_t>(
                                 _dist + static_cast<Addr>(w) * 4);

@@ -30,6 +30,41 @@
 namespace psim::apps
 {
 
+/**
+ * Owner-partitioning of the vertices: thread t owns the contiguous
+ * range [lo(t), lo(t + 1)), lo(t) = t * nV / nproc. The nproc + 1
+ * boundaries are computed once, so the owner lookup on every frontier
+ * edge is a shift and one compare, with no division.
+ */
+class VertexPartition
+{
+  public:
+    VertexPartition() = default;
+
+    /** @pre nV is a power of two and nV >= nproc >= 1 */
+    VertexPartition(std::uint32_t nV, unsigned nproc);
+
+    std::uint32_t lo(unsigned t) const { return _lo[t]; }
+
+    /** The thread owning vertex @p v < nV. */
+    unsigned
+    ownerOf(std::uint32_t v) const
+    {
+        // floor(v * nproc / nV) never overshoots the owner, and falls
+        // short of it by at most one (nV >= nproc).
+        auto t = static_cast<unsigned>(
+                (static_cast<std::uint64_t>(v) * _nproc) >> _vShift);
+        if (_lo[t + 1] <= v)
+            ++t;
+        return t;
+    }
+
+  private:
+    std::vector<std::uint32_t> _lo; ///< nproc + 1 boundaries
+    unsigned _nproc = 0;
+    unsigned _vShift = 0; ///< log2(nV)
+};
+
 class BfsWorkload : public Workload
 {
   public:
@@ -40,8 +75,6 @@ class BfsWorkload : public Workload
     bool verify(Machine &m) override;
 
   private:
-    unsigned ownerOf(std::uint32_t v, unsigned nproc) const;
-    std::uint32_t vertsLo(unsigned t, unsigned nproc) const;
     Addr segAddr(unsigned buf, unsigned t) const;
     Addr cntAddr(unsigned buf, unsigned t) const;
 
@@ -49,6 +82,7 @@ class BfsWorkload : public Workload
     std::uint64_t _nE = 0;   ///< edges
     std::uint64_t _queries = 0; ///< BFS episodes
     std::uint32_t _segCap = 0;  ///< frontier entries per thread
+    VertexPartition _part;
     std::uint64_t _seed = 0;
     Tick _interArrival = 0;
     double _theta = 0.99;

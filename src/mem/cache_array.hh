@@ -8,11 +8,11 @@
  * ever occur. A finite array is direct-mapped: the paper's FLC and its
  * only finite SLC (Table 3's 16 KB) both are.
  *
- * A CacheBlk is the four bytes of per-block state the protocol reads
- * and writes. The block's address lives in a lane of its own, because
- * every resident block costs host memory (an infinite SLC on a 64-node
- * machine holds half a million of them) and every probe compares
- * addresses, not state:
+ * A CacheBlk is the one byte of per-block state the protocol reads and
+ * writes. The block's address lives elsewhere, because every resident
+ * block costs host memory (an infinite SLC on a 64-node machine holds
+ * hundreds of thousands of them) and every probe compares addresses,
+ * not state:
  *
  *  - Finite mode keeps two lanes indexed by set: the tag lane (one Addr
  *    per set) and the frame lane (one CacheBlk per set). A lookup is one
@@ -20,25 +20,33 @@
  *    kAddrInvalid in the tag lane, so the compare needs no separate
  *    valid check. The victim for a block is always its set's frame.
  *
- *  - Infinite mode stores the blocks in a BlockTable keyed by block
- *    address: its key lane plays the tag lane's part, and a slot costs
- *    12 bytes (the key and a CacheBlk). No victim is ever chosen.
- *    Invalidation erases the entry, so the table holds the resident
- *    blocks only. Erasing may move other entries (BlockTable's
- *    reference rule): no CacheBlk pointer may be held across an
- *    invalidate() or a findVictim() of another block.
+ *  - Infinite mode stores sectors of kSectorBlocks consecutive blocks
+ *    in a BlockTable keyed by sector address (the block address with
+ *    its low log2(kSectorBlocks * block size) bits cleared). A slot is
+ *    the 8-byte key and the sector's eight CacheBlks: 16 bytes for up
+ *    to eight resident blocks, and the neighbours a sequential
+ *    prefetcher asks about share their block's slot. A lookup is one
+ *    probe and an index. No victim is ever chosen: findVictim returns
+ *    the block's own frame. Invalidation clears the block and erases
+ *    its sector once all eight blocks are invalid, so the table holds
+ *    the sectors of resident blocks only. Erasing may move other
+ *    entries (BlockTable's reference rule): no CacheBlk pointer may be
+ *    held across an invalidate() or a findVictim() of another block.
  *
  * A caller that holds a CacheBlk pointer holds the address it looked
- * the block up by; addrOf() recovers it for a victim from findVictim().
+ * the block up by; a finite array's addrOf() recovers it for a victim
+ * from findVictim().
  */
 
 #ifndef PSIM_MEM_CACHE_ARRAY_HH
 #define PSIM_MEM_CACHE_ARRAY_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "sim/block_table.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace psim
@@ -57,26 +65,29 @@ const char *toString(CohState s);
 /** One block's state; its address lives in CacheArray. */
 struct CacheBlk
 {
-    CohState state = CohState::Invalid;
-    bool prefetched = false;  ///< the 1-bit prefetch tag of Section 3.3
-    bool written = false;     ///< the local processor stored to this copy
+    CohState state : 2 = CohState::Invalid;
+    bool prefetched : 1 = false; ///< the 1-bit prefetch tag of Section 3.3
+    bool written : 1 = false;    ///< the local processor stored to this copy
     /**
      * The prefetch outcome for this block was already reported to the
      * prefetcher as useless because it stayed unreferenced too long
      * (adaptive-scheme feedback aging; see Slc::agePrefetches).
      */
-    bool outcomeReported = false;
+    bool outcomeReported : 1 = false;
 
     bool valid() const { return state != CohState::Invalid; }
 };
 
-static_assert(sizeof(CacheBlk) == 4,
-        "CacheBlk holds only per-block state: addresses live in "
-        "CacheArray's lanes");
+static_assert(sizeof(CacheBlk) == 1,
+        "CacheBlk holds only per-block state, packed in one byte: "
+        "addresses live in CacheArray");
 
 class CacheArray
 {
   public:
+    /** Blocks per infinite-mode sector (one BlockTable slot). */
+    static constexpr unsigned kSectorBlocks = 8;
+
     /**
      * @param size_bytes total capacity; 0 means infinite
      * @param assoc ways per set; must be 1 (direct-mapped)
@@ -98,22 +109,25 @@ class CacheArray
 
     /**
      * Pick the frame a new block for @p blk_addr would occupy: the
-     * block's own frame if it is resident. In infinite mode this never
-     * evicts: it inserts an invalid entry for an absent @p blk_addr,
-     * which may move other entries. Otherwise returns the set's one
-     * frame; the caller must handle the victim (the returned frame
-     * still holds the victim's state, and addrOf() gives its address).
+     * block's own frame if it is resident. In infinite mode this is
+     * always the block's own frame and never evicts: it inserts the
+     * block's sector if absent, which may move other entries. Otherwise
+     * returns the set's one frame; the caller must handle the victim
+     * (the returned frame still holds the victim's state, and addrOf()
+     * gives its address).
      */
     CacheBlk *findVictim(Addr blk_addr);
 
     /**
-     * The address of the block in @p frame, which must be valid or come
-     * from findVictim.
+     * The address of the block in finite frame @p frame, which must be
+     * valid or come from findVictim. An infinite array's frame from
+     * findVictim is always the block's own.
      */
     Addr
     addrOf(const CacheBlk *frame) const
     {
-        return _infinite ? _table.keyOf(frame) : _tags[setOf(frame)];
+        psim_assert(!_infinite, "addrOf needs a finite array");
+        return _tags[setOf(frame)];
     }
 
     /**
@@ -132,19 +146,24 @@ class CacheArray
 
     /**
      * Invalidate the resident block @p blk, whose address is
-     * @p blk_addr. In infinite mode this erases it, which may move
-     * other entries (see the file comment).
+     * @p blk_addr. In infinite mode this erases the block's sector once
+     * all its blocks are invalid, which may move other entries (see the
+     * file comment).
      */
     void
     invalidate(CacheBlk *blk, Addr blk_addr)
     {
-        if (_infinite) {
-            _table.erase(blk_addr);
+        *blk = CacheBlk{};
+        if (!_infinite) {
+            _tags[setOf(blk)] = kAddrInvalid;
             return;
         }
-        blk->state = CohState::Invalid;
-        blk->prefetched = false;
-        _tags[setOf(blk)] = kAddrInvalid;
+        const CacheBlk *first = blk - blockIn(blk_addr);
+        for (unsigned i = 0; i < kSectorBlocks; ++i) {
+            if (first[i].valid())
+                return;
+        }
+        _table.erase(sectorOf(blk_addr));
     }
 
     /**
@@ -156,9 +175,11 @@ class CacheArray
     forEach(Fn &&fn) const
     {
         if (_infinite) {
-            _table.forEach([&fn](Addr addr, const CacheBlk &blk) {
-                if (blk.valid())
-                    fn(addr, blk);
+            _table.forEach([this, &fn](Addr sector, const Sector &blks) {
+                for (unsigned i = 0; i < kSectorBlocks; ++i) {
+                    if (blks[i].valid())
+                        fn(sector + (Addr{i} << _blockShift), blks[i]);
+                }
             });
             return;
         }
@@ -172,6 +193,22 @@ class CacheArray
     std::size_t numValid() const;
 
   private:
+    using Sector = std::array<CacheBlk, kSectorBlocks>;
+
+    Addr
+    sectorOf(Addr blk_addr) const
+    {
+        return blk_addr & ~((Addr{kSectorBlocks} << _blockShift) - 1);
+    }
+
+    /** Index of @p blk_addr's block within its sector. */
+    unsigned
+    blockIn(Addr blk_addr) const
+    {
+        return static_cast<unsigned>(blk_addr >> _blockShift) &
+               (kSectorBlocks - 1);
+    }
+
     std::size_t
     setIndex(Addr blk_addr) const
     {
@@ -199,8 +236,9 @@ class CacheArray
     std::vector<Addr> _tags;
     std::vector<CacheBlk> _frames;
 
-    /** Infinite storage: the resident blocks, keyed by address. */
-    BlockTable<CacheBlk> _table;
+    /** Infinite storage: the resident blocks' sectors, keyed by
+     *  sector address. */
+    BlockTable<Sector> _table;
 };
 
 // The probe paths are defined inline: they are leaves of the
@@ -212,9 +250,11 @@ inline CacheBlk *
 CacheArray::find(Addr blk_addr)
 {
     if (_infinite) {
-        // An entry is invalid only between findVictim and fill.
-        CacheBlk *blk = _table.find(blk_addr);
-        return blk && blk->valid() ? blk : nullptr;
+        Sector *sector = _table.find(sectorOf(blk_addr));
+        if (!sector)
+            return nullptr;
+        CacheBlk *blk = &(*sector)[blockIn(blk_addr)];
+        return blk->valid() ? blk : nullptr;
     }
     const std::size_t set = setIndex(blk_addr);
     return _tags[set] == blk_addr ? &_frames[set] : nullptr;
@@ -224,7 +264,7 @@ inline CacheBlk *
 CacheArray::findVictim(Addr blk_addr)
 {
     if (_infinite)
-        return &_table[blk_addr];
+        return &_table[sectorOf(blk_addr)][blockIn(blk_addr)];
     return &_frames[setIndex(blk_addr)];
 }
 

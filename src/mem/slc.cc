@@ -1,5 +1,8 @@
 #include "mem/slc.hh"
 
+#include <algorithm>
+#include <vector>
+
 #include "check/access_log.hh"
 #include "mem/flc.hh"
 #include "sim/logging.hh"
@@ -475,7 +478,8 @@ CacheBlk *
 Slc::makeRoom(Addr blk_addr)
 {
     CacheBlk *frame = _array.findVictim(blk_addr);
-    if (!frame->valid())
+    // An infinite array's frame is always the block's own.
+    if (!frame->valid() || _array.infinite())
         return frame;
     const Addr victim = _array.addrOf(frame);
     if (victim == blk_addr)
@@ -750,14 +754,20 @@ Slc::receive(const Message &m)
 void
 Slc::finalizeStats()
 {
-    const Tick now = _eq.now();
-    _array.forEach([this, now](Addr blk_addr, const CacheBlk &blk) {
-        if (blk.prefetched) {
-            ++pfUselessUnused;
-            noteFate(blk_addr, audit::Fate::ResidentAtEnd,
-                    audit::Event::EndOfRun, now);
-        }
+    // Fates go out in address order, so a trace does not depend on
+    // the array's layout.
+    std::vector<Addr> unused;
+    _array.forEach([&unused](Addr blk_addr, const CacheBlk &blk) {
+        if (blk.prefetched)
+            unused.push_back(blk_addr);
     });
+    std::sort(unused.begin(), unused.end());
+    pfUselessUnused += unused.size();
+    const Tick now = _eq.now();
+    for (Addr blk_addr : unused) {
+        noteFate(blk_addr, audit::Fate::ResidentAtEnd,
+                audit::Event::EndOfRun, now);
+    }
     if (_audit)
         _audit->finalize(*this);
 }

@@ -47,37 +47,4 @@ toString(MsgType t)
     return "?";
 }
 
-bool
-isForMemory(MsgType t)
-{
-    switch (t) {
-      case MsgType::ReadReq:
-      case MsgType::ReadExReq:
-      case MsgType::UpgradeReq:
-      case MsgType::WritebackReq:
-      case MsgType::FetchReply:
-      case MsgType::InvAck:
-      case MsgType::LockReq:
-      case MsgType::LockRel:
-      case MsgType::BarrierArrive:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-carriesData(MsgType t)
-{
-    switch (t) {
-      case MsgType::WritebackReq:
-      case MsgType::DataReply:
-      case MsgType::DataExReply:
-      case MsgType::FetchReply:
-        return true;
-      default:
-        return false;
-    }
-}
-
 } // namespace psim

@@ -50,10 +50,39 @@ enum class MsgType : std::uint8_t
 const char *toString(MsgType t);
 
 /** True for message types serviced by the home memory/directory. */
-bool isForMemory(MsgType t);
+constexpr bool
+isForMemory(MsgType t)
+{
+    switch (t) {
+      case MsgType::ReadReq:
+      case MsgType::ReadExReq:
+      case MsgType::UpgradeReq:
+      case MsgType::WritebackReq:
+      case MsgType::FetchReply:
+      case MsgType::InvAck:
+      case MsgType::LockReq:
+      case MsgType::LockRel:
+      case MsgType::BarrierArrive:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** True for message types that carry a data block payload. */
-bool carriesData(MsgType t);
+constexpr bool
+carriesData(MsgType t)
+{
+    switch (t) {
+      case MsgType::WritebackReq:
+      case MsgType::DataReply:
+      case MsgType::DataExReply:
+      case MsgType::FetchReply:
+        return true;
+      default:
+        return false;
+    }
+}
 
 struct Message
 {

@@ -5,12 +5,12 @@
  * The per-block tables of the simulated machine's memory system are
  * these: the home directory and its wait queues; the SLC's MSHRs,
  * writeback set and miss-classification history; the infinite SLC's
- * block array (CacheArray); and the backing store's page table. The
- * lock and barrier controllers, the prefetchers' side tables (chase's
- * depths, ptron's pending issues), the Table-2 characterizer and the
- * observers (the audit's prefetch tracks, the chrome tracer's open
- * intervals) keep std::unordered_maps, off the per-block message
- * path. A node-based std::unordered_map pays a prime-modulo bucket
+ * block array (CacheArray, keyed by 8-block sector); and the backing
+ * store's page table. The lock and barrier controllers, the
+ * prefetchers' side tables (chase's depths, ptron's pending issues),
+ * the Table-2 characterizer and the observers (the audit's prefetch
+ * tracks, the chrome tracer's open intervals) keep
+ * std::unordered_maps, off the per-block message path. A node-based std::unordered_map pays a prime-modulo bucket
  * hash, a pointer chase per probe and an allocation per entry; this
  * table is two flat lanes instead:
  *
@@ -77,13 +77,6 @@ class BlockTable
     }
 
     bool contains(Addr key) const { return slotOf(key) != kNoSlot; }
-
-    /** The key of the entry whose value @p v points at. */
-    Addr
-    keyOf(const V *v) const
-    {
-        return _keys[static_cast<std::size_t>(v - _vals.data())];
-    }
 
     /**
      * Apply @p fn(key, value) to every entry, in no specified order.

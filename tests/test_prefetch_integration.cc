@@ -50,8 +50,6 @@ struct StreamResult
     std::uint64_t misses;
     std::uint64_t issued;
     std::uint64_t useful;
-    std::uint64_t pageDrops;
-    std::uint64_t inCacheDrops;
 
     /** The share of issued prefetches that were useful. */
     double
@@ -73,9 +71,7 @@ runStream(PrefetchScheme scheme, unsigned bytes, unsigned stride,
     sys.m.checkCoherenceInvariants();
     const Slc &slc = sys.m.node(0).slc();
     return StreamResult{slc.demandReadMisses.value(),
-                        slc.pfIssued.value(), slc.usefulPrefetches(),
-                        slc.pfDropPageCross.value(),
-                        slc.pfDropInCache.value()};
+                        slc.pfIssued.value(), slc.usefulPrefetches()};
 }
 
 /** Sum of the terminal-fate buckets; must equal pfIssued at quiesce. */

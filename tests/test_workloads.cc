@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/bfs.hh"
 #include "apps/driver.hh"
 #include "apps/mp3d.hh"
 #include "apps/pthor.hh"
@@ -52,6 +53,41 @@ TEST(Workloads, RadixGeometry)
     EXPECT_EQ(RadixWorkload::kBuckets, 16u);
     EXPECT_EQ(RadixWorkload::kPasses * RadixWorkload::kRadixBits, 16u)
             << "passes must cover the key width";
+}
+
+TEST(Workloads, BfsOwnerMatchesDivisionFormula)
+{
+    // The reference: thread t owns [t * nV / nproc, (t + 1) * nV / nproc),
+    // found by dividing and stepping to the boundary.
+    auto lo = [](unsigned t, std::uint32_t nV, unsigned nproc) {
+        return static_cast<std::uint32_t>(
+                static_cast<std::uint64_t>(t) * nV / nproc);
+    };
+    auto divisionOwner = [&](std::uint32_t v, std::uint32_t nV,
+                             unsigned nproc) {
+        unsigned t = static_cast<unsigned>(
+                static_cast<std::uint64_t>(v) * nproc / nV);
+        while (t + 1 < nproc && lo(t + 1, nV, nproc) <= v)
+            ++t;
+        while (lo(t, nV, nproc) > v)
+            --t;
+        return t;
+    };
+    // Every vertex count BFS builds (64 * nproc * scale, rounded up to
+    // a power of two) at scales 1 and 2, and the degenerate nV == nproc.
+    for (unsigned nproc = 1; nproc <= 64; ++nproc) {
+        std::uint32_t minV = 1;
+        while (minV < nproc)
+            minV <<= 1;
+        for (std::uint32_t nV : {minV, minV * 64, minV * 128}) {
+            VertexPartition part(nV, nproc);
+            for (unsigned t = 0; t <= nproc; ++t)
+                ASSERT_EQ(part.lo(t), lo(t, nV, nproc));
+            for (std::uint32_t v = 0; v < nV; ++v)
+                ASSERT_EQ(part.ownerOf(v), divisionOwner(v, nV, nproc))
+                        << "v " << v << " nV " << nV << " nproc " << nproc;
+        }
+    }
 }
 
 TEST(Workloads, EveryRegisteredNameConstructs)
