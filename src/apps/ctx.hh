@@ -196,13 +196,7 @@ class ThreadCtx
           const std::source_location &loc =
                   std::source_location::current())
     {
-        bool drop = false;
-        const TestHooks &hooks = _m.cfg().testHooks;
-        if (hooks.dropStorePeriod &&
-            ++_storesCommitted % hooks.dropStorePeriod == 0)
-            drop = true;
-        if (!drop)
-            store().store<T>(addr, value);
+        store().store<T>(addr, value);
         record(check::AccessRecord::Kind::Write, addr, &value,
                sizeof(T));
         return WriteOp{*this, addr, pcOf(loc)};
@@ -225,22 +219,11 @@ class ThreadCtx
     ThinkOp think(Tick cycles) { return ThinkOp{*this, cycles}; }
 
   private:
-    /**
-     * The value-commit point of a load: the value the coroutine is
-     * about to consume. Applies the corrupt-read fault hook (so the
-     * program really computes with the corrupted value, exactly like a
-     * broken machine would) and then records what was consumed.
-     */
+    /** The value-commit point of a load: record what the coroutine uses. */
     template <typename T>
     T
     commitLoad(Addr addr, T v)
     {
-        const TestHooks &hooks = _m.cfg().testHooks;
-        if (hooks.corruptReadPeriod &&
-            ++_loadsCommitted % hooks.corruptReadPeriod == 0) {
-            auto *bytes = reinterpret_cast<std::uint8_t *>(&v);
-            bytes[0] ^= 0x01;
-        }
         record(check::AccessRecord::Kind::Read, addr, &v, sizeof(T));
         return v;
     }
@@ -272,9 +255,6 @@ class ThreadCtx
     NodeId _tid;
     unsigned _nthreads;
     Rng _rng;
-    /** Fault-hook opportunity counters (see MachineConfig::TestHooks). */
-    std::uint64_t _loadsCommitted = 0;
-    std::uint64_t _storesCommitted = 0;
 };
 
 } // namespace psim::apps

@@ -58,8 +58,7 @@ imageDigest(const BackingStore &store)
 }
 
 MachineConfig
-configFor(const ProgramSpec &spec, PrefetchScheme scheme,
-          const TestHooks &hooks)
+configFor(const ProgramSpec &spec, PrefetchScheme scheme)
 {
     MachineConfig cfg;
     cfg.numProcs = spec.threads;
@@ -68,17 +67,16 @@ configFor(const ProgramSpec &spec, PrefetchScheme scheme,
     cfg.prefetch.scheme = scheme;
     cfg.prefetch.degree = spec.degree;
     cfg.seed = spec.seed;
-    cfg.testHooks = hooks;
     return cfg;
 }
 
 } // namespace
 
 SchemeRun
-runOneScheme(const ProgramSpec &spec, PrefetchScheme scheme,
-             const TestHooks &hooks, Tick tick_limit)
-{
-    MachineConfig cfg = configFor(spec, scheme, hooks);
+runOneScheme(const ProgramSpec &spec, PrefetchScheme scheme, Tick tick_limit)
+try {
+    PanicThrows panics_throw;
+    MachineConfig cfg = configFor(spec, scheme);
     Machine m(cfg);
     FuzzWorkload wl(spec);
     AccessLog log;
@@ -93,6 +91,8 @@ runOneScheme(const ProgramSpec &spec, PrefetchScheme scheme,
     SchemeRun run;
     run.finished = m.allFinished();
     run.verified = run.finished && wl.verify(m);
+    if (run.finished)
+        m.checkCoherenceInvariants();
     run.imageDigest = imageDigest(m.store());
     if (audit::MachineAudit *a = m.auditor()) {
         audit::LedgerSnapshot ledger = a->exportLedger();
@@ -101,24 +101,40 @@ runOneScheme(const ProgramSpec &spec, PrefetchScheme scheme,
         run.oracle = oracle.check(log, m.store(), nullptr);
     }
     return run;
+} catch (const Panic &p) {
+    SchemeRun run;
+    run.panic = p.what();
+    return run;
 }
 
+namespace
+{
+
+/**
+ * Differential check of one program over all schemes: true when some
+ * check failed. @p why and @p loads_checked (each may be null) get its
+ * description and the loads the baseline run's oracle checked.
+ */
 bool
-specDiverges(const ProgramSpec &spec, const TestHooks &hooks,
-             Tick tick_limit, std::string *why,
-             std::uint64_t *loads_checked)
+specDiverges(const ProgramSpec &spec, Tick tick_limit, std::string *why,
+             std::uint64_t *loads_checked = nullptr)
 {
     const auto &schemes = fuzzSchemes();
     std::vector<SchemeRun> runs;
     runs.reserve(schemes.size());
     for (PrefetchScheme s : schemes)
-        runs.push_back(runOneScheme(spec, s, hooks, tick_limit));
+        runs.push_back(runOneScheme(spec, s, tick_limit));
     if (loads_checked)
         *loads_checked = runs[0].oracle.loadsChecked;
 
     for (std::size_t i = 0; i < schemes.size(); ++i) {
         const char *name = toString(schemes[i]);
         const SchemeRun &r = runs[i];
+        if (!r.panic.empty()) {
+            if (why)
+                *why = strfmt("scheme %s: panic: %s", name, r.panic.c_str());
+            return true;
+        }
         if (!r.finished) {
             if (why) {
                 *why = strfmt("scheme %s did not quiesce within "
@@ -158,9 +174,6 @@ specDiverges(const ProgramSpec &spec, const TestHooks &hooks,
     return false;
 }
 
-namespace
-{
-
 SeedOutcome
 checkSeed(std::uint64_t seed, const FuzzOptions &opts)
 {
@@ -170,8 +183,7 @@ checkSeed(std::uint64_t seed, const FuzzOptions &opts)
     out.spec = spec.describe();
 
     std::string why;
-    if (!specDiverges(spec, opts.hooks, opts.tickLimit, &why,
-                      &out.loadsChecked)) {
+    if (!specDiverges(spec, opts.tickLimit, &why, &out.loadsChecked)) {
         out.ok = true;
         return out;
     }
@@ -179,7 +191,7 @@ checkSeed(std::uint64_t seed, const FuzzOptions &opts)
     out.detail = why;
     if (opts.shrink) {
         auto pred = [&opts](const ProgramSpec &s) {
-            return specDiverges(s, opts.hooks, opts.tickLimit, nullptr);
+            return specDiverges(s, opts.tickLimit, nullptr);
         };
         ShrinkResult res = shrink(spec, pred, opts.shrinkBudget);
         out.minimized = res.spec.describe();

@@ -8,7 +8,8 @@
  * sequential, multi-stride, pointer chase and the perceptron filter.
  * Every run is checked four ways:
  *
- *  1. the machine must quiesce within the tick limit;
+ *  1. the machine must quiesce within the tick limit, without a panic
+ *     and with the coherence invariants (SWMR) holding at quiesce;
  *  2. the workload's native model must verify the final values;
  *  3. the SC oracle (oracle.hh) must accept the committed access log,
  *     the final image, the page rule, and the audit fate ledger;
@@ -35,6 +36,14 @@
 #include "check/oracle.hh"
 #include "sim/config.hh"
 
+namespace psim
+{
+/** bench/perf only; ROADMAP item 1 deletes this. */
+struct TestHooks
+{
+};
+} // namespace psim
+
 namespace psim::check
 {
 
@@ -59,9 +68,6 @@ struct FuzzOptions
     /** Quiesce deadline per run; exceeding it is itself a failure. */
     static constexpr Tick tickLimit = 50'000'000;
 
-    /** Fault injection for self-tests (inert by default). */
-    TestHooks hooks{};
-
     /** When non-empty, failing-seed repro report is written here. */
     std::string reproPath;
 };
@@ -71,6 +77,8 @@ struct SchemeRun
 {
     bool finished = false;
     bool verified = false;
+    /** Panic::what() of a run that panicked (empty otherwise). */
+    std::string panic;
     std::uint64_t imageDigest = 0;
     OracleReport oracle;
 };
@@ -96,21 +104,21 @@ struct FuzzReport
 
 /**
  * Run one program under one scheme with commit recording, the SC
- * oracle, and the native verifier. Exposed for tests (the page-rule
- * property test and the oracle mutant tests drive it directly).
+ * oracle, the native verifier and, once it finishes, the machine's
+ * coherence invariants. A panic anywhere in the run is caught and
+ * returned in SchemeRun::panic. Exposed for tests (the page-rule
+ * property test drives it directly).
  */
 SchemeRun runOneScheme(const ProgramSpec &spec, PrefetchScheme scheme,
-                       const TestHooks &hooks, Tick tick_limit);
+                       Tick tick_limit);
 
-/**
- * Differential check of one program over all schemes. Returns true
- * when some check failed; @p why (may be null) receives a description,
- * and @p loads_checked (may be null) the loads the oracle checked in
- * the baseline run, fuzzSchemes()[0].
- */
-bool specDiverges(const ProgramSpec &spec, const TestHooks &hooks,
-                  Tick tick_limit, std::string *why,
-                  std::uint64_t *loads_checked = nullptr);
+/** bench/perf only; ROADMAP item 1 deletes this. */
+inline SchemeRun
+runOneScheme(const ProgramSpec &spec, PrefetchScheme scheme,
+             const TestHooks &, Tick tick_limit)
+{
+    return runOneScheme(spec, scheme, tick_limit);
+}
 
 /** The full driver: fan seeds out, check, shrink failures, report. */
 FuzzReport runFuzz(const FuzzOptions &opts, std::ostream &out);

@@ -70,18 +70,15 @@ Divergence::describe() const
 void
 Oracle::snapshotInitial(const BackingStore &store)
 {
-    _initial.clear();
-    store.forEachPage(
-            [this](Addr base, const std::uint8_t *bytes, unsigned len) {
-                _initial.emplace_back(base,
-                        std::vector<std::uint8_t>(bytes, bytes + len));
-            });
+    _shadow.emplace();
+    _shadow->copyPagesFrom(store);
 }
 
 OracleReport
 Oracle::check(const AccessLog &log, const BackingStore &final_store,
-              const audit::LedgerSnapshot *ledger) const
+              const audit::LedgerSnapshot *ledger)
 {
+    psim_assert(_shadow, "Oracle::check without a fresh snapshotInitial");
     OracleReport rep;
     auto add = [&rep](const Divergence &d) {
         ++rep.total;
@@ -94,10 +91,7 @@ Oracle::check(const AccessLog &log, const BackingStore &final_store,
     //    that point. The shadow is never "resynchronized" from a bad
     //    load: it tracks what memory must contain given the recorded
     //    stores, which is the canonical image.
-    BackingStore shadow;
-    for (const auto &[base, bytes] : _initial)
-        shadow.write(base, bytes.data(),
-                static_cast<unsigned>(bytes.size()));
+    BackingStore &shadow = *_shadow;
 
     const auto &accesses = log.accesses();
     for (std::size_t i = 0; i < accesses.size(); ++i) {
@@ -178,6 +172,7 @@ Oracle::check(const AccessLog &log, const BackingStore &final_store,
             ++g;
         }
     }
+    _shadow.reset();
 
     // 3. The page rule: an issued prefetch must stay inside the page
     //    of the demand access that triggered it (paper Section 2).

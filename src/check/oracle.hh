@@ -29,6 +29,7 @@
 #define PSIM_CHECK_ORACLE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,16 +101,18 @@ class Oracle
     /**
      * Replay @p log against the shadow memory and cross-check load
      * values, the final image of @p final_store, the prefetch page
-     * rule, and (when non-null) the audit fate @p ledger.
+     * rule, and (when non-null) the audit fate @p ledger. The replay
+     * consumes the snapshot: check again only after a fresh
+     * snapshotInitial().
      */
     OracleReport check(const AccessLog &log,
                        const BackingStore &final_store,
-                       const audit::LedgerSnapshot *ledger) const;
+                       const audit::LedgerSnapshot *ledger);
 
   private:
     unsigned _pageSize;
-    /** Pre-run image: (page base, page bytes). */
-    std::vector<std::pair<Addr, std::vector<std::uint8_t>>> _initial;
+    /** The shadow memory: the pre-run image until check() replays. */
+    std::optional<BackingStore> _shadow;
 };
 
 } // namespace psim::check

@@ -83,6 +83,19 @@ class BackingStore
 
     static constexpr unsigned pageSize() { return MachineConfig::pageSize; }
 
+    /** Copy every materialized page of @p src into this empty store. */
+    void
+    copyPagesFrom(const BackingStore &src)
+    {
+        psim_assert(_pages.size() == 0,
+                "copyPagesFrom into a non-empty store");
+        src._pages.forEach([this](Addr base, const Page &page) {
+            Page &copy = _pages[base];
+            copy = std::make_unique_for_overwrite<std::uint8_t[]>(pageSize());
+            std::memcpy(copy.get(), page.get(), pageSize());
+        });
+    }
+
     /**
      * Visit every materialized page as (base address, page bytes).
      * Unmaterialized pages read as zero; a visitor that treats absence

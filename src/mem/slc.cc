@@ -342,13 +342,7 @@ Slc::maybePrefetch(Addr trigger_addr, Pc pc,
         Addr blk = cfg.blockAddr(cand);
         if (blk == trigger_blk)
             continue;
-        bool skip_page_filter = false;
-        // Fault injection for the oracle self-test: let the candidate
-        // bypass the page filter so check::Oracle must flag it.
-        if (cfg.testHooks.allowPageCrossPeriod &&
-            ++_hookCandidates % cfg.testHooks.allowPageCrossPeriod == 0)
-            skip_page_filter = true;
-        if (!skip_page_filter && cfg.pageAddr(cand) != trigger_page) {
+        if (cfg.pageAddr(cand) != trigger_page) {
             // Never prefetch across a page boundary (Section 2).
             ++pfDropPageCross;
             continue;

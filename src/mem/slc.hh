@@ -236,9 +236,6 @@ class Slc
      */
     bool _wantContent = false;
     std::vector<std::uint8_t> _contentBuf; ///< scratch, one block
-
-    /** Fault-hook opportunity counter (TestHooks::allowPageCrossPeriod). */
-    std::uint64_t _hookCandidates = 0;
 };
 
 } // namespace psim

@@ -114,26 +114,6 @@ struct PrefetchConfig
 };
 
 /**
- * Fault-injection hooks for the differential checker's self-tests.
- * All-zero (the default) means every hook is inert; a period-N hook
- * fires on every Nth opportunity. They exist for exactly one purpose:
- * proving that check::Oracle rejects a machine that returns wrong data
- * (tests/test_check.cc and `psim_cli fuzz --mutant`). Nothing else may
- * set them.
- */
-struct TestHooks
-{
-    /** Flip a bit in every Nth load value a processor consumes. */
-    unsigned corruptReadPeriod = 0;
-
-    /** Silently drop every Nth functional store (timing unchanged). */
-    unsigned dropStorePeriod = 0;
-
-    /** Let every Nth prefetch candidate bypass the page-cross filter. */
-    unsigned allowPageCrossPeriod = 0;
-};
-
-/**
  * Knobs for the server workload suite (kvstore, hashjoin, bfs,
  * logappend): the request-driven front end layered on the paper's
  * machine. All requests are pure functions of (seed, thread, request
@@ -272,9 +252,6 @@ struct MachineConfig
      * event when on, nothing when off.
      */
     bool audit = auditDefault();
-
-    /** Fault injection for oracle self-tests; inert by default. */
-    TestHooks testHooks;
 
     /**
      * Ignored: psim has one serial event engine. Only bench/perf still

@@ -1,10 +1,21 @@
 #include "sim/logging.hh"
 
 #include <cstdarg>
-#include <stdexcept>
 
 namespace psim
 {
+
+namespace
+{
+
+/** Live PanicThrows scopes on this thread. */
+thread_local unsigned panicThrowsDepth = 0;
+
+} // namespace
+
+PanicThrows::PanicThrows() { ++panicThrowsDepth; }
+
+PanicThrows::~PanicThrows() { --panicThrowsDepth; }
 
 std::string
 strfmt(const char *fmt, ...)
@@ -27,6 +38,8 @@ strfmt(const char *fmt, ...)
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
+    if (panicThrowsDepth > 0)
+        throw Panic(strfmt("%s (%s:%d)", msg.c_str(), file, line));
     std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
     std::fflush(stderr);
     std::abort();

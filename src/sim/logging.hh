@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 namespace psim
@@ -19,6 +20,25 @@ namespace psim
 
 /** Printf-style formatting into a std::string. */
 std::string strfmt(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/** What psim_panic throws under a PanicThrows: "<message> (<file>:<line>)". */
+struct Panic : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * While one is live, psim_panic and psim_assert on this thread throw a
+ * Panic instead of aborting; check::runOneScheme holds one. Elsewhere a
+ * panic still aborts: gtest counts an exception that escapes a death
+ * test's statement as a failure, not a death.
+ */
+struct PanicThrows
+{
+    PanicThrows();
+    ~PanicThrows();
+    PanicThrows(const PanicThrows &) = delete;
+};
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);

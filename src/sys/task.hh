@@ -14,7 +14,6 @@
 #define PSIM_SYS_TASK_HH
 
 #include <coroutine>
-#include <exception>
 #include <utility>
 
 namespace psim
@@ -62,7 +61,8 @@ class Task
 
         void return_void() noexcept {}
 
-        void unhandled_exception() { std::terminate(); }
+        /** A Panic (sim/logging.hh) reaches the resume() that ran us. */
+        void unhandled_exception() { throw; }
     };
 
     Task() = default;

@@ -119,6 +119,25 @@ TEST(LoggingDeath, PanicAborts)
     EXPECT_DEATH(psim_panic("boom %d", 7), "boom 7");
 }
 
+TEST(Logging, PanicThrowsWhileAPanicThrowsIsLive)
+{
+    PanicThrows panics_throw;
+    try {
+        psim_panic("boom %d", 7);
+        FAIL() << "psim_panic returned";
+    } catch (const Panic &p) {
+        EXPECT_NE(std::string(p.what()).find("boom 7"), std::string::npos)
+                << p.what();
+    }
+    EXPECT_THROW(psim_assert(1 == 2, "context %d", 5), Panic);
+}
+
+TEST(LoggingDeath, PanicAbortsAgainOnceThePanicThrowsEnds)
+{
+    { PanicThrows panics_throw; }
+    EXPECT_DEATH(psim_panic("boom %d", 8), "boom 8");
+}
+
 TEST(LoggingDeath, AssertMessageIncludesCondition)
 {
     EXPECT_DEATH(psim_assert(1 == 2, "context %d", 5),

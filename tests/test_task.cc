@@ -9,6 +9,7 @@
 #include <coroutine>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sys/task.hh"
 
 using namespace psim;
@@ -166,4 +167,23 @@ TEST(Task, LoopWithManyAwaits)
         parked.resume();
     EXPECT_EQ(count, 100);
     EXPECT_TRUE(t.done());
+}
+
+TEST(Task, APanicInANestedTaskReachesTheRootResume)
+{
+    // Under a PanicThrows, a panic inside a nested coroutine leaves the
+    // root's resume() as a Panic, and both frames still destroy cleanly.
+    PanicThrows panics_throw;
+    bool resumed_after = false;
+    auto inner = []() -> Task {
+        psim_panic("inner %d", 3);
+        co_return;
+    };
+    auto outer = [&]() -> Task {
+        co_await inner();
+        resumed_after = true;
+    };
+    Task t = outer();
+    EXPECT_THROW(t.resume(), Panic);
+    EXPECT_FALSE(resumed_after);
 }

@@ -38,7 +38,6 @@
  *     --jobs N           fan seeds out over N worker threads
  *     --no-shrink        skip greedy repro minimization on failure
  *     --repro-out FILE   write failing-seed repro report to FILE
- *     --mutant NAME      fault injection: corrupt-load|drop-store|page-cross
  */
 
 #include <cstdio>
@@ -80,9 +79,7 @@ fuzzUsage(const char *argv0)
     std::fprintf(stderr,
             "usage: %s fuzz [--seeds N] [--seed X]...\n"
             "          [--corpus FILE] [--jobs N] [--no-shrink]\n"
-            "          [--repro-out FILE]\n"
-            "          [--mutant corrupt-load|drop-store|page-cross]\n",
-            argv0);
+            "          [--repro-out FILE]\n", argv0);
     std::exit(2);
 }
 
@@ -138,16 +135,6 @@ fuzzMain(int argc, char **argv)
             opts.shrink = false;
         } else if (arg == "--repro-out") {
             opts.reproPath = value();
-        } else if (arg == "--mutant") {
-            std::string m = value();
-            if (m == "corrupt-load")
-                opts.hooks.corruptReadPeriod = 7;
-            else if (m == "drop-store")
-                opts.hooks.dropStorePeriod = 11;
-            else if (m == "page-cross")
-                opts.hooks.allowPageCrossPeriod = 3;
-            else
-                fuzzUsage(argv[0]);
         } else if (arg == "--help" || arg == "-h") {
             fuzzUsage(argv[0]);
         } else {
