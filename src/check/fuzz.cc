@@ -1,8 +1,9 @@
 #include "check/fuzz.hh"
 
 #include <algorithm>
-#include <fstream>
+#include <sstream>
 
+#include "apps/driver.hh"
 #include "check/shrink.hh"
 #include "sim/audit.hh"
 #include "sim/logging.hh"
@@ -113,7 +114,8 @@ namespace
 /**
  * Differential check of one program over all schemes: true when some
  * check failed. @p why and @p loads_checked (each may be null) get its
- * description and the loads the baseline run's oracle checked.
+ * description and the loads the oracle checked in the first run that
+ * did not panic (0 when every run panicked).
  */
 bool
 specDiverges(const ProgramSpec &spec, Tick tick_limit, std::string *why,
@@ -124,8 +126,11 @@ specDiverges(const ProgramSpec &spec, Tick tick_limit, std::string *why,
     runs.reserve(schemes.size());
     for (PrefetchScheme s : schemes)
         runs.push_back(runOneScheme(spec, s, tick_limit));
-    if (loads_checked)
-        *loads_checked = runs[0].oracle.loadsChecked;
+    if (loads_checked) {
+        auto ran = std::find_if(runs.begin(), runs.end(),
+                [](const SchemeRun &r) { return r.panic.empty(); });
+        *loads_checked = ran == runs.end() ? 0 : ran->oracle.loadsChecked;
+    }
 
     for (std::size_t i = 0; i < schemes.size(); ++i) {
         const char *name = toString(schemes[i]);
@@ -225,40 +230,29 @@ runFuzz(const FuzzOptions &opts, std::ostream &out)
 
     // All output happens after the grid, in seed order: byte-identical
     // at any --jobs count.
+    std::ostringstream divergences;
     for (const SeedOutcome &s : report.outcomes) {
         ++report.seedsRun;
         report.loadsChecked += s.loadsChecked;
         if (s.ok)
             continue;
         ++report.failures;
-        out << "seed " << s.seed << " DIVERGED: " << s.detail << "\n";
-        out << "  program:   " << s.spec << "\n";
+        divergences << "seed " << s.seed << " DIVERGED: " << s.detail
+                    << "\n  program:   " << s.spec << "\n";
         if (!s.minimized.empty())
-            out << "  minimized: " << s.minimized << "\n";
-        out << "  repro:     psim_cli fuzz --seed " << s.seed << "\n";
+            divergences << "  minimized: " << s.minimized << "\n";
+        divergences << "  repro:     psim_cli fuzz --seed " << s.seed
+                    << "\n";
     }
+    out << divergences.str();
     out << "fuzz: " << report.seedsRun << " seeds x "
         << fuzzSchemes().size() << " schemes, " << report.loadsChecked
         << " loads checked, " << report.failures << " divergent\n";
 
     if (!report.ok() && !opts.reproPath.empty()) {
-        std::ofstream repro(opts.reproPath, std::ios::trunc);
-        if (repro) {
-            for (const SeedOutcome &s : report.outcomes) {
-                if (s.ok)
-                    continue;
-                repro << "seed " << s.seed << ": " << s.detail << "\n"
-                      << "  program:   " << s.spec << "\n";
-                if (!s.minimized.empty())
-                    repro << "  minimized: " << s.minimized << "\n";
-                repro << "  repro:     psim_cli fuzz --seed " << s.seed
-                      << "\n";
-            }
-            repro.flush();
-        } else {
-            psim_warn("cannot write fuzz repro file '%s'",
-                    opts.reproPath.c_str());
-        }
+        apps::writeFile(opts.reproPath, [&divergences](std::ostream &os) {
+            os << divergences.str();
+        });
     }
     return report;
 }

@@ -68,7 +68,11 @@ struct FuzzOptions
     /** Quiesce deadline per run; exceeding it is itself a failure. */
     static constexpr Tick tickLimit = 50'000'000;
 
-    /** When non-empty, failing-seed repro report is written here. */
+    /**
+     * When non-empty and a seed diverged, the divergence report (the
+     * text printed before the summary line) is written here through
+     * apps::writeFile: a file that cannot be written is fatal.
+     */
     std::string reproPath;
 };
 

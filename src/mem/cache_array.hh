@@ -68,12 +68,6 @@ struct CacheBlk
     CohState state : 2 = CohState::Invalid;
     bool prefetched : 1 = false; ///< the 1-bit prefetch tag of Section 3.3
     bool written : 1 = false;    ///< the local processor stored to this copy
-    /**
-     * The prefetch outcome for this block was already reported to the
-     * prefetcher as useless because it stayed unreferenced too long
-     * (adaptive-scheme feedback aging; see Slc::agePrefetches).
-     */
-    bool outcomeReported : 1 = false;
 
     bool valid() const { return state != CohState::Invalid; }
 };

@@ -20,7 +20,6 @@ MemCtrl::MemCtrl(Machine &m, NodeId id)
       })
 {
     _audit = m.auditor();
-    _locks.setAudit(_audit);
 }
 
 void

@@ -19,6 +19,7 @@
 
 #include "proto/lock_ctrl.hh"
 #include "proto/message.hh"
+#include "sim/audit.hh"
 #include "sim/block_table.hh"
 #include "sim/resource.hh"
 #include "sim/stats.hh"

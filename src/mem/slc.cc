@@ -13,6 +13,27 @@
 namespace psim
 {
 
+namespace
+{
+
+/** Each fate's statistic, indexed by audit::Fate. */
+constexpr struct
+{
+    const char *name;
+    const char *desc;
+} kFateStats[audit::kNumFates] = {
+    {nullptr, nullptr}, // Fate::None ends no prefetch
+    {"pfUsefulTagged", "demand hits on tagged blocks"},
+    {"pfUsefulLate", "demand reads merged with in-flight prefetches"},
+    {"pfWriteHitTagged", "store hits on tagged blocks"},
+    {"pfUselessInvalidated", "tagged blocks lost to invalidations"},
+    {"pfUselessReplaced", "tagged blocks lost to replacement"},
+    {"pfAgedUnused", "tagged blocks aged out of the feedback ring unused"},
+    {"pfUselessUnused", "tagged blocks never referenced"},
+};
+
+} // namespace
+
 Slc::Slc(Machine &m, NodeId id, Flc &flc, Cpu &cpu)
     : _m(m),
       _eq(m.eq()),
@@ -58,20 +79,8 @@ Slc::visitStats(stats::Visitor &v) const
     v.scalar("writebacks", "dirty evictions", writebacks);
     v.scalar("invalidationsRecv", "invalidations received", invalidationsRecv);
     v.scalar("pfIssued", "prefetches issued", pfIssued);
-    v.scalar("pfUsefulTagged", "demand hits on tagged blocks", pfUsefulTagged);
-    v.scalar("pfUsefulLate", "demand reads merged with in-flight prefetches",
-            pfUsefulLate);
-    v.scalar("pfWriteHitTagged", "store hits on tagged blocks",
-            pfWriteHitTagged);
-    v.scalar("pfUselessInvalidated", "tagged blocks lost to invalidations",
-            pfUselessInvalidated);
-    v.scalar("pfUselessReplaced", "tagged blocks lost to replacement",
-            pfUselessReplaced);
-    v.scalar("pfAgedUnused",
-            "tagged blocks aged out of the feedback ring unused",
-            pfAgedUnused);
-    v.scalar("pfUselessUnused", "tagged blocks never referenced",
-            pfUselessUnused);
+    for (std::size_t f = 1; f < audit::kNumFates; ++f)
+        v.scalar(kFateStats[f].name, kFateStats[f].desc, _pfFates[f]);
     v.scalar("pfDropInCache", "candidates already resident", pfDropInCache);
     v.scalar("pfDropPending", "candidates matching a pending transaction",
             pfDropPending);
@@ -81,10 +90,17 @@ Slc::visitStats(stats::Visitor &v) const
             pfDropNoSlot);
 }
 
+const char *
+Slc::fateStatName(audit::Fate f)
+{
+    return kFateStats[static_cast<std::size_t>(f)].name;
+}
+
 std::uint64_t
 Slc::usefulPrefetches() const
 {
-    return pfUsefulTagged.value() + pfUsefulLate.value();
+    return pf(audit::Fate::UsefulTagged).value() +
+           pf(audit::Fate::UsefulLate).value();
 }
 
 bool
@@ -178,12 +194,8 @@ Slc::processRead(Addr addr, Pc pc)
         if (blk->prefetched) {
             // Demand hit on a prefetched block: the prefetch was useful.
             // Clear the tag and let the prefetcher run ahead.
-            blk->prefetched = false;
             tagged = true;
-            ++pfUsefulTagged;
-            reportOutcome(blk, blk_addr, true);
-            noteFate(blk_addr, audit::Fate::UsefulTagged,
-                    audit::Event::TaggedReadHit, now);
+            endPrefetch(blk_addr, blk, audit::Fate::UsefulTagged);
         }
         _eq.schedule(now + cfg.slcToCpuLat, EventKind::CpuReadDone, _id,
                 addr);
@@ -195,12 +207,9 @@ Slc::processRead(Addr addr, Pc pc)
             // up in the read stall time instead).
             switch (e->kind) {
               case Mshr::Kind::Prefetch:
-                ++pfUsefulLate;
-                _prefetcher->notePrefetchOutcome(true, true, blk_addr);
                 e->demandWaiting = true;
                 e->demandAddr = addr;
-                noteFate(blk_addr, audit::Fate::UsefulLate,
-                        audit::Event::DemandMerge, now);
+                endPrefetch(blk_addr, nullptr, audit::Fate::UsefulLate);
                 break;
               case Mshr::Kind::Write:
                 e->demandWaiting = true;
@@ -273,13 +282,8 @@ Slc::processWrite(Addr addr, Pc pc)
         _trace->append(rec);
     }
     if (blk) {
-        if (blk->prefetched) {
-            blk->prefetched = false;
-            ++pfWriteHitTagged;
-            reportOutcome(blk, blk_addr, true);
-            noteFate(blk_addr, audit::Fate::WriteHit,
-                    audit::Event::TaggedWriteHit, now);
-        }
+        if (blk->prefetched)
+            endPrefetch(blk_addr, blk, audit::Fate::WriteHit);
         if (blk->state == CohState::Modified) {
             blk->written = true;
             _cpu.storePerformed();
@@ -377,7 +381,7 @@ Slc::maybePrefetch(Addr trigger_addr, Pc pc,
         if (_chrome)
             _chrome->prefetchIssue(_id, blk, _eq.now());
         if (_audit) {
-            _audit->onIssue(blk, pc, _eq.now());
+            _audit->onIssue(blk);
             _audit->checkSlwb(slwbOccupancy(), _slwbCap, true,
                     "prefetch allocation");
         }
@@ -392,21 +396,23 @@ Slc::maybePrefetch(Addr trigger_addr, Pc pc,
 }
 
 void
-Slc::reportOutcome(CacheBlk *blk, Addr blk_addr, bool useful)
+Slc::endPrefetch(Addr blk_addr, CacheBlk *frame, audit::Fate fate)
 {
-    if (blk->outcomeReported)
-        return;
-    blk->outcomeReported = true;
-    _prefetcher->notePrefetchOutcome(useful, false, blk_addr);
-}
-
-void
-Slc::noteFate(Addr blk_addr, audit::Fate fate, audit::Event ev, Tick now)
-{
+    using audit::Fate;
+    if (frame)
+        frame->prefetched = false;
+    ++_pfFates[static_cast<std::size_t>(fate)];
+    if (fate != Fate::ResidentAtEnd) {
+        const bool useful = fate == Fate::UsefulTagged ||
+                            fate == Fate::UsefulLate ||
+                            fate == Fate::WriteHit;
+        _prefetcher->notePrefetchOutcome(useful, fate == Fate::UsefulLate,
+                                         blk_addr);
+    }
     if (_audit)
-        _audit->onFate(blk_addr, fate, ev, now);
+        _audit->onFate(blk_addr, fate);
     if (_chrome)
-        _chrome->prefetchFate(_id, blk_addr, fate, now);
+        _chrome->prefetchFate(_id, blk_addr, fate, _eq.now());
 }
 
 void
@@ -422,13 +428,8 @@ Slc::agePrefetches()
         Addr a = _recentPrefetches.front();
         _recentPrefetches.pop_front();
         CacheBlk *blk = _array.find(a);
-        if (blk && blk->prefetched) {
-            blk->prefetched = false;
-            ++pfAgedUnused;
-            reportOutcome(blk, a, false);
-            noteFate(a, audit::Fate::AgedUnused,
-                    audit::Event::AgedOut, _eq.now());
-        }
+        if (blk && blk->prefetched)
+            endPrefetch(a, blk, audit::Fate::AgedUnused);
     }
 }
 
@@ -450,18 +451,8 @@ void
 Slc::invalidateBlock(CacheBlk *blk, Addr blk_addr, bool replacement)
 {
     if (blk->prefetched) {
-        if (replacement)
-            ++pfUselessReplaced;
-        else
-            ++pfUselessInvalidated;
-        reportOutcome(blk, blk_addr, false);
-        if (replacement) {
-            noteFate(blk_addr, audit::Fate::Replaced,
-                    audit::Event::Replaced, _eq.now());
-        } else {
-            noteFate(blk_addr, audit::Fate::Invalidated,
-                    audit::Event::Invalidated, _eq.now());
-        }
+        endPrefetch(blk_addr, blk, replacement ? audit::Fate::Replaced
+                                               : audit::Fate::Invalidated);
     }
     _history[blk_addr] = replacement ? Gone::Replaced : Gone::Invalidated;
     _flc.invalidate(blk_addr);
@@ -506,23 +497,17 @@ Slc::handleFill(const Message &m, bool exclusive)
 
     Mshr *e = findMshr(blk_addr);
     if (!e) {
-        if (_audit)
-            _audit->fail(blk_addr, "unsolicited fill");
         psim_panic("node %u: unsolicited fill for %llx", _id,
                 (unsigned long long)blk_addr);
     }
     CacheBlk *frame = makeRoom(blk_addr);
     if (frame->valid()) {
-        if (_audit)
-            _audit->fail(blk_addr, "fill for a resident block");
         psim_panic("node %u: fill for resident block %llx", _id,
                 (unsigned long long)blk_addr);
     }
     _array.fill(frame, blk_addr, exclusive ? CohState::Modified
                                            : CohState::Shared);
     _history.erase(blk_addr);
-    if (_audit)
-        _audit->onEvent(blk_addr, audit::Event::Fill, now);
     if (_chrome) {
         if (e->kind == Mshr::Kind::Read)
             _chrome->demandMissEnd(_id, blk_addr, now);
@@ -578,11 +563,7 @@ Slc::handleFill(const Message &m, bool exclusive)
                 // prefetch right here -- same accounting as the
                 // shared-fill path below, which used to be skipped,
                 // leaving the block tagged but its fate unrecorded.
-                ++pfWriteHitTagged;
-                reportOutcome(frame, blk_addr, true);
-                noteFate(blk_addr, audit::Fate::WriteHit,
-                        audit::Event::DeferredStoreHit, now);
-                frame->prefetched = false;
+                endPrefetch(blk_addr, frame, audit::Fate::WriteHit);
             }
             frame->state = CohState::Modified;
             frame->written = true;
@@ -595,12 +576,8 @@ Slc::handleFill(const Message &m, bool exclusive)
             // The deferred store is what consumes this prefetch: its
             // data arrived, only ownership is still missing. Account
             // it like a store hit on a tagged block.
-            ++pfWriteHitTagged;
-            reportOutcome(frame, blk_addr, true);
-            noteFate(blk_addr, audit::Fate::WriteHit,
-                    audit::Event::DeferredStoreHit, now);
+            endPrefetch(blk_addr, frame, audit::Fate::WriteHit);
         }
-        frame->prefetched = false;
         ++upgrades;
         // The data slot frees here: the entry lives on as an upgrade,
         // which buffers no data.
@@ -645,18 +622,12 @@ Slc::receive(const Message &m)
         return;
       case MsgType::UpgradeAck: {
         Mshr *e = findMshr(m.addr);
-        if (!e || e->kind != Mshr::Kind::Write || !e->upgrade) {
-            if (_audit)
-                _audit->fail(m.addr, "spurious upgrade ack");
+        if (!e || e->kind != Mshr::Kind::Write || !e->upgrade)
             psim_panic("node %u: spurious upgrade ack", _id);
-        }
         CacheBlk *blk = _array.find(m.addr);
         if (blk) {
-            if (blk->state != CohState::Shared) {
-                if (_audit)
-                    _audit->fail(m.addr, "upgrade ack on non-shared copy");
+            if (blk->state != CohState::Shared)
                 psim_panic("node %u: upgrade ack on non-shared copy", _id);
-            }
             blk->state = CohState::Modified;
             blk->written = true;
         } else {
@@ -687,21 +658,13 @@ Slc::receive(const Message &m)
             // Our writeback passed this fetch in flight; the home will
             // use the writeback as the reply.
             if (!_wbPending.contains(m.addr)) {
-                if (_audit) {
-                    _audit->fail(m.addr,
-                            "fetch for a block neither resident nor "
-                            "being written back");
-                }
                 psim_panic("node %u: fetch for absent block %llx", _id,
                         (unsigned long long)m.addr);
             }
             return;
         }
-        if (blk->state != CohState::Modified) {
-            if (_audit)
-                _audit->fail(m.addr, "fetch for a non-owned block");
+        if (blk->state != CohState::Modified)
             psim_panic("node %u: fetch for non-owned block", _id);
-        }
         bool was_written = blk->written;
         if (m.type == MsgType::FetchReq) {
             blk->state = CohState::Shared;
@@ -756,11 +719,9 @@ Slc::finalizeStats()
             unused.push_back(blk_addr);
     });
     std::sort(unused.begin(), unused.end());
-    pfUselessUnused += unused.size();
-    const Tick now = _eq.now();
     for (Addr blk_addr : unused) {
-        noteFate(blk_addr, audit::Fate::ResidentAtEnd,
-                audit::Event::EndOfRun, now);
+        endPrefetch(blk_addr, _array.find(blk_addr),
+                    audit::Fate::ResidentAtEnd);
     }
     if (_audit)
         _audit->finalize(*this);

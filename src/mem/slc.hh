@@ -19,6 +19,7 @@
 #ifndef PSIM_MEM_SLC_HH
 #define PSIM_MEM_SLC_HH
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -118,17 +119,20 @@ class Slc
     stats::Scalar invalidationsRecv;
 
     stats::Scalar pfIssued;           ///< prefetch requests sent
-    stats::Scalar pfUsefulTagged;     ///< demand hit on a tagged block
-    stats::Scalar pfUsefulLate;       ///< demand merged with a pending pf
-    stats::Scalar pfWriteHitTagged;   ///< store hit on a tagged block
-    stats::Scalar pfUselessInvalidated;
-    stats::Scalar pfUselessReplaced;
-    stats::Scalar pfAgedUnused;       ///< aged out of the ring untouched
-    stats::Scalar pfUselessUnused;    ///< still tagged at end of run
     stats::Scalar pfDropInCache;
     stats::Scalar pfDropPending;
     stats::Scalar pfDropPageCross;
     stats::Scalar pfDropNoSlot;
+
+    /** Prefetches that ended in fate @p f (never Fate::None). */
+    const stats::Scalar &
+    pf(audit::Fate f) const
+    {
+        return _pfFates[static_cast<std::size_t>(f)];
+    }
+
+    /** The statistic that counts fate @p f, e.g. "pfUsefulTagged". */
+    static const char *fateStatName(audit::Fate f);
 
     /** Useful prefetches (paper's prefetch-efficiency numerator). */
     std::uint64_t usefulPrefetches() const;
@@ -192,23 +196,23 @@ class Slc
     audit::NodeAudit *_audit = nullptr; ///< null when auditing is off
 
     /**
-     * Report an outcome for one prefetched block exactly once: true the
-     * first time a demand access consumes it, false the first time it
-     * is invalidated, replaced, or ages out of the recent-prefetch ring
-     * still untouched (bounded-delay feedback for adaptive schemes).
+     * End the prefetch of @p blk_addr with @p fate: the only place a
+     * prefetch ends. @p frame is the tagged frame, or null while the
+     * prefetch is still in flight (a demand merge). Clears the tag,
+     * counts the fate, gives the prefetcher its outcome (none for
+     * ResidentAtEnd) and tells the audit and the chrome tracer. The tag
+     * is the once-only guard: only a pure prefetch's fill sets it, a
+     * fill resets the whole block, and a prefetch ends either by
+     * clearing the tag or, on a demand merge, before its fill, which
+     * then does not set it.
      */
-    void reportOutcome(CacheBlk *blk, Addr blk_addr, bool useful);
-
-    /**
-     * Hand a prefetched block's terminal fate to the audit ledger and
-     * the chrome trace (whichever are attached). The caller keeps its
-     * own pf* counter, which the audit cross-checks independently.
-     */
-    void noteFate(Addr blk_addr, audit::Fate fate, audit::Event ev,
-                  Tick now);
+    void endPrefetch(Addr blk_addr, CacheBlk *frame, audit::Fate fate);
 
     /** Age the oldest tracked prefetches (called on each new issue). */
     void agePrefetches();
+
+    /** One counter per fate, indexed by audit::Fate (None's is unused). */
+    std::array<stats::Scalar, audit::kNumFates> _pfFates;
 
     std::size_t _slwbCap;
     /** Slot-occupying MSHRs (every kind except Write-as-upgrade). */

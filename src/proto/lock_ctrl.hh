@@ -21,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/audit.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -37,22 +36,15 @@ class LockCtrl
 
     explicit LockCtrl(GrantFn grant) : _grant(std::move(grant)) {}
 
-    /** Attach the audit layer (lock-event ring + structured failures). */
-    void setAudit(audit::MachineAudit *a) { _audit = a; }
-
     /** A LockReq arrived from @p src. */
     void
     request(NodeId src, Addr addr)
     {
         ++requests;
-        if (_audit)
-            _audit->onLockEvent(addr, src, "request");
         LockState &l = _locks[addr];
         if (!l.held) {
             l.held = true;
             l.holder = src;
-            if (_audit)
-                _audit->onLockEvent(addr, src, "grant");
             _grant(src, addr);
         } else {
             l.waiters.push_back(src);
@@ -67,30 +59,20 @@ class LockCtrl
     {
         auto it = _locks.find(addr);
         if (it == _locks.end() || !it->second.held) {
-            if (_audit)
-                _audit->failLock(addr, "release of a free lock");
             psim_panic("release of free lock %llx",
                     (unsigned long long)addr);
         }
         LockState &l = it->second;
         if (l.holder != src) {
-            if (_audit)
-                _audit->failLock(addr,
-                        strfmt("node %u releasing lock held by %u", src,
-                               l.holder));
             psim_panic("node %u releasing lock held by %u", src,
                     l.holder);
         }
-        if (_audit)
-            _audit->onLockEvent(addr, src, "release");
         if (l.waiters.empty()) {
             l.held = false;
             l.holder = kNodeNone;
         } else {
             l.holder = l.waiters.front();
             l.waiters.pop_front();
-            if (_audit)
-                _audit->onLockEvent(addr, l.holder, "handoff");
             _grant(l.holder, addr);
         }
     }
@@ -143,7 +125,6 @@ class LockCtrl
     };
 
     GrantFn _grant;
-    audit::MachineAudit *_audit = nullptr;
     std::unordered_map<Addr, LockState> _locks;
 };
 

@@ -1,7 +1,6 @@
 #include "sim/audit.hh"
 
 #include <cinttypes>
-#include <cstdio>
 
 #include "mem/slc.hh"
 #include "proto/message.hh"
@@ -11,17 +10,6 @@
 
 namespace psim::audit
 {
-
-namespace
-{
-
-/** Events kept per block; enough to reconstruct several issue rounds. */
-constexpr std::size_t kHistoryCap = 32;
-
-/** Lock events kept in the machine-wide ring. */
-constexpr std::size_t kLockRingCap = 64;
-
-} // namespace
 
 const char *
 toString(Fate f)
@@ -47,96 +35,53 @@ toString(Fate f)
     return "?";
 }
 
-const char *
-toString(Event e)
-{
-    switch (e) {
-      case Event::Issue:
-        return "issue";
-      case Event::Fill:
-        return "fill";
-      case Event::DemandMerge:
-        return "demand-merge";
-      case Event::TaggedReadHit:
-        return "tagged-read-hit";
-      case Event::TaggedWriteHit:
-        return "tagged-write-hit";
-      case Event::DeferredStoreHit:
-        return "deferred-store-hit";
-      case Event::Invalidated:
-        return "invalidated";
-      case Event::Replaced:
-        return "replaced";
-      case Event::AgedOut:
-        return "aged-out";
-      case Event::EndOfRun:
-        return "end-of-run";
-    }
-    return "?";
-}
-
 // ---- NodeAudit ----
 
 void
-NodeAudit::record(Track &t, Event e, Tick now)
+NodeAudit::onIssue(Addr blk)
 {
-    if (t.hist.size() >= kHistoryCap)
-        t.hist.pop_front();
-    t.hist.emplace_back(now, e);
-}
-
-void
-NodeAudit::onIssue(Addr blk, Pc pc, Tick now)
-{
-    (void)pc;
-    Track &t = _tracks[blk];
-    if (t.live)
-        fail(blk, "prefetch issued while a previous issue is still live");
-    t.live = true;
-    t.lastFate = Fate::None;
-    ++t.issues;
+    if (hasLiveIssue(blk)) {
+        psim_panic("node %u audit: prefetch issued while a previous issue "
+                   "is still live (block %#" PRIx64 ")",
+                   _node, blk);
+    }
+    _tracks[blk] = Fate::None;
     ++_issued;
-    record(t, Event::Issue, now);
 }
 
 void
-NodeAudit::onEvent(Addr blk, Event e, Tick now)
+NodeAudit::onFate(Addr blk, Fate f)
 {
-    auto it = _tracks.find(blk);
-    if (it != _tracks.end())
-        record(it->second, e, now);
-}
-
-void
-NodeAudit::onFate(Addr blk, Fate f, Event e, Tick now)
-{
-    auto it = _tracks.find(blk);
-    if (it == _tracks.end())
-        fail(blk, std::string("fate '") + toString(f) +
-                          "' for a block that was never issued");
-    Track &t = it->second;
-    if (!t.live)
-        fail(blk, std::string("second fate '") + toString(f) +
-                          "' (previous fate '" + toString(t.lastFate) +
-                          "')");
-    t.live = false;
-    t.lastFate = f;
+    Fate *last = _tracks.find(blk);
+    if (!last) {
+        psim_panic("node %u audit: fate '%s' for a block that was never "
+                   "issued (block %#" PRIx64 ")",
+                   _node, toString(f), blk);
+    }
+    if (*last != Fate::None) {
+        psim_panic("node %u audit: second fate '%s' (previous fate '%s') "
+                   "(block %#" PRIx64 ")",
+                   _node, toString(f), toString(*last), blk);
+    }
+    *last = f;
     ++_fates[static_cast<std::size_t>(f)];
-    record(t, e, now);
 }
 
 bool
 NodeAudit::hasLiveIssue(Addr blk) const
 {
-    auto it = _tracks.find(blk);
-    return it != _tracks.end() && it->second.live;
+    const Fate *last = _tracks.find(blk);
+    return last && *last == Fate::None;
 }
 
 void
 NodeAudit::checkTaggedFill(Addr blk) const
 {
-    if (!hasLiveIssue(blk))
-        fail(blk, "prefetched tag set without a live recorded issue");
+    if (!hasLiveIssue(blk)) {
+        psim_panic("node %u audit: prefetched tag set without a live "
+                   "recorded issue (block %#" PRIx64 ")",
+                   _node, blk);
+    }
 }
 
 void
@@ -165,35 +110,15 @@ NodeAudit::checkSlwb(std::size_t occupancy, std::size_t cap,
 }
 
 void
-NodeAudit::fail(Addr blk, const std::string &msg) const
-{
-    std::fprintf(stderr,
-                 "==== audit failure: node %u, block %#" PRIx64 " ====\n",
-                 _node, blk);
-    auto it = _tracks.find(blk);
-    if (it == _tracks.end()) {
-        std::fprintf(stderr, "  (no recorded prefetch history)\n");
-    } else {
-        const Track &t = it->second;
-        std::fprintf(stderr, "  issues: %u, live: %s, last fate: %s\n",
-                     t.issues, t.live ? "yes" : "no",
-                     toString(t.lastFate));
-        for (const auto &[tick, ev] : t.hist) {
-            std::fprintf(stderr, "  tick %12" PRIu64 "  %s\n",
-                         static_cast<std::uint64_t>(tick), toString(ev));
-        }
-    }
-    psim_panic("node %u audit: %s (block %#" PRIx64 ")", _node,
-               msg.c_str(), blk);
-}
-
-void
 NodeAudit::finalize(const Slc &slc)
 {
-    for (const auto &[blk, t] : _tracks) {
-        if (t.live)
-            fail(blk, "issued prefetch never reached a terminal fate");
-    }
+    _tracks.forEach([this](Addr blk, Fate last) {
+        if (last == Fate::None) {
+            psim_panic("node %u audit: issued prefetch never reached a "
+                       "terminal fate (block %#" PRIx64 ")",
+                       _node, blk);
+        }
+    });
 
     std::uint64_t sum = 0;
     for (std::size_t i = 0; i < kNumFates; ++i)
@@ -206,33 +131,18 @@ NodeAudit::finalize(const Slc &slc)
 
     // The tracker counts every fate independently of the stats package;
     // the two must agree bucket by bucket or one of them drifted.
-    struct Check
-    {
-        Fate fate;
-        const stats::Scalar *stat;
-        const char *name;
-    };
-    const Check checks[] = {
-        {Fate::UsefulTagged, &slc.pfUsefulTagged, "pfUsefulTagged"},
-        {Fate::UsefulLate, &slc.pfUsefulLate, "pfUsefulLate"},
-        {Fate::WriteHit, &slc.pfWriteHitTagged, "pfWriteHitTagged"},
-        {Fate::Invalidated, &slc.pfUselessInvalidated,
-         "pfUselessInvalidated"},
-        {Fate::Replaced, &slc.pfUselessReplaced, "pfUselessReplaced"},
-        {Fate::AgedUnused, &slc.pfAgedUnused, "pfAgedUnused"},
-        {Fate::ResidentAtEnd, &slc.pfUselessUnused, "pfUselessUnused"},
-    };
     if (_issued != slc.pfIssued.value()) {
         psim_panic("node %u audit: issue count %" PRIu64
                    " disagrees with stat pfIssued %" PRIu64,
                    _node, _issued, slc.pfIssued.value());
     }
-    for (const Check &c : checks) {
-        if (fateCount(c.fate) != c.stat->value()) {
+    for (std::size_t i = 1; i < kNumFates; ++i) {
+        const Fate f = static_cast<Fate>(i);
+        if (fateCount(f) != slc.pf(f).value()) {
             psim_panic("node %u audit: fate '%s' counted %" PRIu64
                        " times but stat %s is %" PRIu64,
-                       _node, toString(c.fate), fateCount(c.fate),
-                       c.name, c.stat->value());
+                       _node, toString(f), fateCount(f),
+                       Slc::fateStatName(f), slc.pf(f).value());
         }
     }
 }
@@ -270,28 +180,6 @@ MachineAudit::onDeliver(const Message &m)
     }
     if (m.src != m.dst)
         ++_meshDelivered;
-}
-
-void
-MachineAudit::onLockEvent(Addr lock, NodeId node, const char *what)
-{
-    if (_lockEvents.size() >= kLockRingCap)
-        _lockEvents.pop_front();
-    _lockEvents.push_back(LockEvent{lock, node, what});
-}
-
-void
-MachineAudit::failLock(Addr lock, const std::string &msg)
-{
-    std::fprintf(stderr,
-                 "==== audit failure: lock %#" PRIx64
-                 " (recent lock events) ====\n",
-                 lock);
-    for (const LockEvent &e : _lockEvents) {
-        std::fprintf(stderr, "  lock %#" PRIx64 "  node %2u  %s\n",
-                     e.lock, e.node, e.what);
-    }
-    psim_panic("lock audit: %s (lock %#" PRIx64 ")", msg.c_str(), lock);
 }
 
 void

@@ -29,9 +29,10 @@
  * constructed and each `if (_audit)` hook is a null-pointer branch
  * that is never taken.
  *
- * On violation the audit dumps the offending block's full event
- * history (issue, fill, merge, hit, invalidation, ... with ticks)
- * before aborting -- the context an ad-hoc psim_assert cannot give.
+ * The audit only checks; it records no histories. A violation panics
+ * with the node, the block and the rule broken. To see how a block got
+ * there, replay the deterministic run with --chrome-trace, which
+ * records every prefetch's issue, fill and fate.
  */
 
 #ifndef PSIM_SIM_AUDIT_HH
@@ -39,12 +40,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/block_table.hh"
 #include "sim/types.hh"
 
 namespace psim
@@ -83,29 +82,11 @@ constexpr std::size_t kNumFates = 8;
 
 const char *toString(Fate f);
 
-/** Lifecycle events recorded into a block's history (for dumps). */
-enum class Event : std::uint8_t
-{
-    Issue,
-    Fill,
-    DemandMerge,
-    TaggedReadHit,
-    TaggedWriteHit,
-    DeferredStoreHit,
-    Invalidated,
-    Replaced,
-    AgedOut,
-    EndOfRun,
-};
-
-const char *toString(Event e);
-
 /**
- * Per-node prefetch-lifecycle tracker. The Slc reports every issue,
- * every lifecycle event and every terminal fate; the tracker fails
- * hard on a second fate for the same issue, a fate without an issue, a
- * tagged fill without a recorded issue, or an SLWB occupancy
- * violation. finalize() asserts the conservation law and cross-checks
+ * Per-node prefetch-lifecycle tracker. The Slc reports every issue and
+ * every terminal fate; the tracker fails hard on a second fate for the
+ * same issue, a fate without an issue, a tagged fill without a
+ * recorded issue, or an SLWB occupancy violation. finalize() asserts the conservation law and cross-checks
  * every independently-counted fate against the stats package.
  */
 class NodeAudit
@@ -114,13 +95,10 @@ class NodeAudit
     explicit NodeAudit(NodeId node) : _node(node) {}
 
     /** A prefetch for @p blk was issued (SLWB slot taken). */
-    void onIssue(Addr blk, Pc pc, Tick now);
-
-    /** Record a history-only lifecycle event for a tracked block. */
-    void onEvent(Addr blk, Event e, Tick now);
+    void onIssue(Addr blk);
 
     /** Assign the terminal fate of @p blk's live issue (exactly once). */
-    void onFate(Addr blk, Fate f, Event e, Tick now);
+    void onFate(Addr blk, Fate f);
 
     /** Does @p blk have an issue whose fate is still unassigned? */
     bool hasLiveIssue(Addr blk) const;
@@ -136,9 +114,6 @@ class NodeAudit
     void checkSlwb(std::size_t occupancy, std::size_t cap,
                    bool for_prefetch, const char *where) const;
 
-    /** Structured failure: dump @p blk's event history, then abort. */
-    [[noreturn]] void fail(Addr blk, const std::string &msg) const;
-
     /** Conservation law + stats cross-check at end of run. */
     void finalize(const Slc &slc);
 
@@ -151,21 +126,11 @@ class NodeAudit
     }
 
   private:
-    struct Track
-    {
-        bool live = false;    ///< issued, no terminal fate yet
-        Fate lastFate = Fate::None;
-        std::uint32_t issues = 0;
-        /** Bounded event history, oldest first. */
-        std::deque<std::pair<Tick, Event>> hist;
-    };
-
-    void record(Track &t, Event e, Tick now);
-
     NodeId _node;
     std::uint64_t _issued = 0;
     std::array<std::uint64_t, kNumFates> _fates{};
-    std::unordered_map<Addr, Track> _tracks;
+    /** Every issued block's latest fate; Fate::None while it is live. */
+    BlockTable<Fate> _tracks;
 };
 
 /**
@@ -204,12 +169,6 @@ class MachineAudit
     /** A message reached its destination component. */
     void onDeliver(const Message &m);
 
-    /** Record a lock request/grant/release into the bounded ring. */
-    void onLockEvent(Addr lock, NodeId node, const char *what);
-
-    /** Structured lock failure: dump the recent lock events. */
-    [[noreturn]] void failLock(Addr lock, const std::string &msg);
-
     /** Global quiesce-time checks (call when the machine finished). */
     void finalize(const Machine &m);
 
@@ -220,17 +179,9 @@ class MachineAudit
     std::uint64_t meshDelivered() const { return _meshDelivered; }
 
   private:
-    struct LockEvent
-    {
-        Addr lock;
-        NodeId node;
-        const char *what;
-    };
-
     unsigned _numProcs;
     std::uint64_t _meshInjected = 0;
     std::uint64_t _meshDelivered = 0;
-    std::deque<LockEvent> _lockEvents; ///< bounded, oldest first
     std::vector<std::unique_ptr<NodeAudit>> _nodes;
 };
 

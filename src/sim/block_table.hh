@@ -5,14 +5,14 @@
  * The per-block tables of the simulated machine's memory system are
  * these: the home directory and its wait queues; the SLC's MSHRs,
  * writeback set and miss-classification history; the infinite SLC's
- * block array (CacheArray, keyed by 8-block sector); and the backing
- * store's page table. The lock and barrier controllers, the
- * prefetchers' side tables (chase's depths, ptron's pending issues),
- * the Table-2 characterizer and the observers (the audit's prefetch
- * tracks, the chrome tracer's open intervals) keep
- * std::unordered_maps, off the per-block message path. A node-based std::unordered_map pays a prime-modulo bucket
- * hash, a pointer chase per probe and an allocation per entry; this
- * table is two flat lanes instead:
+ * block array (CacheArray, keyed by 8-block sector); the backing
+ * store's page table; and the audit's prefetch tracks. The lock and
+ * barrier controllers, the prefetchers' side tables (chase's depths,
+ * ptron's pending issues), the Table-2 characterizer and the chrome
+ * tracer's open intervals keep std::unordered_maps, off the per-block
+ * message path. A node-based std::unordered_map pays a prime-modulo
+ * bucket hash, a pointer chase per probe and an allocation per entry;
+ * this table is two flat lanes instead:
  *
  *  - Keys and values are stored structure-of-arrays. A probe scans the
  *    dense 8-byte key lane and touches a value only on a hit.

@@ -4,8 +4,9 @@
  * every prefetching scheme with the audit enabled. The audit itself is
  * the oracle -- a lifecycle or coherence violation panics the run --
  * and the test re-asserts the conservation law from the outside.
- * Also a processor mis-count that the time law must catch, and unit
- * tests for the address-wraparound guard in candidate generation.
+ * Also a processor mis-count that the time law must catch, one death
+ * test per prefetch-lifecycle detection, and unit tests for the
+ * address-wraparound guard in candidate generation.
  */
 
 #include <gtest/gtest.h>
@@ -63,14 +64,13 @@ chaos(apps::ThreadCtx &ctx, NodeId me, Addr region, unsigned blocks,
     co_await ctx.barrier(bar);
 }
 
-double
+std::uint64_t
 accountedFates(const Slc &slc)
 {
-    return slc.pfUsefulTagged.value() + slc.pfUsefulLate.value() +
-           slc.pfWriteHitTagged.value() +
-           slc.pfUselessInvalidated.value() +
-           slc.pfUselessReplaced.value() + slc.pfAgedUnused.value() +
-           slc.pfUselessUnused.value();
+    std::uint64_t sum = 0;
+    for (std::size_t f = 1; f < audit::kNumFates; ++f)
+        sum += slc.pf(static_cast<audit::Fate>(f)).value();
+    return sum;
 }
 
 struct AuditParams
@@ -112,7 +112,7 @@ TEST_P(AuditChaos, RandomTrafficPassesTheAudit)
 
     for (NodeId n = 0; n < cfg.numProcs; ++n) {
         const Slc &slc = sys.m.node(n).slc();
-        EXPECT_DOUBLE_EQ(accountedFates(slc), slc.pfIssued.value())
+        EXPECT_EQ(accountedFates(slc), slc.pfIssued.value())
                 << "node " << n;
     }
     // The lock-protected counter saw every increment.
@@ -151,6 +151,89 @@ TEST(AuditDeath, CpuMiscountBreaksTheTimeLaw)
     // no longer add up to its finish tick.
     ++sys.m.node(0).cpu().loads;
     EXPECT_DEATH(sys.finish(), "node 0 time law violated");
+}
+
+// One death test per NodeAudit detection, driven on a bare tracker.
+
+constexpr Addr kBlk = 0x1040;
+
+TEST(AuditDeath, SecondFateNamesBothFates)
+{
+    audit::NodeAudit na(3);
+    na.onIssue(kBlk);
+    na.onFate(kBlk, audit::Fate::UsefulTagged);
+    EXPECT_DEATH(na.onFate(kBlk, audit::Fate::Replaced),
+                 "node 3 audit: second fate 'replaced' \\(previous fate "
+                 "'useful-tagged'\\) \\(block 0x1040\\)");
+}
+
+TEST(AuditDeath, FateWithoutAnIssue)
+{
+    audit::NodeAudit na(0);
+    EXPECT_DEATH(na.onFate(kBlk, audit::Fate::Invalidated),
+                 "fate 'invalidated' for a block that was never issued");
+}
+
+TEST(AuditDeath, IssueWhileAnotherIsLive)
+{
+    audit::NodeAudit na(0);
+    na.onIssue(kBlk);
+    EXPECT_DEATH(na.onIssue(kBlk),
+                 "prefetch issued while a previous issue is still live");
+}
+
+TEST(AuditDeath, TaggedFillWithoutALiveIssue)
+{
+    audit::NodeAudit na(0);
+    EXPECT_DEATH(na.checkTaggedFill(kBlk),
+                 "prefetched tag set without a live recorded issue");
+    // An issue whose fate is sealed is no longer live either.
+    na.onIssue(kBlk);
+    na.onFate(kBlk, audit::Fate::AgedUnused);
+    EXPECT_DEATH(na.checkTaggedFill(kBlk),
+                 "prefetched tag set without a live recorded issue");
+}
+
+TEST(AuditDeath, LiveIssueAtFinalize)
+{
+    MachineConfig cfg;
+    cfg.numProcs = 4;
+    MiniSystem sys(cfg);
+    audit::NodeAudit na(0);
+    na.onIssue(kBlk);
+    EXPECT_DEATH(na.finalize(sys.m.node(0).slc()),
+                 "issued prefetch never reached a terminal fate "
+                 "\\(block 0x1040\\)");
+}
+
+TEST(AuditDeath, FinalizeCrossChecksTheStatistics)
+{
+    MachineConfig cfg;
+    cfg.numProcs = 4;
+    MiniSystem sys(cfg);
+    Slc &slc = sys.m.node(0).slc();
+    audit::NodeAudit na(0);
+    na.onIssue(kBlk);
+    na.onFate(kBlk, audit::Fate::UsefulTagged);
+    EXPECT_DEATH(na.finalize(slc),
+                 "issue count 1 disagrees with stat pfIssued 0");
+    slc.pfIssued = 1;
+    EXPECT_DEATH(na.finalize(slc),
+                 "fate 'useful-tagged' counted 1 times but stat "
+                 "pfUsefulTagged is 0");
+}
+
+TEST(AuditDeath, PrefetchTakesTheReservedSlwbSlot)
+{
+    audit::NodeAudit na(2);
+    na.checkSlwb(15, 16, true, "prefetch allocation");
+    EXPECT_DEATH(na.checkSlwb(16, 16, true, "prefetch allocation"),
+                 "node 2: prefetch filled the SLWB slot reserved for "
+                 "demand accesses \\(16/16, prefetch allocation\\)");
+    // A demand admission may over-commit by one entry, never by two.
+    na.checkSlwb(17, 16, false, "demand read allocation");
+    EXPECT_DEATH(na.checkSlwb(18, 16, false, "demand read allocation"),
+                 "node 2 SLWB occupancy 18 exceeds capacity 16");
 }
 
 TEST(WrapGuard, SequentialNearTopOfAddressSpace)

@@ -273,7 +273,7 @@ bool
 sameBlk(const CacheBlk &a, const CacheBlk &b)
 {
     return a.state == b.state && a.prefetched == b.prefetched &&
-           a.written == b.written && a.outcomeReported == b.outcomeReported;
+           a.written == b.written;
 }
 
 /**
@@ -337,7 +337,6 @@ checkAgainstMap(unsigned blk, std::uint64_t seed)
                 CacheBlk *b = c.find(a);
                 ASSERT_NE(b, nullptr);
                 b->written = rng() % 2;
-                b->outcomeReported = rng() % 2;
                 if (rng() % 2)
                     b->prefetched = false;
                 it->second = *b;

@@ -224,7 +224,7 @@ TEST(Machine, FiniteSlcIsPinned)
         for (NodeId n = 0; n < cfg.numProcs; ++n) {
             const Slc &slc = run.machine->node(n).slc();
             writebacks += slc.writebacks.value();
-            replaced += slc.pfUselessReplaced.value();
+            replaced += slc.pf(audit::Fate::Replaced).value();
         }
         EXPECT_GT(mx.missesReplacement, 0.0);
         EXPECT_GT(writebacks, 0.0);

@@ -78,11 +78,10 @@ runStream(PrefetchScheme scheme, unsigned bytes, unsigned stride,
 std::uint64_t
 accountedFates(const Slc &slc)
 {
-    return slc.pfUsefulTagged.value() + slc.pfUsefulLate.value() +
-           slc.pfWriteHitTagged.value() +
-           slc.pfUselessInvalidated.value() +
-           slc.pfUselessReplaced.value() + slc.pfAgedUnused.value() +
-           slc.pfUselessUnused.value();
+    std::uint64_t sum = 0;
+    for (std::size_t f = 1; f < audit::kNumFates; ++f)
+        sum += slc.pf(static_cast<audit::Fate>(f)).value();
+    return sum;
 }
 
 } // namespace
@@ -252,7 +251,7 @@ TEST(PrefetchIntegration, AgedPrefetchesGetASingleFate)
     sys.run(0, streamReads(sys.ctx(0), base, 8192, 64, 40));
     ASSERT_TRUE(sys.finish());
     const Slc &slc = sys.m.node(0).slc();
-    EXPECT_GT(slc.pfAgedUnused.value(), 0.0);
+    EXPECT_GT(slc.pf(audit::Fate::AgedUnused).value(), 0.0);
     EXPECT_EQ(accountedFates(slc), slc.pfIssued.value());
 }
 

@@ -97,14 +97,10 @@ TEST_P(CoherenceChaos, InvariantsHoldUnderRandomTraffic)
     // in exactly one outcome bucket, for every scheme and cache size.
     for (NodeId n = 0; n < cfg.numProcs; ++n) {
         const Slc &slc = sys.m.node(n).slc();
-        double accounted = slc.pfUsefulTagged.value() +
-                           slc.pfUsefulLate.value() +
-                           slc.pfWriteHitTagged.value() +
-                           slc.pfUselessInvalidated.value() +
-                           slc.pfUselessReplaced.value() +
-                           slc.pfAgedUnused.value() +
-                           slc.pfUselessUnused.value();
-        EXPECT_DOUBLE_EQ(accounted, slc.pfIssued.value())
+        std::uint64_t accounted = 0;
+        for (std::size_t f = 1; f < audit::kNumFates; ++f)
+            accounted += slc.pf(static_cast<audit::Fate>(f)).value();
+        EXPECT_EQ(accounted, slc.pfIssued.value())
                 << "node " << n;
     }
 
